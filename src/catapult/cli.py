@@ -19,6 +19,7 @@ import hashlib
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -690,10 +691,13 @@ def cmd_train(cfg: dict, out_dir: Path) -> None:
     _write_json(out_dir / "trajectory.meta.json", meta)
 
 
-def _sweep_worker(args: tuple) -> tuple:
-    cfg, eta, lambda0 = args
-    experiment = resolve_experiment(cfg)
-    record, trajectory = run_sweep_point(
+def _sweep_worker(
+    cfg: dict, experiment: Experiment, eta: float, lambda0: float
+) -> tuple[SweepRecord, Trajectory]:
+    """One rate of a sweep.  Every rate shares the resolved experiment: each
+    `model_factory()` call draws fresh parameters from a keyed stream, and
+    training mutates only those, so reuse changes no output bit."""
+    return run_sweep_point(
         experiment.model_factory,
         experiment.dataset,
         eta,
@@ -701,18 +705,35 @@ def _sweep_worker(args: tuple) -> tuple:
         lambda0,
         experiment.evaluate_outputs,
     )
-    return record, trajectory
+
+
+# The experiment of a `--jobs > 1` sweep, resolved once per worker process.
+# An Experiment holds closures and cannot be pickled, so each worker rebuilds
+# it from the plain-dict config; nothing relies on a forked parent's memory,
+# so any start method works.
+_worker_experiment: Optional[Experiment] = None
+
+
+def _init_pool_worker(cfg: dict) -> None:
+    global _worker_experiment
+    _worker_experiment = resolve_experiment(cfg)
+
+
+def _pool_sweep_worker(cfg: dict, lambda0: float, eta: float) -> tuple:
+    return _sweep_worker(cfg, _worker_experiment, eta, lambda0)
 
 
 def cmd_sweep(cfg: dict, out_dir: Path, jobs: int = 1) -> None:
     experiment = resolve_experiment(cfg)
     etas, lambda0 = resolve_eta_grid(cfg, experiment)
-    tasks = [(cfg, eta, lambda0) for eta in etas]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_sweep_worker, tasks))
+    workers = min(jobs, len(etas))
+    if workers > 1:
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=_init_pool_worker, initargs=(cfg,)
+        ) as pool:
+            results = list(pool.map(partial(_pool_sweep_worker, cfg, lambda0), etas))
     else:
-        results = [_sweep_worker(task) for task in tasks]
+        results = [_sweep_worker(cfg, experiment, eta, lambda0) for eta in etas]
 
     out_dir.mkdir(parents=True, exist_ok=True)
     layers = experiment.sparsity_layers

@@ -238,6 +238,11 @@ class ReluProjectorDecomposition:
         if self.u_plus @ self.u_minus != 0.0:
             raise ModelError("u_plus and u_minus must have disjoint support")
 
+    def active_on(self, x: float) -> np.ndarray:
+        """Mask of the neurons active on the 1d input x (``u x > 0``): the
+        minus side when x < 0, otherwise the plus side."""
+        return self.p_minus if x < 0.0 else self.p_plus
+
 
 @dataclass
 class HomogenousNet:
@@ -345,12 +350,20 @@ class HomogenousNet:
     def weight_norm(self) -> float:
         return float((self.u * self.u).sum() + self.v @ self.v)
 
-    def reduced_weight_norm(self) -> float | None:
+    def reduced_weight_norm(self, inputs=None) -> float | None:
         """Squared norm restricted to the coordinates active at the frozen
-        reference time (first layer plus the matching second-layer slots)."""
+        reference time (first layer plus the matching second-layer slots).
+
+        On a single 1d datapoint those are the neurons active on it, so the
+        u < 0 side when x < 0; otherwise (no inputs, or several points) the
+        u >= 0 side."""
         if self.frozen_split is None:
             return None
         mask = self.frozen_split.p_plus
+        if inputs is not None:
+            x = _as_inputs(inputs)
+            if x.shape == (1, 1):
+                mask = self.frozen_split.active_on(float(x[0, 0]))
         u_part = self.u[mask, 0] if self.input_dim == 1 else self.u[mask]
         return float((u_part * u_part).sum() + self.v[mask] @ self.v[mask])
 

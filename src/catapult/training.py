@@ -150,7 +150,7 @@ def train(model, dataset: Dataset, config: TrainConfig) -> Trajectory:
         losses.append(loss)
         weight_norms.append(model.weight_norm() if finite else float("inf"))
         if track_reduced:
-            reduced.append(model.reduced_weight_norm())
+            reduced.append(model.reduced_weight_norm(x))
         if track_combined:
             combined.append(model.bias_combined_norm())
         if config.record_outputs:
@@ -199,10 +199,11 @@ def weight_norm_identity_residuals(
 ) -> np.ndarray:
     """Per-step residuals of the norm update identity on a single-datapoint run.
 
-    For homogeneity-weight-two models trained on (x, y) = (1, 0) the exact
-    identity is ``N_{t+1} - N_t == eta * z_t**2 * (eta * (H_t + h_shift) - 4)``
-    where N is the tracked norm (``total`` weight norm, the ReLU ``reduced``
-    norm, or the with-bias ``combined`` quantity with ``h_shift = phi**2``).
+    For homogeneity-weight-two models trained on one datapoint with label
+    zero, such as the toy (x, y) = (1, 0), the exact identity is
+    ``N_{t+1} - N_t == eta * z_t**2 * (eta * (H_t + h_shift) - 4)`` where N
+    is the tracked norm (``total`` weight norm, the ReLU ``reduced`` norm, or
+    the with-bias ``combined`` quantity with ``h_shift = phi**2``).
     Requires a trajectory recorded with outputs and kernel evaluations at
     every step.  Residuals are normalized by the larger of the norm scale and
     the update magnitude so they are comparable across the run.

@@ -210,12 +210,72 @@ class TestSweepCommand:
         # no final-state scalars on divergent rows
         assert divergent_row[5] == "" and divergent_row[6] == ""
 
+    @staticmethod
+    def homogenous_sweep_config():
+        return {
+            "model": {"family": "homogenous", "width": 64, "a_minus": 0.5,
+                      "a_plus": 1.0, "init_seed": 3},
+            "dataset": {"kind": "toy"},
+            "training": {"eta_lambda0_grid": [1.0, 3.0, 5.0], "ntk_eval_interval": 10},
+        }
+
+    @staticmethod
+    def assert_same_files(first: Path, other: Path):
+        names = sorted(p.name for p in first.iterdir())
+        assert names == sorted(p.name for p in other.iterdir())
+        for name in names:
+            assert (first / name).read_bytes() == (other / name).read_bytes(), name
+
     def test_parallel_matches_serial(self, tmp_path):
-        path = write_config(tmp_path, self.sweep_config())
+        for family, cfg in (
+            ("pure_quadratic", self.sweep_config()),
+            ("homogenous", self.homogenous_sweep_config()),
+        ):
+            cfg["output"] = {"per_eta_trajectories": True}
+            path = write_config(tmp_path, cfg, name=f"{family}.json")
+            serial, parallel = tmp_path / f"{family}_s", tmp_path / f"{family}_p"
+            assert main(["sweep", "--config", path, "--out", str(serial)]) == 0
+            assert main(["sweep", "--config", path, "--out", str(parallel), "--jobs", "2"]) == 0
+            assert (serial / "trajectory_000.csv").is_file()
+            assert (serial / "sweep.meta.json").is_file()
+            self.assert_same_files(serial, parallel)
+
+    def test_parallel_workers_do_not_rely_on_fork(self, tmp_path, monkeypatch):
+        # spawned workers inherit no memory of the parent: each rebuilds the
+        # experiment from the plain-dict config in its pool initializer
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        import catapult.cli as cli
+
+        spawn = multiprocessing.get_context("spawn")
+        monkeypatch.setattr(
+            cli,
+            "ProcessPoolExecutor",
+            lambda **kwargs: ProcessPoolExecutor(mp_context=spawn, **kwargs),
+        )
+        path = write_config(tmp_path, self.homogenous_sweep_config())
         serial, parallel = tmp_path / "s", tmp_path / "p"
         assert main(["sweep", "--config", path, "--out", str(serial)]) == 0
         assert main(["sweep", "--config", path, "--out", str(parallel), "--jobs", "2"]) == 0
-        assert (serial / "sweep.csv").read_bytes() == (parallel / "sweep.csv").read_bytes()
+        self.assert_same_files(serial, parallel)
+
+    def test_serial_sweep_resolves_the_experiment_once(self, tmp_path, monkeypatch):
+        import catapult.cli as cli
+
+        calls = []
+        resolve = cli.resolve_experiment
+
+        def counting(cfg):
+            calls.append(cfg)
+            return resolve(cfg)
+
+        monkeypatch.setattr(cli, "resolve_experiment", counting)
+        cfg = normalize_config(self.sweep_config(), tmp_path)
+        cli.cmd_sweep(cfg, tmp_path / "sweep")
+        assert len(calls) == 1
+        rows = (tmp_path / "sweep" / "sweep.csv").read_text().strip().splitlines()
+        assert len(rows) == 1 + len(cfg["training"]["eta_lambda0_grid"])
 
     def test_per_eta_trajectories(self, tmp_path):
         cfg = self.sweep_config()

@@ -175,6 +175,45 @@ class TestReluFrozenComplement:
             assert np.array_equal(net.v[split.p_minus], v_minus)
 
 
+class TestReluReducedNormOnTheDatapoint:
+    """On one 1d datapoint the recorded reduced norm is taken over the neurons
+    active on it (u x > 0), the same set `bound_relu` certifies."""
+
+    @staticmethod
+    def setup(x, label):
+        net = HomogenousNet.init_random(128, Rng(0).child(4), 0.0, 1.0)
+        return net, Dataset(inputs=[[x]], labels=[label])
+
+    @pytest.mark.parametrize("x", [4.0, -0.5])
+    def test_step_zero_is_the_certified_reduced_norm(self, x):
+        from catapult.bounds import bound_relu
+
+        net, dataset = self.setup(x, 0.5)
+        certified = bound_relu(net, dataset).inputs_digest["reduced_theta0_sq"]
+        traj = train(net, dataset, TrainConfig(eta=0.01, max_steps=1))
+        assert traj.reduced_weight_norms[0] == pytest.approx(certified, rel=1e-12)
+
+    def test_negative_datapoint_norm_decreases_inside_window(self):
+        from catapult.bounds import bound_relu
+
+        net, dataset = self.setup(-0.5, 0.0)
+        report = bound_relu(net, dataset)
+        eta = 0.5 * (report.catapult_lower + report.sufficient_upper)
+        traj = train(net.clone(), dataset, identity_config(eta))
+        assert traj.termination == "converged"
+        norms = traj.reduced_weight_norms
+        assert norms[-1] < norms[0]
+        assert np.all(np.diff(norms) <= 1e-10 * norms[0])
+        assert weight_norm_identity_residuals(traj, "reduced").max() < 1e-9
+
+    def test_several_points_keep_the_nonnegative_side(self):
+        net, _ = self.setup(1.0, 0.0)
+        mask = net.frozen_split.p_plus
+        expected = float(net.u[mask, 0] @ net.u[mask, 0] + net.v[mask] @ net.v[mask])
+        for inputs in (None, [[-0.5], [0.25]]):
+            assert net.reduced_weight_norm(inputs) == pytest.approx(expected, rel=1e-12)
+
+
 class TestMonotoneDecreaseInsideWindow:
     """Learning rates strictly inside each certified window must decrease the
     relevant norm at every step, for a batch of seeds."""

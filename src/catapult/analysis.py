@@ -112,15 +112,15 @@ class SweepRecord:
     eta: float
     eta_lambda0: float
     status: str  # "ok" | "failed"
-    phase: Optional[str]
-    steps_taken: Optional[int]
-    final_eta_lambda_max: Optional[float]
-    weight_ratio: Optional[float]
-    train_loss_final: Optional[float]
-    test_loss_final: Optional[float]
-    generalization_gap: Optional[float]
-    accuracy: Optional[float]
-    sparsity: Optional[tuple[float, ...]]
+    phase: Optional[str] = None
+    steps_taken: Optional[int] = None
+    final_eta_lambda_max: Optional[float] = None
+    weight_ratio: Optional[float] = None
+    train_loss_final: Optional[float] = None
+    test_loss_final: Optional[float] = None
+    generalization_gap: Optional[float] = None
+    accuracy: Optional[float] = None
+    sparsity: Optional[tuple[float, ...]] = None
     message: str = ""
 
 
@@ -140,13 +140,12 @@ def run_sweep_point(
     config: TrainConfig,
     lambda0: float,
     evaluate_outputs: Optional[Callable] = None,
-    spike_factor: float = DEFAULT_SPIKE_FACTOR,
 ) -> tuple[SweepRecord, Trajectory]:
     """Train one freshly initialized model at one learning rate; returns the
     run summary together with the full trajectory."""
     model = model_factory()
     trajectory = train(model, dataset, dataclasses.replace(config, eta=eta))
-    phase = classify_phase(trajectory, spike_factor)
+    phase = classify_phase(trajectory)
     if phase == PHASE_DIVERGENT:
         record = SweepRecord(
             eta=eta,
@@ -154,13 +153,6 @@ def run_sweep_point(
             status="ok",
             phase=phase,
             steps_taken=trajectory.steps_taken,
-            final_eta_lambda_max=None,
-            weight_ratio=None,
-            train_loss_final=None,
-            test_loss_final=None,
-            generalization_gap=None,
-            accuracy=None,
-            sparsity=None,
         )
         return record, trajectory
 
@@ -194,7 +186,6 @@ def sweep(
     eta_grid: Sequence[float],
     config: TrainConfig,
     evaluate_outputs: Optional[Callable] = None,
-    spike_factor: float = DEFAULT_SPIKE_FACTOR,
 ) -> SweepResult:
     """One record per learning rate, in grid order.
 
@@ -210,13 +201,7 @@ def sweep(
     for eta in grid:
         try:
             record, _ = run_sweep_point(
-                model_factory,
-                dataset,
-                eta,
-                config,
-                lambda0,
-                evaluate_outputs,
-                spike_factor,
+                model_factory, dataset, eta, config, lambda0, evaluate_outputs
             )
             records.append(record)
         except Exception as exc:  # noqa: BLE001 - per-rate isolation is the contract
@@ -225,15 +210,6 @@ def sweep(
                     eta=eta,
                     eta_lambda0=eta * lambda0,
                     status="failed",
-                    phase=None,
-                    steps_taken=None,
-                    final_eta_lambda_max=None,
-                    weight_ratio=None,
-                    train_loss_final=None,
-                    test_loss_final=None,
-                    generalization_gap=None,
-                    accuracy=None,
-                    sparsity=None,
                     message=f"{type(exc).__name__}: {exc}",
                 )
             )

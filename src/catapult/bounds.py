@@ -1,11 +1,14 @@
 """Certified learning-rate windows for the catapult phase.
 
-Every bound shares one structure: the catapult window opens at the linear
-stability threshold ``2 / lambda_max(H_0)`` and is certified up to a
-sufficient (not necessary) upper value obtained by bounding the tangent
-kernel in terms of a monotone weight-norm quantity.  Where a matching lower
-bound on the kernel exists, learning rates above a divergence threshold are
-certified to diverge.
+Every window is derived by ``BoundReport`` from the same few numbers.  It
+opens at the linear stability threshold ``2 / h0``, with ``h0`` the top
+eigenvalue of the tangent kernel at initialization, and is certified up to
+the sufficient (not necessary) value ``4 * scale / ceiling``, where
+``ceiling / scale`` bounds the kernel by a monotone weight-norm quantity.
+Where a matching lower bound ``floor / scale`` exists, rates above
+``4 * scale / floor`` are certified to diverge.  A bound that does not apply
+raises ``BoundsError``; its message is the skip reason
+``collect_bound_reports`` records.
 
 Single-datapoint bounds are proven; so are the multi-datapoint contraction
 bound (``omega``) and the sample-Gram bound for homogenous nets
@@ -17,7 +20,7 @@ report; the artifact never presents them as guarantees.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -46,6 +49,7 @@ NOTE_RELU_EMPIRICAL = (
     "loss y**2/2, kernel 0), and the dead share grows with the rate "
     "(width 512, 50 seeds: 21 dead at eta*H0 = 4, 49 at 12)"
 )
+MULTI_POINT = "dataset has more than one datapoint"
 
 
 class BoundsError(ValueError):
@@ -54,25 +58,37 @@ class BoundsError(ValueError):
 
 @dataclass
 class BoundReport:
-    """One certified (or heuristic) learning-rate range.
+    """One certified (or heuristic) learning-rate window.
 
-    ``window_nonempty`` records whether the sufficient upper value actually
-    exceeds the stability threshold; an empty window is a valid outcome that
-    simply certifies nothing above the lazy regime.
+    Built from ``h0`` and the kernel's ceiling (and floor, where one is
+    known); derives every edge and ``window_nonempty``, which records whether
+    the sufficient upper value exceeds the stability threshold.  An empty
+    window is a valid outcome that simply certifies nothing above the lazy
+    regime; a vanishing kernel admits no window at all.
     """
 
     method: str
-    catapult_lower: float
-    sufficient_upper: float
-    divergence_lower: Optional[float]
-    window_nonempty: bool
+    h0: float
+    ceiling: InitVar[float]
     proven: bool
     inputs_digest: dict
     notes: list[str] = field(default_factory=list)
+    floor: InitVar[Optional[float]] = None
+    scale: InitVar[float] = 1.0
+    catapult_lower: float = field(init=False)
+    sufficient_upper: float = field(init=False)
+    divergence_lower: Optional[float] = field(init=False)
+    window_nonempty: bool = field(init=False)
 
-    def __post_init__(self):
-        if not (self.catapult_lower > 0.0 and self.sufficient_upper > 0.0):
+    def __post_init__(self, ceiling: float, floor: Optional[float], scale: float):
+        if not self.h0 > 0.0:
+            raise BoundsError("kernel vanishes at initialization; no window exists")
+        if not (ceiling > 0.0 and (floor is None or floor > 0.0)):
             raise BoundsError("bound edges must be positive")
+        self.catapult_lower = 2.0 / self.h0
+        self.sufficient_upper = 4.0 * scale / ceiling
+        self.divergence_lower = None if floor is None else 4.0 * scale / floor
+        self.window_nonempty = self.sufficient_upper > self.catapult_lower
         if (
             self.divergence_lower is not None
             and self.divergence_lower < self.sufficient_upper
@@ -92,14 +108,18 @@ class BoundReport:
         }
 
 
-def _theta(model: QuadraticModel, theta0) -> np.ndarray:
-    return model.theta if theta0 is None else np.asarray(theta0, dtype=np.float64)
-
-
 def _psi_square_extremes(psi: np.ndarray) -> tuple[float, float, np.ndarray]:
     evals = np.linalg.eigvalsh(psi)
     squares = evals**2
     return float(squares.max()), float(squares.min()), squares
+
+
+def _with_bias_ceiling(
+    phi_sq: float, overlap_sq: float, theta_sq: float, zeta: float, lam_psi_sq: float
+) -> float:
+    """Kernel ceiling of the with-bias bounds:
+    ``2 phi**2 + zeta**2 lambda(psi**2) (theta**2 + (phi.theta)**2 / phi**2)``."""
+    return 2.0 * phi_sq + zeta**2 * lam_psi_sq * (theta_sq + overlap_sq / phi_sq)
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +127,7 @@ def _psi_square_extremes(psi: np.ndarray) -> tuple[float, float, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-def bound_pure_quadratic(model: QuadraticModel, theta0=None) -> BoundReport:
+def bound_pure_quadratic(model: QuadraticModel) -> BoundReport:
     """Window for the pure quadratic model on one datapoint.
 
     The kernel satisfies ``H_t <= zeta**2 lambda_max(psi**2) theta_t**2``, so
@@ -119,29 +139,24 @@ def bound_pure_quadratic(model: QuadraticModel, theta0=None) -> BoundReport:
     if model.variant != "pure":
         raise BoundsError("this window applies to the pure variant")
     if model.num_points != 1:
-        raise BoundsError("single-datapoint bound evaluated on a multi-point model")
+        raise BoundsError(MULTI_POINT)
     if model.zeta <= 0.0:
         raise BoundsError("the pure-model window requires a positive coupling")
-    theta0 = _theta(model, theta0)
     psi = model.meta_features[0]
     lam_max_sq, lam_min_sq, squares = _psi_square_extremes(psi)
-    theta_sq = float(theta0 @ theta0)
-    meta_theta = psi @ theta0
+    theta_sq = model.weight_norm()
+    meta_theta = psi @ model.theta
     h0 = model.zeta**2 * float(meta_theta @ meta_theta)
-    if h0 <= 0.0:
-        raise BoundsError("kernel vanishes at initialization; no window exists")
 
-    upper = 4.0 / (model.zeta**2 * theta_sq * lam_max_sq)
-    divergence = None
+    floor = None
     if lam_min_sq > 1e-12 * lam_max_sq:
-        divergence = 4.0 / (model.zeta**2 * theta_sq * lam_min_sq)
+        floor = model.zeta**2 * theta_sq * lam_min_sq
     expected_nonempty = lam_max_sq < (2.0 / model.n) * float(squares.sum())
     return BoundReport(
         method="single_datapoint",
-        catapult_lower=2.0 / h0,
-        sufficient_upper=upper,
-        divergence_lower=divergence,
-        window_nonempty=upper > 2.0 / h0,
+        h0=h0,
+        ceiling=model.zeta**2 * theta_sq * lam_max_sq,
+        floor=floor,
         proven=True,
         inputs_digest={
             "family": "pure_quadratic",
@@ -157,7 +172,7 @@ def bound_pure_quadratic(model: QuadraticModel, theta0=None) -> BoundReport:
     )
 
 
-def bound_quadratic_with_bias(model: QuadraticModel, theta0=None) -> BoundReport:
+def bound_quadratic_with_bias(model: QuadraticModel) -> BoundReport:
     """Window for the with-bias quadratic model on one datapoint.
 
     The monotone quantity is the weight norm plus the squared
@@ -168,27 +183,21 @@ def bound_quadratic_with_bias(model: QuadraticModel, theta0=None) -> BoundReport
     if model.variant != "with_bias":
         raise BoundsError("this window applies to the with-bias variant")
     if model.num_points != 1:
-        raise BoundsError("single-datapoint bound evaluated on a multi-point model")
-    theta0 = _theta(model, theta0)
+        raise BoundsError(MULTI_POINT)
     phi = model.features[0]
     phi_sq = float(phi @ phi)
     if phi_sq == 0.0:
         raise BoundsError("feature vector vanishes; use the pure-model window")
     psi = model.meta_features[0]
     lam_max_sq, _, _ = _psi_square_extremes(psi)
-    theta_sq = float(theta0 @ theta0)
-    overlap_sq = float(phi @ theta0) ** 2
-    meta_theta = psi @ theta0
+    theta_sq = model.weight_norm()
+    overlap_sq = float(phi @ model.theta) ** 2
+    meta_theta = psi @ model.theta
     h0 = phi_sq + model.zeta**2 * float(meta_theta @ meta_theta)
-
-    denom = 2.0 * phi_sq + model.zeta**2 * lam_max_sq * (theta_sq + overlap_sq / phi_sq)
-    upper = 4.0 / denom
     return BoundReport(
         method="single_datapoint",
-        catapult_lower=2.0 / h0,
-        sufficient_upper=upper,
-        divergence_lower=None,
-        window_nonempty=upper > 2.0 / h0,
+        h0=h0,
+        ceiling=_with_bias_ceiling(phi_sq, overlap_sq, theta_sq, model.zeta, lam_max_sq),
         proven=True,
         inputs_digest={
             "family": "quadratic_with_bias",
@@ -204,14 +213,12 @@ def bound_quadratic_with_bias(model: QuadraticModel, theta0=None) -> BoundReport
     )
 
 
-def _single_input(net: HomogenousNet, dataset: Dataset) -> float:
+def _single_input(net: HomogenousNet, dataset: Dataset, window: str) -> float:
     """The scalar input of a one-datapoint, 1d dataset.  The kernel of a
     two-layer homogenous net carries a factor ``x**2``, so ``x = 0`` admits
     no window."""
-    if net.input_dim != 1 or dataset.dim != 1:
-        raise BoundsError("single-datapoint window requires 1d inputs")
-    if dataset.size != 1:
-        raise BoundsError("single-datapoint bound evaluated on a multi-point dataset")
+    if net.input_dim != 1 or dataset.dim != 1 or dataset.size != 1:
+        raise BoundsError(f"{window} requires one 1d datapoint")
     x = float(dataset.inputs[0, 0])
     if x == 0.0:
         raise BoundsError("the datapoint is x = 0, where the kernel vanishes; no window exists")
@@ -231,17 +238,14 @@ def bound_homogenous_mlp(net: HomogenousNet, dataset: Dataset) -> BoundReport:
     negative slope is non-zero, which excludes ReLU; ReLU nets get their own
     reduced-norm window.
     """
-    x = _single_input(net, dataset)
+    x = _single_input(net, dataset, "the single-datapoint window")
     x_sq = x * x
     theta_sq = net.weight_norm()
     h0 = float(net.ntk(dataset.inputs)[0, 0])
-    if h0 <= 0.0:
-        raise BoundsError("kernel vanishes at initialization; no window exists")
-    upper = 4.0 * net.width / (net.a_plus**2 * x_sq * theta_sq)
-    divergence = None
+    floor = None
     notes = []
     if net.a_minus > 0.0:
-        divergence = 4.0 * net.width / (net.a_minus**2 * x_sq * theta_sq)
+        floor = net.a_minus**2 * x_sq * theta_sq
     else:
         notes.append(
             "zero negative slope: no divergence certificate, and the window is "
@@ -249,10 +253,10 @@ def bound_homogenous_mlp(net: HomogenousNet, dataset: Dataset) -> BoundReport:
         )
     return BoundReport(
         method="single_datapoint",
-        catapult_lower=2.0 / h0,
-        sufficient_upper=upper,
-        divergence_lower=divergence,
-        window_nonempty=upper > 2.0 / h0,
+        h0=h0,
+        ceiling=net.a_plus**2 * x_sq * theta_sq,
+        floor=floor,
+        scale=net.width,
         proven=True,
         inputs_digest={
             "family": "homogenous",
@@ -279,7 +283,7 @@ def bound_relu(net: HomogenousNet, dataset: Dataset) -> BoundReport:
     """
     if not net.is_relu:
         raise BoundsError("this window applies to ReLU nets")
-    x = _single_input(net, dataset)
+    x = _single_input(net, dataset, "the ReLU window")
     split = net.frozen_split if net.frozen_split is not None else relu_project(net)
     mask = split.active_on(x)
     reduced = float(
@@ -293,10 +297,8 @@ def bound_relu(net: HomogenousNet, dataset: Dataset) -> BoundReport:
     h0 = x * x * reduced / net.width
     return BoundReport(
         method="single_datapoint",
-        catapult_lower=2.0 / h0,
-        sufficient_upper=4.0 / h0,
-        divergence_lower=None,
-        window_nonempty=True,
+        h0=h0,
+        ceiling=h0,
         proven=True,
         inputs_digest={
             "family": "relu",
@@ -345,7 +347,6 @@ def omega_dense(model: QuadraticModel) -> np.ndarray:
 
 def bound_multi_omega(
     model: QuadraticModel,
-    theta0=None,
     power_tol: float = 1e-6,
     power_max_iters: int = 10_000,
 ) -> BoundReport:
@@ -361,17 +362,14 @@ def bound_multi_omega(
         raise BoundsError("the contraction window applies to the pure variant")
     if model.zeta <= 0.0:
         raise BoundsError("the contraction window requires a positive coupling")
-    theta0 = _theta(model, theta0)
-    theta_sq = float(theta0 @ theta0)
+    theta_sq = model.weight_norm()
     result = power_iteration_lambda_max(
         omega_operator(model), rng=Rng(0), tol=power_tol, max_iters=power_max_iters
     )
     lam_omega = result.value
     if lam_omega <= 0.0:
         raise BoundsError("contraction operator has zero top eigenvalue")
-    h0 = _ntk_at(model, theta0)
-    lam0 = lambda_max_symmetric(h0)
-    upper = 4.0 / (lam_omega * theta_sq)
+    lam0 = lambda_max_symmetric(model.ntk())
     notes = [NOTE_DROPPED_CORRECTIONS]
     if not result.converged:
         notes.append(
@@ -380,10 +378,8 @@ def bound_multi_omega(
         )
     return BoundReport(
         method="omega",
-        catapult_lower=2.0 / lam0,
-        sufficient_upper=upper,
-        divergence_lower=None,
-        window_nonempty=upper > 2.0 / lam0,
+        h0=lam0,
+        ceiling=lam_omega * theta_sq,
         proven=True,
         inputs_digest={
             "family": "pure_quadratic",
@@ -400,29 +396,37 @@ def bound_multi_omega(
     )
 
 
-def _ntk_at(model: QuadraticModel, theta0: np.ndarray) -> np.ndarray:
-    eff = model.features + model.zeta * (model.meta_features @ theta0)
-    h = eff @ eff.T / model.num_points
-    return (h + h.T) / 2.0
-
-
-def _top_eigenvector(h0: np.ndarray) -> tuple[np.ndarray, bool]:
+def _pool_along_top_eigenvector(model: QuadraticModel):
+    """``(lam0, top, lam_eff_sq, degenerate, notes)``: the kernel's top
+    eigenvalue and eigenvector at initialization, the top squared eigenvalue
+    of the meta-features pooled along that eigenvector, whether the top
+    eigenspace is degenerate, and the notes every pooled report carries."""
+    h0 = model.ntk()
     evals, evecs = sym_eigen(h0)
+    top = evecs[:, 0]
     degenerate = (
         h0.shape[0] > 1
         and evals[0] - evals[1] <= DEGENERACY_RTOL * max(abs(evals[0]), 1.0)
     )
-    return evecs[:, 0], degenerate
-
-
-def _effective_meta(model: QuadraticModel, top: np.ndarray) -> np.ndarray:
     pooled = np.einsum("a,aij->ij", top, model.meta_features) / np.sqrt(
         model.num_points
     )
-    return (pooled + pooled.T) / 2.0
+    eff = (pooled + pooled.T) / 2.0
+    notes = [
+        "heuristic: assumes the kernel's top eigenvector stays frozen while "
+        "the loss grows",
+        NOTE_DROPPED_CORRECTIONS,
+    ]
+    if degenerate:
+        notes.append(
+            "top kernel eigenspace is degenerate; deterministically tie-broken "
+            "to the first eigenvector of the sorted eigendecomposition"
+        )
+    lam_eff_sq = float((np.linalg.eigvalsh(eff) ** 2).max())
+    return lambda_max_symmetric(h0), top, lam_eff_sq, degenerate, notes
 
 
-def bound_multi_psi_eff(model: QuadraticModel, theta0=None) -> BoundReport:
+def bound_multi_psi_eff(model: QuadraticModel) -> BoundReport:
     """Multi-datapoint window from the effective meta-feature matrix.
 
     Pools the meta-features along the kernel's top eigenvector at
@@ -435,32 +439,14 @@ def bound_multi_psi_eff(model: QuadraticModel, theta0=None) -> BoundReport:
         raise BoundsError("the effective-feature window applies to the pure variant")
     if model.zeta <= 0.0:
         raise BoundsError("the effective-feature window requires a positive coupling")
-    theta0 = _theta(model, theta0)
-    theta_sq = float(theta0 @ theta0)
-    h0 = _ntk_at(model, theta0)
-    lam0 = lambda_max_symmetric(h0)
-    top, degenerate = _top_eigenvector(h0)
-    eff = _effective_meta(model, top)
-    lam_eff_sq = float((np.linalg.eigvalsh(eff) ** 2).max())
+    theta_sq = model.weight_norm()
+    lam0, _, lam_eff_sq, degenerate, notes = _pool_along_top_eigenvector(model)
     if lam_eff_sq <= 0.0:
         raise BoundsError("effective meta-feature matrix vanishes")
-    upper = 4.0 / (model.zeta**2 * theta_sq * lam_eff_sq)
-    notes = [
-        "heuristic: assumes the kernel's top eigenvector stays frozen while "
-        "the loss grows",
-        NOTE_DROPPED_CORRECTIONS,
-    ]
-    if degenerate:
-        notes.append(
-            "top kernel eigenspace is degenerate; deterministically tie-broken "
-            "to the first eigenvector of the sorted eigendecomposition"
-        )
     return BoundReport(
         method="psi_eff",
-        catapult_lower=2.0 / lam0,
-        sufficient_upper=upper,
-        divergence_lower=None,
-        window_nonempty=upper > 2.0 / lam0,
+        h0=lam0,
+        ceiling=model.zeta**2 * theta_sq * lam_eff_sq,
         proven=False,
         inputs_digest={
             "family": "pure_quadratic",
@@ -476,7 +462,7 @@ def bound_multi_psi_eff(model: QuadraticModel, theta0=None) -> BoundReport:
     )
 
 
-def bound_multi_bias_eff(model: QuadraticModel, theta0=None) -> BoundReport:
+def bound_multi_bias_eff(model: QuadraticModel) -> BoundReport:
     """Multi-datapoint window for the with-bias model via pooled features.
 
     Pools both feature functions along the kernel's top eigenvector and
@@ -487,45 +473,26 @@ def bound_multi_bias_eff(model: QuadraticModel, theta0=None) -> BoundReport:
     """
     if model.variant != "with_bias":
         raise BoundsError("this window applies to the with-bias variant")
-    theta0 = _theta(model, theta0)
-    theta_sq = float(theta0 @ theta0)
-    h0 = _ntk_at(model, theta0)
-    lam0 = lambda_max_symmetric(h0)
-    top, degenerate = _top_eigenvector(h0)
-    eff_psi = _effective_meta(model, top)
-    lam_eff_sq = float((np.linalg.eigvalsh(eff_psi) ** 2).max())
+    theta_sq = model.weight_norm()
+    lam0, top, lam_eff_sq, degenerate, notes = _pool_along_top_eigenvector(model)
     eff_phi = (top @ model.features) / np.sqrt(model.num_points)
     phi_sq = float(eff_phi @ eff_phi)
-
-    notes = [
-        "heuristic: assumes the kernel's top eigenvector stays frozen while "
-        "the loss grows",
-        NOTE_DROPPED_CORRECTIONS,
-    ]
-    if degenerate:
-        notes.append(
-            "top kernel eigenspace is degenerate; deterministically tie-broken "
-            "to the first eigenvector of the sorted eigendecomposition"
-        )
     if phi_sq == 0.0:
         if model.zeta <= 0.0 or lam_eff_sq <= 0.0:
             raise BoundsError("pooled features and meta-features both vanish")
-        upper = 4.0 / (model.zeta**2 * theta_sq * lam_eff_sq)
+        ceiling = model.zeta**2 * theta_sq * lam_eff_sq
         notes.append(
             "pooled feature vector vanishes; fell back to the pure pooled formula"
         )
     else:
-        overlap_sq = float(eff_phi @ theta0) ** 2
-        denom = 2.0 * phi_sq + model.zeta**2 * lam_eff_sq * (
-            theta_sq + overlap_sq / phi_sq
+        overlap_sq = float(eff_phi @ model.theta) ** 2
+        ceiling = _with_bias_ceiling(
+            phi_sq, overlap_sq, theta_sq, model.zeta, lam_eff_sq
         )
-        upper = 4.0 / denom
     return BoundReport(
         method="bias_eff",
-        catapult_lower=2.0 / lam0,
-        sufficient_upper=upper,
-        divergence_lower=None,
-        window_nonempty=upper > 2.0 / lam0,
+        h0=lam0,
+        ceiling=ceiling,
         proven=False,
         inputs_digest={
             "family": "quadratic_with_bias",
@@ -551,7 +518,7 @@ def bound_mlp_multi(net: HomogenousNet, dataset: Dataset) -> BoundReport:
     unit datapoint.
     """
     if net.a_minus <= 0.0:
-        raise BoundsError("the sample-Gram window requires a positive negative slope")
+        raise BoundsError("requires a positive negative slope")
     x = dataset.inputs
     gram = x @ x.T
     lam_gram = lambda_max_symmetric((gram + gram.T) / 2.0)
@@ -559,15 +526,11 @@ def bound_mlp_multi(net: HomogenousNet, dataset: Dataset) -> BoundReport:
         raise BoundsError("sample Gram matrix vanishes")
     theta_sq = net.weight_norm()
     lam0 = lambda_max_symmetric(net.ntk(x))
-    if lam0 <= 0.0:
-        raise BoundsError("kernel vanishes at initialization; no window exists")
-    upper = 4.0 * net.width * dataset.size / (net.a_plus**2 * lam_gram * theta_sq)
     return BoundReport(
         method="mlp_multi",
-        catapult_lower=2.0 / lam0,
-        sufficient_upper=upper,
-        divergence_lower=None,
-        window_nonempty=upper > 2.0 / lam0,
+        h0=lam0,
+        ceiling=net.a_plus**2 * lam_gram * theta_sq,
+        scale=net.width * dataset.size,
         proven=True,
         inputs_digest={
             "family": "homogenous",
@@ -589,84 +552,42 @@ def bound_mlp_multi(net: HomogenousNet, dataset: Dataset) -> BoundReport:
 
 
 def collect_bound_reports(model, dataset: Dataset):
-    """All bounds applicable to a model/dataset pair, plus skip reasons.
+    """Every bound for the model's family, plus skip reasons.
 
     Returns ``(reports, skipped)`` where ``skipped`` lists
-    ``{"method": ..., "reason": ...}`` entries for inapplicable bounds.
+    ``{"method": ..., "reason": ...}`` entries, one per bound that raised
+    ``BoundsError``, with its message as the reason.  Each bound decides its
+    own applicability.  Bounds are looked up by module name at call time.
     """
+    if isinstance(model, HomogenousNet):
+        single = bound_relu if model.is_relu else bound_homogenous_mlp
+        attempts = [("single_datapoint", single), ("mlp_multi", bound_mlp_multi)]
+        args = (model, dataset)
+    elif isinstance(model, QuadraticModel) and model.variant == "pure":
+        attempts = [
+            ("single_datapoint", bound_pure_quadratic),
+            ("omega", bound_multi_omega),
+            ("psi_eff", bound_multi_psi_eff),
+        ]
+        args = (model,)
+    elif isinstance(model, QuadraticModel) and model.variant == "with_bias":
+        attempts = [
+            ("single_datapoint", bound_quadratic_with_bias),
+            ("bias_eff", bound_multi_bias_eff),
+        ]
+        args = (model,)
+    elif isinstance(model, QuadraticModel):
+        reason = "generic quadratic models carry no guarantees"
+        return [], [{"method": "all", "reason": reason}]
+    else:
+        reason = "no learning-rate guarantees exist for deep ReLU nets"
+        return [], [{"method": "all", "reason": reason}]
+
     reports: list[BoundReport] = []
     skipped: list[dict] = []
-
-    def attempt(name, fn):
+    for name, bound in attempts:
         try:
-            reports.append(fn())
+            reports.append(bound(*args))
         except BoundsError as exc:
             skipped.append({"method": name, "reason": str(exc)})
-
-    if isinstance(model, QuadraticModel):
-        if model.variant == "pure":
-            if dataset.size == 1:
-                attempt("single_datapoint", lambda: bound_pure_quadratic(model))
-            else:
-                skipped.append(
-                    {
-                        "method": "single_datapoint",
-                        "reason": "dataset has more than one datapoint",
-                    }
-                )
-            attempt("omega", lambda: bound_multi_omega(model))
-            attempt("psi_eff", lambda: bound_multi_psi_eff(model))
-        elif model.variant == "with_bias":
-            if dataset.size == 1:
-                attempt("single_datapoint", lambda: bound_quadratic_with_bias(model))
-            else:
-                skipped.append(
-                    {
-                        "method": "single_datapoint",
-                        "reason": "dataset has more than one datapoint",
-                    }
-                )
-            attempt("bias_eff", lambda: bound_multi_bias_eff(model))
-        else:
-            skipped.append(
-                {
-                    "method": "all",
-                    "reason": "generic quadratic models carry no guarantees",
-                }
-            )
-    elif isinstance(model, HomogenousNet):
-        if model.is_relu:
-            if dataset.size == 1 and model.input_dim == 1:
-                attempt("single_datapoint", lambda: bound_relu(model, dataset))
-            else:
-                skipped.append(
-                    {
-                        "method": "single_datapoint",
-                        "reason": "the ReLU window requires one 1d datapoint",
-                    }
-                )
-            skipped.append(
-                {
-                    "method": "mlp_multi",
-                    "reason": "requires a positive negative slope",
-                }
-            )
-        else:
-            if dataset.size == 1 and model.input_dim == 1:
-                attempt("single_datapoint", lambda: bound_homogenous_mlp(model, dataset))
-            else:
-                skipped.append(
-                    {
-                        "method": "single_datapoint",
-                        "reason": "the single-datapoint window requires one 1d datapoint",
-                    }
-                )
-            attempt("mlp_multi", lambda: bound_mlp_multi(model, dataset))
-    else:
-        skipped.append(
-            {
-                "method": "all",
-                "reason": "no learning-rate guarantees exist for deep ReLU nets",
-            }
-        )
     return reports, skipped

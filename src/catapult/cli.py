@@ -463,6 +463,41 @@ def resolve_experiment(cfg: dict) -> Experiment:
     seed = model_cfg["init_seed"]
     theta_rng = Rng(seed).child(2)
 
+    if family == "linear_net_with_bias":
+        width = model_cfg["width"]
+        bias0 = model_cfg["bias0"]
+        return Experiment(
+            _build_dataset(cfg),
+            lambda: linear_net_with_bias_embedding(width, theta_rng.child(0), bias0),
+        )
+
+    if family == "homogenous":
+        dataset = _build_dataset(cfg)
+        width = model_cfg["width"]
+        a_minus, a_plus = model_cfg["a_minus"], model_cfg["a_plus"]
+        dim = dataset.dim
+        return Experiment(
+            dataset,
+            lambda: HomogenousNet.init_random(
+                width, theta_rng.child(0), a_minus, a_plus, input_dim=dim
+            ),
+            sparsity_layers=1,
+        )
+
+    if family == "deep_relu":
+        dataset = _build_dataset(cfg)
+        width = model_cfg["width"]
+        depth = model_cfg["depth"]
+        dim = dataset.dim
+        return Experiment(
+            dataset,
+            lambda: DeepReluNet.init_random(width, dim, depth, theta_rng.child(0)),
+            sparsity_layers=depth + 1,
+        )
+
+    # The quadratic families: a student feature map from a teacher-student
+    # setup, or meta-features drawn for the dataset.
+    zeta = model_cfg["zeta"]
     if cfg["dataset"]["kind"] == "teacher_student":
         ds_cfg = cfg["dataset"]
         spec = TeacherStudentSpec(
@@ -478,26 +513,11 @@ def resolve_experiment(cfg: dict) -> Experiment:
             activation=ds_cfg["activation"],
         )
         setup = make_teacher_student(spec, Rng(ds_cfg["seed"]).child(3))
-        feature_map = setup.student_map
-        zeta = (
-            model_cfg["zeta"]
-            if model_cfg.get("zeta") is not None
-            else setup.zeta_student
-        )
-        dataset = setup.dataset
-
-        def factory():
-            return assemble_quadratic(feature_map, dataset, zeta, theta_rng.child(0))
-
-        return Experiment(
-            dataset,
-            factory,
-            evaluate_outputs=lambda m, x: feature_map.outputs_at(m.theta, zeta, x),
-        )
-
-    dataset = _build_dataset(cfg)
-
-    if family in ("pure_quadratic", "quadratic_with_bias"):
+        feature_map, dataset = setup.student_map, setup.dataset
+        if zeta is None:
+            zeta = setup.zeta_student
+    else:
+        dataset = _build_dataset(cfg)
         spec = MetaFeatureSpec(
             n_psi=model_cfg["n_psi"],
             n_phi=model_cfg["n_phi"],
@@ -506,48 +526,16 @@ def resolve_experiment(cfg: dict) -> Experiment:
             activation=model_cfg["activation"],
         )
         feature_map = build_meta_features(spec, Rng(seed).child(1))
-        zeta = (
-            model_cfg["zeta"]
-            if model_cfg["zeta"] is not None
-            else zeta_for(model_cfg["zeta_rule"], model_cfg["n_psi"])
-        )
+        if zeta is None:
+            zeta = zeta_for(model_cfg["zeta_rule"], model_cfg["n_psi"])
 
-        def factory():
-            return assemble_quadratic(feature_map, dataset, zeta, theta_rng.child(0))
+    def factory():
+        return assemble_quadratic(feature_map, dataset, zeta, theta_rng.child(0))
 
-        return Experiment(
-            dataset,
-            factory,
-            evaluate_outputs=lambda m, x: feature_map.outputs_at(m.theta, zeta, x),
-        )
-
-    if family == "linear_net_with_bias":
-        width = model_cfg["width"]
-        bias0 = model_cfg["bias0"]
-        return Experiment(
-            dataset,
-            lambda: linear_net_with_bias_embedding(width, theta_rng.child(0), bias0),
-        )
-
-    if family == "homogenous":
-        width = model_cfg["width"]
-        a_minus, a_plus = model_cfg["a_minus"], model_cfg["a_plus"]
-        dim = dataset.dim
-        return Experiment(
-            dataset,
-            lambda: HomogenousNet.init_random(
-                width, theta_rng.child(0), a_minus, a_plus, input_dim=dim
-            ),
-            sparsity_layers=1,
-        )
-
-    width = model_cfg["width"]
-    depth = model_cfg["depth"]
-    dim = dataset.dim
     return Experiment(
         dataset,
-        lambda: DeepReluNet.init_random(width, dim, depth, theta_rng.child(0)),
-        sparsity_layers=depth + 1,
+        factory,
+        evaluate_outputs=lambda m, x: feature_map.outputs_at(m.theta, zeta, x),
     )
 
 

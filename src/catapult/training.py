@@ -123,7 +123,13 @@ def train(model, dataset: Dataset, config: TrainConfig) -> Trajectory:
     y = dataset.labels
     eta = config.eta
 
-    track_reduced = isinstance(model, HomogenousNet) and model.frozen_split is not None
+    # The reduced norm is certified (by the ReLU window) only on one 1d
+    # datapoint; with several points it follows no bound, so it is not kept.
+    track_reduced = (
+        isinstance(model, HomogenousNet)
+        and model.frozen_split is not None
+        and x.shape == (1, 1)
+    )
     track_combined = (
         isinstance(model, QuadraticModel) and model.bias_combined_norm() is not None
     )

@@ -468,3 +468,109 @@ class TestCollectBoundReports:
         reports, skipped = collect_bound_reports(net, dataset)
         assert reports == []
         assert skipped[0]["method"] == "all"
+
+    def test_zero_kernel_lists_skips(self):
+        # a pure model at theta = 0 has a vanishing kernel on every point:
+        # every bound is skipped, none divides by the zero weight norm
+        rng = Rng(28)
+        dataset = make_random(1, 3, 0.5, rng.child(1))
+        spec = MetaFeatureSpec(8, 0, 1, EigenScheme("uniform", 1.0, 2.0))
+        feature_map = build_meta_features(spec, rng.child(2))
+        model = assemble_quadratic(feature_map, dataset, zeta_for("2_over_n", 8), rng.child(3))
+        model.theta[:] = 0.0
+        reports, skipped = collect_bound_reports(model, dataset)
+        vanishes = "kernel vanishes at initialization; no window exists"
+        assert reports == []
+        assert skipped == [
+            {"method": "single_datapoint", "reason": "dataset has more than one datapoint"},
+            {"method": "omega", "reason": vanishes},
+            {"method": "psi_eff", "reason": vanishes},
+        ]
+
+    def test_zero_weight_net_lists_skips(self):
+        net = HomogenousNet(u=np.zeros(4), v=np.zeros(4), a_minus=0.5, a_plus=1.0)
+        reports, skipped = collect_bound_reports(net, make_toy())
+        assert reports == []
+        assert [s["reason"] for s in skipped] == [
+            "kernel vanishes at initialization; no window exists"
+        ] * 2
+
+
+def _direct_bound(model, dataset, method):
+    """The bound `collect_bound_reports` attempts under `method`, called on
+    its own."""
+    if isinstance(model, QuadraticModel):
+        bounds = {
+            "pure": {
+                "single_datapoint": bound_pure_quadratic,
+                "omega": bound_multi_omega,
+                "psi_eff": bound_multi_psi_eff,
+            },
+            "with_bias": {
+                "single_datapoint": bound_quadratic_with_bias,
+                "bias_eff": bound_multi_bias_eff,
+            },
+        }[model.variant]
+        return lambda: bounds[method](model)
+    single = bound_relu if model.is_relu else bound_homogenous_mlp
+    bound = {"single_datapoint": single, "mlp_multi": bound_mlp_multi}[method]
+    return lambda: bound(model, dataset)
+
+
+def _net_case(a_minus, size, dim):
+    rng = Rng(31)
+    net = HomogenousNet.init_random(16, rng.child(1), a_minus, 1.0, input_dim=dim)
+    return net, make_random(dim, size, 0.5, rng.child(2))
+
+
+class TestSkipReasonsAreTheBoundErrors:
+    """Each skip reason is the message of the bound's own BoundsError, and
+    the texts stay the ones bounds.json has always carried."""
+
+    CASES = {
+        "pure_multi_point": (
+            lambda: random_quadratic(16, 0, 2, 4, seed=32),
+            {"single_datapoint": "dataset has more than one datapoint"},
+        ),
+        "with_bias_multi_point": (
+            lambda: random_quadratic(16, 4, 2, 4, seed=33),
+            {"single_datapoint": "dataset has more than one datapoint"},
+        ),
+        "relu_four_points": (
+            lambda: _net_case(0.0, 4, 1),
+            {
+                "single_datapoint": "the ReLU window requires one 1d datapoint",
+                "mlp_multi": "requires a positive negative slope",
+            },
+        ),
+        "relu_3d_point": (
+            lambda: _net_case(0.0, 1, 3),
+            {
+                "single_datapoint": "the ReLU window requires one 1d datapoint",
+                "mlp_multi": "requires a positive negative slope",
+            },
+        ),
+        "relu_toy": (
+            lambda: _net_case(0.0, 1, 1),
+            {"mlp_multi": "requires a positive negative slope"},
+        ),
+        "leaky_four_points": (
+            lambda: _net_case(0.5, 4, 1),
+            {"single_datapoint": "the single-datapoint window requires one 1d datapoint"},
+        ),
+        "leaky_3d_point": (
+            lambda: _net_case(0.5, 1, 3),
+            {"single_datapoint": "the single-datapoint window requires one 1d datapoint"},
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_reason_is_the_direct_bound_error(self, case):
+        build, expected = self.CASES[case]
+        model, dataset = build()
+        _, skipped = collect_bound_reports(model, dataset)
+        assert {s["method"]: s["reason"] for s in skipped} == expected
+        for entry in skipped:
+            with pytest.raises(BoundsError) as raised:
+                _direct_bound(model, dataset, entry["method"])()
+            assert str(raised.value) == entry["reason"]

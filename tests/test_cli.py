@@ -137,6 +137,18 @@ class TestTrainCommand:
         assert max(losses) > 10.0 * losses[0]
         assert losses[-1] < 1e-6
 
+    def test_relu_on_several_points_writes_no_reduced_norm(self, tmp_path):
+        cfg = {
+            "model": {"family": "homogenous", "width": 64, "a_minus": 0.0,
+                      "a_plus": 1.0, "init_seed": 0},
+            "dataset": {"kind": "random", "d": 1, "size": 4, "seed": 2},
+            "training": {"eta_lambda0_grid": [1.0], "max_steps": 20},
+        }
+        out = tmp_path / "run"
+        assert main(["train", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+        header = (out / "trajectory.csv").read_text().splitlines()[0]
+        assert header == "step,loss,weight_norm,eta_lambda_max"
+
     def test_byte_identical_reruns(self, tmp_path):
         path = write_config(tmp_path, quad_toy_config())
         out1, out2 = tmp_path / "a", tmp_path / "b"

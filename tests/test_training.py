@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from catapult.datasets import Dataset, make_toy
+from catapult.datasets import Dataset, make_random, make_toy
 from catapult.models import HomogenousNet, QuadraticModel, linear_net_with_bias_embedding
 from catapult.numerics import Rng, lambda_max_symmetric
 from catapult.training import (
@@ -205,6 +205,14 @@ class TestReluReducedNormOnTheDatapoint:
         assert norms[-1] < norms[0]
         assert np.all(np.diff(norms) <= 1e-10 * norms[0])
         assert weight_norm_identity_residuals(traj, "reduced").max() < 1e-9
+
+    def test_several_points_record_no_reduced_norm(self):
+        # with several points no window certifies the reduced norm, so the
+        # run does not record it
+        net, _ = self.setup(1.0, 0.0)
+        dataset = make_random(1, 4, 0.5, Rng(2))
+        traj = train(net, dataset, TrainConfig(eta=0.01, max_steps=3))
+        assert traj.reduced_weight_norms is None
 
     def test_several_points_keep_the_nonnegative_side(self):
         net, _ = self.setup(1.0, 0.0)

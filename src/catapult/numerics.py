@@ -87,6 +87,8 @@ def lambda_max_symmetric(matrix) -> float:
     return float(np.linalg.eigvalsh(a)[-1])
 
 
+# Nothing in the package calls the power iteration below; it stays while
+# perfbench/tracing.py patches ``catapult.bounds.power_iteration_lambda_max``.
 @dataclass(frozen=True)
 class LinearOperator:
     """A symmetric matrix-vector product contract; no materialized matrix.

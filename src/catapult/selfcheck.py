@@ -5,11 +5,13 @@ that holds exactly (up to roundoff) when the implementation is correct: the
 weight-norm update identity for every homogeneity-weight-two family, the
 frozen complement of the ReLU sign split, the quadratic update recursions
 against recomputation, kernel freezing at zero coupling, and exactness of
-the linearized predictor on a linear model, and the lower edge of every
+the linearized predictor on a linear model, the lower edge of every
 single-datapoint window against the kernel measured at the datapoint it
-was given (unit, scaled and negative).  A deliberate negative control
-corrupts the gradient's slope convention at exactly-zero preactivations and
-must make the identity fail; catching it proves the checks have teeth.
+was given (unit, scaled and negative), and the contraction eigenvalue of
+the omega window against the dense matrix and the single-datapoint
+closed form.  A deliberate negative control corrupts the gradient's slope
+convention at exactly-zero preactivations and must make the identity fail;
+catching it proves the checks have teeth.
 """
 
 from __future__ import annotations
@@ -21,10 +23,13 @@ import numpy as np
 
 from catapult.analysis import linearized_predict
 from catapult.bounds import (
+    OMEGA_RTOL,
     bound_homogenous_mlp,
+    bound_multi_omega,
     bound_pure_quadratic,
     bound_quadratic_with_bias,
     bound_relu,
+    omega_dense,
 )
 from catapult.datasets import (
     Dataset,
@@ -324,6 +329,46 @@ def check_single_datapoint_windows(seed: int = 0) -> CheckResult:
     )
 
 
+def check_omega_dual(seed: int = 0) -> CheckResult:
+    """The omega window's ``lambda_max(Omega)``, taken from the n x n dual
+    Gram, against the top eigenvalue of the materialized (n D) x (n D)
+    contraction on three datapoints, and against the closed form
+    ``zeta**2 lambda_max(psi**2)`` on one."""
+    rng = Rng(seed)
+    feature_map = build_meta_features(
+        MetaFeatureSpec(n_psi=8, n_phi=0, d=2, eigen_scheme=EigenScheme("uniform", 1.0, 2.0)),
+        rng.child(28),
+    )
+    dataset = Dataset(
+        inputs=rng.child(29).uniform(-0.5, 0.5, (3, 2)),
+        labels=rng.child(30).uniform(-0.5, 0.5, 3),
+        provenance="random",
+    )
+    multi = assemble_quadratic(feature_map, dataset, zeta_for("2_over_n", 8), rng.child(31))
+    single = _pure_toy_model(24, seed)
+    cases = (
+        ("3 datapoints", multi, lambda_max_symmetric(omega_dense(multi))),
+        (
+            "1 datapoint",
+            single,
+            single.zeta**2 * bound_pure_quadratic(single).inputs_digest["lambda_max_psi_sq"],
+        ),
+    )
+    worst, worst_case = 0.0, ""
+    for label, model, exact in cases:
+        value = bound_multi_omega(model).inputs_digest["lambda_max_omega"]
+        residual = abs(value - exact) / exact
+        if residual >= worst:
+            worst, worst_case = residual, label
+    return CheckResult(
+        name="omega_dual_matches_dense",
+        passed=worst <= OMEGA_RTOL,
+        residual=worst,
+        threshold=OMEGA_RTOL,
+        detail=f"worst: {worst_case}; lambda_max(Omega) from the dual Gram",
+    )
+
+
 def check_negative_control_corrupted_slope(seed: int = 0) -> CheckResult:
     """Corrupt the gradient's slope convention at exactly-zero preactivations
     and demand the weight-norm identity notices.  The net is built with one
@@ -361,6 +406,7 @@ def run_default_suite(seed: int = 0) -> list[CheckResult]:
         check_zero_coupling_kernel_frozen,
         check_linearized_exact_for_linear_model,
         check_single_datapoint_windows,
+        check_omega_dual,
         check_negative_control_corrupted_slope,
     ]
     return [fn(seed) for fn in checks]

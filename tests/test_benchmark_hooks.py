@@ -37,6 +37,16 @@ def verify():
     return load_perfbench("verify")
 
 
+@pytest.fixture(scope="module")
+def run():
+    # run.py puts its own directory on sys.path to import its siblings
+    saved = list(sys.path)
+    try:
+        return load_perfbench("run")
+    finally:
+        sys.path[:] = saved
+
+
 def pure_quadratic_toy(tmp_path):
     # the benchmark's quadratic toy workload at a test-sized n_psi
     raw = {
@@ -84,3 +94,13 @@ def test_verifier_passes_the_pure_quadratic_toy(verify, tmp_path):
     methods = {op.id.split("/")[-1].split("#")[0] for op in ops}
     assert {"single_datapoint", "omega"} <= methods
     assert [op for op in ops if not op.ok] == []
+
+
+def test_omega_counts_read_the_omega_digest(run, tmp_path):
+    # the traced benchmark reads the omega report's iteration count and
+    # budget note from bounds.json
+    cfg = pure_quadratic_toy(tmp_path)
+    cli.cmd_bounds(cfg, tmp_path / "quadratic_toy")
+    counts = run._omega_counts(tmp_path, ["quadratic_toy"])
+    assert counts["bounds.omega.power_iterations"] == 0
+    assert counts["bounds.omega.converged"] == 1.0

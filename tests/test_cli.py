@@ -384,6 +384,7 @@ class TestCheckCommand:
         assert "weight_norm_identity_pure_quadratic" in names
         assert "negative_control_corrupted_zero_slope" in names
         assert "single_datapoint_window_at_datapoint" in names
+        assert "omega_dual_matches_dense" in names
         assert all(r["passed"] for r in doc["results"])
 
     def test_negative_control_actually_detects_corruption(self):
@@ -406,6 +407,24 @@ class TestCheckCommand:
         assert not result.passed
         assert result.residual == pytest.approx(15.0, rel=1e-12)
         assert "on toy_relu" in result.detail
+
+    def test_omega_check_catches_a_dropped_datapoint_average(self, monkeypatch):
+        # omitting the 1/D of the contraction scales lambda_max(Omega) by D;
+        # invisible on one datapoint, a residual of 2 on three
+        import catapult.selfcheck as selfcheck
+
+        bound = selfcheck.bound_multi_omega
+
+        def undivided(model):
+            report = bound(model)
+            report.inputs_digest["lambda_max_omega"] *= model.num_points
+            return report
+
+        monkeypatch.setattr(selfcheck, "bound_multi_omega", undivided)
+        result = selfcheck.check_omega_dual(0)
+        assert not result.passed
+        assert result.residual == pytest.approx(2.0, rel=1e-12)
+        assert "3 datapoints" in result.detail
 
     def test_exit_code_two_on_invariant_failure(self, monkeypatch, capsys):
         import catapult.cli as cli

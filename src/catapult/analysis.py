@@ -64,29 +64,29 @@ def classify_phase(
 
 @dataclass
 class GeneralizationReport:
-    train_loss: float
     test_loss: float
     gap: float
     accuracy: float
 
 
 def generalization_report(
-    model, dataset: Dataset, evaluate_outputs: Optional[Callable] = None
+    model,
+    dataset: Dataset,
+    train_loss: float,
+    evaluate_outputs: Optional[Callable] = None,
 ) -> GeneralizationReport:
-    """Train/test MSE, their gap, and sign-agreement accuracy on the test split."""
+    """Test MSE, its gap over the caller's train loss, and sign-agreement
+    accuracy on the test split.  The train loss comes from the caller (a
+    sweep takes the trajectory's final loss), so the train split is not
+    evaluated again and the gap is exactly ``test_loss - train_loss``."""
     if not dataset.has_test_split:
         raise AnalysisError("dataset has no test split")
     evaluate = evaluate_outputs or (lambda m, x: m.outputs(x))
-    z_train = evaluate(model, dataset.inputs)
     z_test = evaluate(model, dataset.test_inputs)
-    train_loss = mse_loss(z_train, dataset.labels)
     test_loss = mse_loss(z_test, dataset.test_labels)
     accuracy = float(np.mean(np.sign(z_test) == np.sign(dataset.test_labels)))
     return GeneralizationReport(
-        train_loss=train_loss,
-        test_loss=test_loss,
-        gap=test_loss - train_loss,
-        accuracy=accuracy,
+        test_loss=test_loss, gap=test_loss - train_loss, accuracy=accuracy
     )
 
 
@@ -106,8 +106,9 @@ def sparsity(net, inputs) -> list[float]:
 
 @dataclass
 class SweepRecord:
-    """Final-state summary of one learning rate.  Divergent rows carry no
-    final-state scalars."""
+    """Final-state summary of one learning rate; its fields, in order, are
+    the ``sweep.csv`` columns.  Divergent rows carry no final-state scalars,
+    failed rows only the rate and the ``Type: text`` message."""
 
     eta: float
     eta_lambda0: float
@@ -129,9 +130,6 @@ class SweepResult:
     lambda0: float
     records: list[SweepRecord]
 
-    def by_phase(self, phase: str) -> list[SweepRecord]:
-        return [r for r in self.records if r.phase == phase]
-
 
 def run_sweep_point(
     model_factory: Callable[[], object],
@@ -140,44 +138,46 @@ def run_sweep_point(
     config: TrainConfig,
     lambda0: float,
     evaluate_outputs: Optional[Callable] = None,
-) -> tuple[SweepRecord, Trajectory]:
+) -> tuple[SweepRecord, Optional[Trajectory]]:
     """Train one freshly initialized model at one learning rate; returns the
-    run summary together with the full trajectory."""
-    model = model_factory()
-    trajectory = train(model, dataset, dataclasses.replace(config, eta=eta))
-    phase = classify_phase(trajectory)
-    if phase == PHASE_DIVERGENT:
+    run summary together with the full trajectory.
+
+    A rate that raises becomes a ``failed`` record whose message is
+    ``Type: text``, with no trajectory, so one bad rate never ends a sweep.
+    """
+    try:
+        model = model_factory()
+        trajectory = train(model, dataset, dataclasses.replace(config, eta=eta))
         record = SweepRecord(
             eta=eta,
             eta_lambda0=eta * lambda0,
             status="ok",
-            phase=phase,
+            phase=classify_phase(trajectory),
             steps_taken=trajectory.steps_taken,
         )
+        if record.phase == PHASE_DIVERGENT:
+            return record, trajectory
+        record.final_eta_lambda_max = float(trajectory.eta_lambda_max[-1])
+        record.weight_ratio = float(trajectory.weight_norms[-1] / trajectory.weight_norms[0])
+        record.train_loss_final = float(trajectory.losses[-1])
+        if dataset.has_test_split:
+            report = generalization_report(
+                model, dataset, record.train_loss_final, evaluate_outputs
+            )
+            record.test_loss_final = report.test_loss
+            record.generalization_gap = report.gap
+            record.accuracy = report.accuracy
+        if isinstance(model, (HomogenousNet, DeepReluNet)):
+            record.sparsity = tuple(sparsity(model, dataset.inputs))
         return record, trajectory
-
-    test_loss = gap = accuracy = None
-    if dataset.has_test_split:
-        report = generalization_report(model, dataset, evaluate_outputs)
-        test_loss, gap, accuracy = report.test_loss, report.gap, report.accuracy
-    layer_sparsity = None
-    if isinstance(model, (HomogenousNet, DeepReluNet)):
-        layer_sparsity = tuple(sparsity(model, dataset.inputs))
-    record = SweepRecord(
-        eta=eta,
-        eta_lambda0=eta * lambda0,
-        status="ok",
-        phase=phase,
-        steps_taken=trajectory.steps_taken,
-        final_eta_lambda_max=float(trajectory.eta_lambda_max[-1]),
-        weight_ratio=float(trajectory.weight_norms[-1] / trajectory.weight_norms[0]),
-        train_loss_final=float(trajectory.losses[-1]),
-        test_loss_final=test_loss,
-        generalization_gap=gap,
-        accuracy=accuracy,
-        sparsity=layer_sparsity,
-    )
-    return record, trajectory
+    except Exception as exc:  # noqa: BLE001 - per-rate isolation is the contract
+        failed = SweepRecord(
+            eta=eta,
+            eta_lambda0=eta * lambda0,
+            status="failed",
+            message=f"{type(exc).__name__}: {exc}",
+        )
+        return failed, None
 
 
 def sweep(
@@ -190,29 +190,16 @@ def sweep(
     """One record per learning rate, in grid order.
 
     The initial kernel eigenvalue is computed once from a fresh model, since
-    every run starts from the identical initialization.  Per-rate failures
-    are isolated into failed records rather than aborting the sweep.
+    every run starts from the identical initialization.
     """
     grid = [float(e) for e in eta_grid]
     if not grid:
         raise AnalysisError("eta grid must be non-empty")
     lambda0 = lambda_max_symmetric(model_factory().ntk(dataset.inputs))
-    records = []
-    for eta in grid:
-        try:
-            record, _ = run_sweep_point(
-                model_factory, dataset, eta, config, lambda0, evaluate_outputs
-            )
-            records.append(record)
-        except Exception as exc:  # noqa: BLE001 - per-rate isolation is the contract
-            records.append(
-                SweepRecord(
-                    eta=eta,
-                    eta_lambda0=eta * lambda0,
-                    status="failed",
-                    message=f"{type(exc).__name__}: {exc}",
-                )
-            )
+    records = [
+        run_sweep_point(model_factory, dataset, eta, config, lambda0, evaluate_outputs)[0]
+        for eta in grid
+    ]
     return SweepResult(lambda0=lambda0, records=records)
 
 

@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 configuration error, 2 invariant failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -124,6 +125,8 @@ def _csv_cell(value) -> str:
         return ""
     if isinstance(value, (float, np.floating)):
         return format_float(value)
+    if isinstance(value, str) and any(c in value for c in ',"\n\r'):
+        return '"' + value.replace('"', '""') + '"'  # a failed rate's message
     return str(value)
 
 
@@ -592,46 +595,19 @@ def write_trajectory_csv(path: Path, trajectory: Trajectory) -> None:
     write_csv(path, header, rows)
 
 
-def _sweep_header(sparsity_layers: int) -> list[str]:
-    header = [
-        "eta",
-        "eta_lambda0",
-        "status",
-        "phase",
-        "steps_taken",
-        "final_eta_lambda_max",
-        "weight_ratio",
-        "train_loss_final",
-        "test_loss_final",
-        "generalization_gap",
-        "accuracy",
-    ]
-    header.extend(f"sparsity_{i}" for i in range(sparsity_layers))
-    header.append("message")
-    return header
-
-
-def _sweep_row(record: SweepRecord, sparsity_layers: int) -> list:
-    row = [
-        record.eta,
-        record.eta_lambda0,
-        record.status,
-        record.phase,
-        record.steps_taken,
-        record.final_eta_lambda_max,
-        record.weight_ratio,
-        record.train_loss_final,
-        record.test_loss_final,
-        record.generalization_gap,
-        record.accuracy,
-    ]
-    for i in range(sparsity_layers):
-        value = None
-        if record.sparsity is not None and i < len(record.sparsity):
-            value = record.sparsity[i]
-        row.append(value)
-    row.append(record.message)
-    return row
+def _sweep_columns(record: SweepRecord, sparsity_layers: int) -> dict:
+    """One sweep.csv row keyed by column: the record's fields in order, with
+    its sparsity tuple spread over sparsity_0.. (blank where it has none)."""
+    columns = {}
+    for item in dataclasses.fields(record):
+        value = getattr(record, item.name)
+        if item.name == "sparsity":
+            layers = value or ()
+            for i in range(sparsity_layers):
+                columns[f"sparsity_{i}"] = layers[i] if i < len(layers) else None
+        else:
+            columns[item.name] = value
+    return columns
 
 
 def _base_metadata(cfg: dict, command: str) -> dict:
@@ -679,12 +655,24 @@ def cmd_train(cfg: dict, out_dir: Path) -> None:
     _write_json(out_dir / "trajectory.meta.json", meta)
 
 
-def _sweep_worker(
-    cfg: dict, experiment: Experiment, eta: float, lambda0: float
-) -> tuple[SweepRecord, Trajectory]:
+# The experiment a sweep's rates run against, one per process.  The serial
+# sweep sets it from its own resolution for the length of the sweep; a pool
+# worker resolves it in its initializer, since an Experiment holds closures
+# and cannot be pickled.  Nothing relies on a forked parent's memory, so any
+# start method works.
+_worker_experiment: Optional[Experiment] = None
+
+
+def _init_pool_worker(cfg: dict) -> None:
+    global _worker_experiment
+    _worker_experiment = resolve_experiment(cfg)
+
+
+def _sweep_worker(cfg: dict, lambda0: float, eta: float) -> tuple:
     """One rate of a sweep.  Every rate shares the resolved experiment: each
     `model_factory()` call draws fresh parameters from a keyed stream, and
     training mutates only those, so reuse changes no output bit."""
+    experiment = _worker_experiment
     return run_sweep_point(
         experiment.model_factory,
         experiment.dataset,
@@ -695,41 +683,31 @@ def _sweep_worker(
     )
 
 
-# The experiment of a `--jobs > 1` sweep, resolved once per worker process.
-# An Experiment holds closures and cannot be pickled, so each worker rebuilds
-# it from the plain-dict config; nothing relies on a forked parent's memory,
-# so any start method works.
-_worker_experiment: Optional[Experiment] = None
-
-
-def _init_pool_worker(cfg: dict) -> None:
-    global _worker_experiment
-    _worker_experiment = resolve_experiment(cfg)
-
-
-def _pool_sweep_worker(cfg: dict, lambda0: float, eta: float) -> tuple:
-    return _sweep_worker(cfg, _worker_experiment, eta, lambda0)
-
-
 def cmd_sweep(cfg: dict, out_dir: Path, jobs: int = 1) -> None:
+    global _worker_experiment
     experiment = resolve_experiment(cfg)
     etas, lambda0 = resolve_eta_grid(cfg, experiment)
+    run_rate = partial(_sweep_worker, cfg, lambda0)
     workers = min(jobs, len(etas))
     if workers > 1:
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_init_pool_worker, initargs=(cfg,)
         ) as pool:
-            results = list(pool.map(partial(_pool_sweep_worker, cfg, lambda0), etas))
+            results = list(pool.map(run_rate, etas))
     else:
-        results = [_sweep_worker(cfg, experiment, eta, lambda0) for eta in etas]
+        _worker_experiment = experiment
+        try:
+            results = [run_rate(eta) for eta in etas]
+        finally:
+            _worker_experiment = None
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    layers = experiment.sparsity_layers
-    rows = [_sweep_row(record, layers) for record, _ in results]
-    write_csv(out_dir / "sweep.csv", _sweep_header(layers), rows)
+    rows = [_sweep_columns(record, experiment.sparsity_layers) for record, _ in results]
+    write_csv(out_dir / "sweep.csv", list(rows[0]), [list(row.values()) for row in rows])
     if cfg["output"]["per_eta_trajectories"]:
         for index, (_, trajectory) in enumerate(results):
-            write_trajectory_csv(out_dir / f"trajectory_{index:03d}.csv", trajectory)
+            if trajectory is not None:
+                write_trajectory_csv(out_dir / f"trajectory_{index:03d}.csv", trajectory)
     meta = _base_metadata(cfg, "sweep")
     meta.update({"lambda0": lambda0, "eta_grid": [float(e) for e in etas]})
     _write_json(out_dir / "sweep.meta.json", meta)
@@ -781,15 +759,19 @@ def cmd_check(seed: int, out_dir: Optional[Path]) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _load_config(path_text: str, seed_override: Optional[int]) -> dict:
+def _read_json(path_text: str):
     path = Path(path_text)
     try:
-        raw = json.loads(path.read_text())
+        return json.loads(path.read_text())
     except FileNotFoundError as exc:
         raise ConfigError(f"config: file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config: invalid JSON: {exc}") from exc
-    return normalize_config(raw, path.resolve().parent, seed_override)
+
+
+def _load_config(path_text: str, seed_override: Optional[int]) -> dict:
+    raw = _read_json(path_text)
+    return normalize_config(raw, Path(path_text).resolve().parent, seed_override)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -824,12 +806,7 @@ def main(argv=None) -> int:
         if args.command == "check":
             seed = 0
             if args.config is not None:
-                try:
-                    raw = json.loads(Path(args.config).read_text())
-                except FileNotFoundError as exc:
-                    raise ConfigError(f"config: file not found: {args.config}") from exc
-                except json.JSONDecodeError as exc:
-                    raise ConfigError(f"config: invalid JSON: {exc}") from exc
+                raw = _read_json(args.config)
                 if not isinstance(raw, dict):
                     raise ConfigError("config: top level must be an object")
                 seed = raw.get("seed", 0)

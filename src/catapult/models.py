@@ -522,10 +522,3 @@ class DeepReluNet:
             output_weights=self.output_weights.copy(),
         )
 
-
-Model = QuadraticModel | HomogenousNet | DeepReluNet
-
-
-def weight_norm(model: Model) -> float:
-    """Sum of squares of every trainable parameter of the model."""
-    return model.weight_norm()

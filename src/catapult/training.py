@@ -96,13 +96,6 @@ def mse_loss(outputs, labels) -> float:
     return float(err @ err) / (2.0 * z.size)
 
 
-def gd_step(model, dataset: Dataset, eta: float):
-    """One exact full-batch gradient-descent step; mutates and returns the model."""
-    z = model.outputs(dataset.inputs)
-    model.apply_gd_step(dataset.inputs, z - dataset.labels, eta)
-    return model
-
-
 def _model_is_finite(model) -> bool:
     if isinstance(model, QuadraticModel):
         return bool(np.isfinite(model.theta).all())
@@ -272,8 +265,10 @@ def quad_update_consistency(
     accumulated roundoff only.  For the with-bias variant the closed-form
     accumulation of the feature overlaps ``features @ theta`` is checked as
     well.  Deviations are normalized by the largest magnitude each series
-    reaches over the run.  On a diverging trajectory the comparison stops at
-    the last step where the recomputed values are still finite.
+    reaches over the run.  On a diverging trajectory the comparison stops
+    before the first step where either the recursion or the recomputed
+    values overflow: the recursion's cubic and quartic terms can overflow
+    while the simulated weights are still finite, and the reverse.
     """
     if model.variant not in ("pure", "with_bias"):
         raise TrainingError("the update recursions require a pure or with-bias model")
@@ -326,7 +321,7 @@ def quad_update_consistency(
             work.apply_gd_step(None, work.outputs() - y, eta)
             eps_true = work.outputs() - y
             ntk_true = work.ntk()
-        if not (np.isfinite(eps_true).all() and np.isfinite(ntk_true).all()):
+        if not all(np.isfinite(a).all() for a in (eps_next, ntk_next, eps_true, ntk_true)):
             break
         if track_overlap:
             cumulative_errors = cumulative_errors + eps_rec

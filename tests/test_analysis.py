@@ -13,7 +13,7 @@ from catapult.analysis import (
 from catapult.datasets import Dataset, make_toy
 from catapult.models import DeepReluNet, HomogenousNet, QuadraticModel
 from catapult.numerics import Rng, lambda_max_symmetric
-from catapult.training import TrainConfig, train
+from catapult.training import TrainConfig, mse_loss, train
 from conftest import pure_toy_quadratic
 
 FAST = dict(ntk_eval_interval=10**9)
@@ -261,8 +261,9 @@ class TestGeneralizationReport:
         y = np.sign(rng.child(1).normal(6))
         dataset = Dataset(inputs=x, labels=y, test_inputs=x, test_labels=y)
         net = HomogenousNet.init_random(16, rng.child(2), 0.5, 1.0, input_dim=3)
-        report = generalization_report(net, dataset)
-        assert report.gap == pytest.approx(0.0, abs=1e-15)
+        train_loss = mse_loss(net.outputs(x), y)
+        report = generalization_report(net, dataset, train_loss)
+        assert report.gap == 0.0
 
     def test_perfect_predictor_has_unit_accuracy(self):
         class Oracle:
@@ -271,14 +272,14 @@ class TestGeneralizationReport:
 
         x = np.array([[1.0], [-1.0], [1.0]])
         dataset = Dataset(inputs=x, labels=x[:, 0], test_inputs=x, test_labels=x[:, 0])
-        report = generalization_report(Oracle(), dataset)
+        report = generalization_report(Oracle(), dataset, 0.0)
         assert report.accuracy == 1.0
         assert report.test_loss == 0.0
 
     def test_requires_test_split(self):
         net = HomogenousNet.init_random(8, Rng(19), 0.5, 1.0)
         with pytest.raises(AnalysisError):
-            generalization_report(net, make_toy())
+            generalization_report(net, make_toy(), 0.0)
 
     def test_custom_evaluator_is_used(self):
         model, _ = linear_model(n=16, d_pts=3, seed=20)
@@ -287,7 +288,8 @@ class TestGeneralizationReport:
             inputs=x, labels=np.ones(3), test_inputs=x, test_labels=np.ones(3)
         )
         report = generalization_report(
-            model, dataset, evaluate_outputs=lambda m, inputs: np.ones(len(inputs))
+            model, dataset, 0.5, evaluate_outputs=lambda m, inputs: np.ones(len(inputs))
         )
-        assert report.train_loss == 0.0
+        assert report.test_loss == 0.0
+        assert report.gap == -0.5
         assert report.accuracy == 1.0

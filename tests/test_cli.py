@@ -299,6 +299,74 @@ class TestSweepCommand:
             f"trajectory_{i:03d}.csv" for i in range(4)
         ]
 
+    def test_a_raising_rate_gets_a_failed_row(self, tmp_path, monkeypatch):
+        import csv
+
+        import catapult.analysis as analysis
+
+        cfg = self.sweep_config()
+        cfg["training"]["eta_lambda0_grid"] = [1.0, 2.5, 3.0]
+        cfg["output"] = {"per_eta_trajectories": True}
+        path = write_config(tmp_path, cfg)
+        clean = tmp_path / "clean"
+        assert main(["sweep", "--config", path, "--out", str(clean)]) == 0
+        failing_eta = json.loads((clean / "sweep.meta.json").read_text())["eta_grid"][1]
+        train = analysis.train
+
+        # keyed on the rate, not on a call count, so it fails the same rate
+        # whichever pool worker (forked with the patch) trains it
+        def flaky(model, dataset, config):
+            if config.eta == failing_eta:
+                raise RuntimeError("synthetic failure, mid-sweep")
+            return train(model, dataset, config)
+
+        monkeypatch.setattr(analysis, "train", flaky)
+        clean_lines = (clean / "sweep.csv").read_text().splitlines()
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs_{jobs}"
+            assert main(["sweep", "--config", path, "--out", str(out), "--jobs", jobs]) == 0
+            lines = (out / "sweep.csv").read_text().splitlines()
+            rows = list(csv.DictReader(lines))
+            assert [row["status"] for row in rows] == ["ok", "failed", "ok"]
+            assert rows[1]["message"] == "RuntimeError: synthetic failure, mid-sweep"
+            assert rows[1]["phase"] == ""
+            assert lines[2].split(",")[:2] == clean_lines[2].split(",")[:2]
+            assert [lines[i] for i in (0, 1, 3)] == [clean_lines[i] for i in (0, 1, 3)]
+            assert sorted(p.name for p in out.glob("trajectory_*.csv")) == [
+                "trajectory_000.csv",
+                "trajectory_002.csv",
+            ]
+            for name in ("trajectory_000.csv", "trajectory_002.csv", "sweep.meta.json"):
+                assert (out / name).read_bytes() == (clean / name).read_bytes(), name
+
+    def test_teacher_student_gap_is_test_minus_train(self, tmp_path):
+        # the gap reuses the trajectory's final train loss; evaluating the
+        # train split again through the feature map moved it by ~1e-20
+        cfg = {
+            "model": {"family": "quadratic_with_bias", "init_seed": 1},
+            "dataset": {
+                "kind": "teacher_student",
+                "seed": 1,
+                "n_psi_teacher": 200,
+                "n_psi_student": 150,
+                "n_phi_teacher": 20,
+                "n_phi_student": 10,
+                "test_size": 50,
+                "eigen_scheme": {"kind": "pm_one"},
+            },
+            "training": {"eta_lambda0_grid": [0.5, 1.5, 2.5], "ntk_eval_interval": 10**6},
+        }
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+        lines = (out / "sweep.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+        assert [row["phase"] for row in rows] != ["divergent"] * 3
+        for row in rows:
+            if row["phase"] != "divergent":
+                train, test = float(row["train_loss_final"]), float(row["test_loss_final"])
+                assert float(row["generalization_gap"]) == test - train
+
 
 class TestBoundsCommand:
     def test_pure_toy_report_document(self, tmp_path):
@@ -393,6 +461,25 @@ class TestCheckCommand:
         result = check_negative_control_corrupted_slope(0)
         assert result.passed
         assert result.residual > result.threshold
+
+    @pytest.mark.parametrize(
+        "check, seed",
+        [
+            # on a diverging run the recursion's cubic terms overflow while
+            # the recomputed values are still finite
+            ("check_update_recursions_with_bias", 113),
+            # a well-conditioned kernel drives the loss to 7e-16 in 20 steps
+            ("check_linearized_exact_for_linear_model", 156),
+            ("check_linearized_exact_for_linear_model", 192643646),
+            # the draw's initial output was below 1e-2 and hid the corruption
+            ("check_negative_control_corrupted_slope", 282266799),
+        ],
+    )
+    def test_check_passes_at_seeds_where_the_check_was_flawed(self, check, seed):
+        import catapult.selfcheck as selfcheck
+
+        result = getattr(selfcheck, check)(seed)
+        assert result.passed, (result.residual, result.detail)
 
     @pytest.mark.parametrize("name", ["bound_relu", "bound_homogenous_mlp"])
     def test_window_check_catches_unit_datapoint_formula(self, monkeypatch, name):

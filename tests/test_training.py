@@ -7,7 +7,6 @@ from catapult.numerics import Rng, lambda_max_symmetric
 from catapult.training import (
     TrainConfig,
     TrainingError,
-    gd_step,
     mse_loss,
     quad_update_consistency,
     train,
@@ -47,12 +46,12 @@ class TestGdStep:
         m = pure_toy_quadratic(8, seed=0)
         m.theta[:] = 0.0  # output and errors vanish on the toy label
         before = m.theta.copy()
-        gd_step(m, make_toy(), 0.5)
+        m.apply_gd_step(None, m.outputs() - make_toy().labels, 0.5)
         assert np.array_equal(m.theta, before)
 
     def test_exchange_model_single_step(self):
         m = QuadraticModel(theta=[1.0, 1.0], **EXCHANGE_MODEL)
-        gd_step(m, make_toy(), 1.0)
+        m.apply_gd_step(None, m.outputs() - make_toy().labels, 1.0)
         assert np.array_equal(m.theta, [0.0, 0.0])
 
     def test_exchange_model_norm_update_identity(self):
@@ -60,7 +59,7 @@ class TestGdStep:
         z0 = m.outputs()[0]
         h0 = float(m.ntk()[0, 0])
         before = m.weight_norm()
-        gd_step(m, make_toy(), 1.0)
+        m.apply_gd_step(None, m.outputs() - make_toy().labels, 1.0)
         assert m.weight_norm() - before == pytest.approx(1.0 * z0**2 * (1.0 * h0 - 4.0))
 
 
@@ -281,7 +280,7 @@ class TestUpdateRecursions:
         h0 = model.ntk()
         eta = 1.0 / lambda_max_symmetric(h0)
         for _ in range(50):
-            gd_step(model, dataset, eta)
+            model.apply_gd_step(None, model.outputs() - dataset.labels, eta)
             assert np.abs(model.ntk() - h0).max() <= 1e-12 * np.abs(h0).max()
 
     @pytest.mark.parametrize("seed", [0, 1])

@@ -34,6 +34,7 @@ from catapult.datasets import (
     Dataset,
     EigenScheme,
     MetaFeatureSpec,
+    QuadraticFeatureMap,
     TeacherStudentSpec,
     assemble_quadratic,
     build_meta_features,
@@ -167,6 +168,15 @@ def _field(section: dict, path: str, key: str, kind, default="__required__", all
     return value
 
 
+def _valid_seed(value, path: str) -> int:
+    # bool is an int subclass, and a negative seed cannot seed a stream
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{path}: expected an integer")
+    if value < 0:
+        raise ConfigError(f"{path}: must be non-negative")
+    return value
+
+
 def _eigen_scheme_config(section: dict, path: str) -> dict:
     raw = section.get("eigen_scheme")
     if raw is None:
@@ -188,7 +198,9 @@ def _normalize_model(raw: dict, teacher_student: bool) -> dict:
     family = _field(section, "model", "family", str, allowed=set(MODEL_FAMILIES))
     out = {
         "family": family,
-        "init_seed": _field(section, "model", "init_seed", int, 0),
+        "init_seed": _valid_seed(
+            _field(section, "model", "init_seed", int, 0), "model.init_seed"
+        ),
     }
     if teacher_student:
         # Dimensions, eigenvalue scheme and activation come from the
@@ -245,7 +257,10 @@ def _normalize_model(raw: dict, teacher_student: bool) -> dict:
 def _normalize_dataset(raw: dict, base_dir: Path) -> dict:
     section = _section(raw, "dataset")
     kind = _field(section, "dataset", "kind", str, allowed=set(DATASET_KINDS))
-    out = {"kind": kind, "seed": _field(section, "dataset", "seed", int, 0)}
+    out = {
+        "kind": kind,
+        "seed": _valid_seed(_field(section, "dataset", "seed", int, 0), "dataset.seed"),
+    }
     if kind == "random":
         out["d"] = _field(section, "dataset", "d", int, 1)
         out["size"] = _field(section, "dataset", "size", int)
@@ -267,6 +282,19 @@ def _normalize_dataset(raw: dict, base_dir: Path) -> dict:
         out["activation"] = _field(
             section, "dataset", "activation", str, "tanh", {"identity", "tanh"}
         )
+        if out["n_psi_teacher"] < 2 or out["n_psi_teacher"] % 2:
+            raise ConfigError("dataset.n_psi_teacher: must be a positive even number")
+        if not 1 <= out["n_psi_student"] <= out["n_psi_teacher"]:
+            raise ConfigError("dataset.n_psi_student: must be between 1 and n_psi_teacher")
+        phi_teacher, phi_student = out["n_phi_teacher"], out["n_phi_student"]
+        if not (0 < phi_student <= phi_teacher or phi_student == phi_teacher == 0):
+            raise ConfigError(
+                "dataset.n_phi_student: must be between 1 and n_phi_teacher, or both 0"
+            )
+        if out["train_size"] < 1:
+            raise ConfigError("dataset.train_size: must be at least 1")
+        if out["test_size"] < 0:
+            raise ConfigError("dataset.test_size: must be non-negative")
     elif kind == "image_two_class":
         fmt = _field(section, "dataset", "format", str, allowed={"idx", "cifar_binary"})
         out["format"] = fmt
@@ -293,6 +321,8 @@ def _normalize_dataset(raw: dict, base_dir: Path) -> dict:
                         raise ConfigError(f"dataset.{key}: file does not exist: {resolved}")
                     resolved_list.append(str(resolved))
                 out[key] = resolved_list
+    if "d" in out and out["d"] < 1:
+        raise ConfigError("dataset.d: must be at least 1")
     return out
 
 
@@ -415,20 +445,21 @@ def _validate_combination(cfg: dict) -> None:
 # ---------------------------------------------------------------------------
 
 
+@dataclasses.dataclass
 class Experiment:
-    """Materialized dataset plus a deterministic model factory."""
+    """Materialized dataset plus the initialized model every command starts
+    from.  It holds plain values only, so a pool worker receives it pickled
+    instead of resolving the configuration again."""
 
-    def __init__(
-        self,
-        dataset: Dataset,
-        model_factory: Callable[[], object],
-        evaluate_outputs: Optional[Callable] = None,
-        sparsity_layers: int = 0,
-    ):
-        self.dataset = dataset
-        self.model_factory = model_factory
-        self.evaluate_outputs = evaluate_outputs
-        self.sparsity_layers = sparsity_layers
+    dataset: Dataset
+    model: object
+    evaluate_outputs: Optional[Callable] = None
+    sparsity_layers: int = 0
+
+
+def _quadratic_outputs(feature_map: QuadraticFeatureMap, model, inputs) -> np.ndarray:
+    """A quadratic model's outputs on inputs outside its training split."""
+    return feature_map.outputs_at(model.theta, model.zeta, inputs)
 
 
 def _build_dataset(cfg: dict) -> Dataset:
@@ -464,37 +495,34 @@ def resolve_experiment(cfg: dict) -> Experiment:
     model_cfg = cfg["model"]
     family = model_cfg["family"]
     seed = model_cfg["init_seed"]
-    theta_rng = Rng(seed).child(2)
+    theta_rng = Rng(seed).child(2, 0)
 
     if family == "linear_net_with_bias":
-        width = model_cfg["width"]
-        bias0 = model_cfg["bias0"]
         return Experiment(
             _build_dataset(cfg),
-            lambda: linear_net_with_bias_embedding(width, theta_rng.child(0), bias0),
+            linear_net_with_bias_embedding(model_cfg["width"], theta_rng, model_cfg["bias0"]),
         )
 
     if family == "homogenous":
         dataset = _build_dataset(cfg)
-        width = model_cfg["width"]
-        a_minus, a_plus = model_cfg["a_minus"], model_cfg["a_plus"]
-        dim = dataset.dim
         return Experiment(
             dataset,
-            lambda: HomogenousNet.init_random(
-                width, theta_rng.child(0), a_minus, a_plus, input_dim=dim
+            HomogenousNet.init_random(
+                model_cfg["width"],
+                theta_rng,
+                model_cfg["a_minus"],
+                model_cfg["a_plus"],
+                input_dim=dataset.dim,
             ),
             sparsity_layers=1,
         )
 
     if family == "deep_relu":
         dataset = _build_dataset(cfg)
-        width = model_cfg["width"]
         depth = model_cfg["depth"]
-        dim = dataset.dim
         return Experiment(
             dataset,
-            lambda: DeepReluNet.init_random(width, dim, depth, theta_rng.child(0)),
+            DeepReluNet.init_random(model_cfg["width"], dataset.dim, depth, theta_rng),
             sparsity_layers=depth + 1,
         )
 
@@ -503,19 +531,9 @@ def resolve_experiment(cfg: dict) -> Experiment:
     zeta = model_cfg["zeta"]
     if cfg["dataset"]["kind"] == "teacher_student":
         ds_cfg = cfg["dataset"]
-        spec = TeacherStudentSpec(
-            n_psi_teacher=ds_cfg["n_psi_teacher"],
-            n_psi_student=ds_cfg["n_psi_student"],
-            n_phi_teacher=ds_cfg["n_phi_teacher"],
-            n_phi_student=ds_cfg["n_phi_student"],
-            d=ds_cfg["d"],
-            train_size=ds_cfg["train_size"],
-            test_size=ds_cfg["test_size"],
-            input_half_width=ds_cfg["input_half_width"],
-            eigen_scheme=EigenScheme(**ds_cfg["eigen_scheme"]),
-            activation=ds_cfg["activation"],
-        )
-        setup = make_teacher_student(spec, Rng(ds_cfg["seed"]).child(3))
+        fields = {f.name: ds_cfg[f.name] for f in dataclasses.fields(TeacherStudentSpec)}
+        fields["eigen_scheme"] = EigenScheme(**ds_cfg["eigen_scheme"])
+        setup = make_teacher_student(TeacherStudentSpec(**fields), Rng(ds_cfg["seed"]).child(3))
         feature_map, dataset = setup.student_map, setup.dataset
         if zeta is None:
             zeta = setup.zeta_student
@@ -532,13 +550,10 @@ def resolve_experiment(cfg: dict) -> Experiment:
         if zeta is None:
             zeta = zeta_for(model_cfg["zeta_rule"], model_cfg["n_psi"])
 
-    def factory():
-        return assemble_quadratic(feature_map, dataset, zeta, theta_rng.child(0))
-
     return Experiment(
         dataset,
-        factory,
-        evaluate_outputs=lambda m, x: feature_map.outputs_at(m.theta, zeta, x),
+        assemble_quadratic(feature_map, dataset, zeta, theta_rng),
+        evaluate_outputs=partial(_quadratic_outputs, feature_map),
     )
 
 
@@ -557,9 +572,7 @@ def _train_config(cfg: dict, eta: float) -> TrainConfig:
 def resolve_eta_grid(cfg: dict, experiment: Experiment) -> tuple[list[float], float]:
     """Raw learning rates plus the initial kernel eigenvalue they were
     resolved against (rates given as eta * lambda0 divide it out)."""
-    lambda0 = lambda_max_symmetric(
-        experiment.model_factory().ntk(experiment.dataset.inputs)
-    )
+    lambda0 = lambda_max_symmetric(experiment.model.ntk(experiment.dataset.inputs))
     training = cfg["training"]
     if training["eta"] is not None:
         return [training["eta"]], lambda0
@@ -636,8 +649,7 @@ def cmd_train(cfg: dict, out_dir: Path) -> None:
     if len(etas) != 1:
         raise ConfigError("training.eta: the train command requires a single rate")
     eta = etas[0]
-    model = experiment.model_factory()
-    trajectory = train(model, experiment.dataset, _train_config(cfg, eta))
+    trajectory = train(experiment.model, experiment.dataset, _train_config(cfg, eta))
     out_dir.mkdir(parents=True, exist_ok=True)
     write_trajectory_csv(out_dir / "trajectory.csv", trajectory)
     meta = _base_metadata(cfg, "train")
@@ -655,26 +667,11 @@ def cmd_train(cfg: dict, out_dir: Path) -> None:
     _write_json(out_dir / "trajectory.meta.json", meta)
 
 
-# The experiment a sweep's rates run against, one per process.  The serial
-# sweep sets it from its own resolution for the length of the sweep; a pool
-# worker resolves it in its initializer, since an Experiment holds closures
-# and cannot be pickled.  Nothing relies on a forked parent's memory, so any
-# start method works.
-_worker_experiment: Optional[Experiment] = None
-
-
-def _init_pool_worker(cfg: dict) -> None:
-    global _worker_experiment
-    _worker_experiment = resolve_experiment(cfg)
-
-
-def _sweep_worker(cfg: dict, lambda0: float, eta: float) -> tuple:
-    """One rate of a sweep.  Every rate shares the resolved experiment: each
-    `model_factory()` call draws fresh parameters from a keyed stream, and
-    training mutates only those, so reuse changes no output bit."""
-    experiment = _worker_experiment
+def _sweep_rate(experiment: Experiment, cfg: dict, lambda0: float, eta: float) -> tuple:
+    """One rate of a sweep: train a clone of the experiment's initialized
+    model, so every rate starts from the same parameters."""
     return run_sweep_point(
-        experiment.model_factory,
+        experiment.model.clone,
         experiment.dataset,
         eta,
         _train_config(cfg, eta),
@@ -684,22 +681,16 @@ def _sweep_worker(cfg: dict, lambda0: float, eta: float) -> tuple:
 
 
 def cmd_sweep(cfg: dict, out_dir: Path, jobs: int = 1) -> None:
-    global _worker_experiment
     experiment = resolve_experiment(cfg)
     etas, lambda0 = resolve_eta_grid(cfg, experiment)
-    run_rate = partial(_sweep_worker, cfg, lambda0)
+    run_rate = partial(_sweep_rate, experiment, cfg, lambda0)
     workers = min(jobs, len(etas))
     if workers > 1:
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_pool_worker, initargs=(cfg,)
-        ) as pool:
+        # each task carries the pickled experiment, so any start method works
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run_rate, etas))
     else:
-        _worker_experiment = experiment
-        try:
-            results = [run_rate(eta) for eta in etas]
-        finally:
-            _worker_experiment = None
+        results = list(map(run_rate, etas))
 
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = [_sweep_columns(record, experiment.sparsity_layers) for record, _ in results]
@@ -715,7 +706,7 @@ def cmd_sweep(cfg: dict, out_dir: Path, jobs: int = 1) -> None:
 
 def cmd_bounds(cfg: dict, out_dir: Path) -> None:
     experiment = resolve_experiment(cfg)
-    model = experiment.model_factory()
+    model = experiment.model
     lambda0 = lambda_max_symmetric(model.ntk(experiment.dataset.inputs))
     reports, skipped = collect_bound_reports(model, experiment.dataset)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -774,8 +765,16 @@ def _load_config(path_text: str, seed_override: Optional[int]) -> dict:
     return normalize_config(raw, Path(path_text).resolve().parent, seed_override)
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a usage error as a configuration error (exit 1): argparse's
+    own exit code 2 would collide with the invariant-failure code."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="catapult",
         description=(
             "Simulate full-batch gradient descent across the lazy, catapult "
@@ -784,34 +783,28 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, needs_config in (
-        ("train", True),
-        ("sweep", True),
-        ("bounds", True),
-        ("check", False),
-    ):
+    for name in ("train", "sweep", "bounds", "check"):
         cmd = sub.add_parser(name)
-        cmd.add_argument("--config", required=needs_config, help="path to the JSON config")
+        cmd.add_argument("--config", required=name != "check", help="path to the JSON config")
         cmd.add_argument("--out", default=None, help="output directory")
         cmd.add_argument("--seed", type=int, default=None, help="override every seed")
-        cmd.add_argument(
-            "--jobs", type=int, default=1, help="parallel workers (sweep only)"
-        )
+        if name == "sweep":
+            cmd.add_argument("--jobs", type=int, default=1, help="parallel workers")
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
+        if args.seed is not None:
+            _valid_seed(args.seed, "--seed")
         if args.command == "check":
             seed = 0
             if args.config is not None:
                 raw = _read_json(args.config)
                 if not isinstance(raw, dict):
                     raise ConfigError("config: top level must be an object")
-                seed = raw.get("seed", 0)
-                if not isinstance(seed, int):
-                    raise ConfigError("seed: expected an integer")
+                seed = _valid_seed(raw.get("seed", 0), "seed")
             if args.seed is not None:
                 seed = args.seed
             out_dir = Path(args.out) if args.out else None
@@ -822,7 +815,9 @@ def main(argv=None) -> int:
         if args.command == "train":
             cmd_train(cfg, out_dir)
         elif args.command == "sweep":
-            cmd_sweep(cfg, out_dir, jobs=max(1, args.jobs))
+            if args.jobs < 1:
+                raise ConfigError("--jobs: must be at least 1")
+            cmd_sweep(cfg, out_dir, jobs=args.jobs)
         elif args.command == "bounds":
             cmd_bounds(cfg, out_dir)
         return EXIT_OK

@@ -7,6 +7,7 @@ directories cannot be collected together.
 """
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -47,21 +48,23 @@ def run():
         sys.path[:] = saved
 
 
+# the benchmark's quadratic toy workload at a test-sized n_psi
+PURE_QUADRATIC_TOY = {
+    "model": {
+        "family": "pure_quadratic",
+        "n_psi": 64,
+        "zeta_rule": "2_over_n",
+        "init_seed": 0,
+        "eigen_scheme": {"kind": "uniform", "low": 1.0, "high": 2.0},
+    },
+    "dataset": {"kind": "toy"},
+    "training": {"eta_lambda0_grid": [1.0, 3.0, 4.5], "ntk_eval_interval": 1_000_000},
+    "output": {"per_eta_trajectories": True},
+}
+
+
 def pure_quadratic_toy(tmp_path):
-    # the benchmark's quadratic toy workload at a test-sized n_psi
-    raw = {
-        "model": {
-            "family": "pure_quadratic",
-            "n_psi": 64,
-            "zeta_rule": "2_over_n",
-            "init_seed": 0,
-            "eigen_scheme": {"kind": "uniform", "low": 1.0, "high": 2.0},
-        },
-        "dataset": {"kind": "toy"},
-        "training": {"eta_lambda0_grid": [1.0, 3.0, 4.5], "ntk_eval_interval": 1_000_000},
-        "output": {"per_eta_trajectories": True},
-    }
-    return cli.normalize_config(raw, tmp_path)
+    return cli.normalize_config(PURE_QUADRATIC_TOY, tmp_path)
 
 
 def test_tracer_patches_every_name_it_expects(tracing):
@@ -82,6 +85,17 @@ def test_traced_sweep_resolves_once_and_calls_each_rate(tracing, tmp_path):
     assert metrics["analysis.run_sweep_point.calls"] == 3
     assert metrics["training.train.calls"] == 3
     assert metrics["training.gd_steps"] > 0
+
+
+def test_setup_sequence_resolves_the_sweeps_lambda0(tmp_path):
+    # perfbench/worker.py times exactly this sequence as setup_s
+    cfg = cli.normalize_config(PURE_QUADRATIC_TOY, tmp_path)
+    experiment = cli.resolve_experiment(cfg)
+    etas, lambda0 = cli.resolve_eta_grid(cfg, experiment)
+    cli.cmd_sweep(cfg, tmp_path / "sweep")
+    meta = json.loads((tmp_path / "sweep" / "sweep.meta.json").read_text())
+    assert meta["lambda0"] == lambda0
+    assert meta["eta_grid"] == etas
 
 
 def test_verifier_passes_the_pure_quadratic_toy(verify, tmp_path):

@@ -287,7 +287,7 @@ class TestOmegaBound:
             "training": {"eta_lambda0_grid": [1.0, 3.0, 4.5]},
         }
         experiment = resolve_experiment(normalize_config(raw, tmp_path))
-        model = experiment.model_factory()
+        model = experiment.model
         reports, _ = collect_bound_reports(model, experiment.dataset)
         single, omega = (
             next(r for r in reports if r.method == method)

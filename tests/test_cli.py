@@ -252,9 +252,25 @@ class TestSweepCommand:
             assert (serial / "sweep.meta.json").is_file()
             self.assert_same_files(serial, parallel)
 
+    @staticmethod
+    def teacher_student_sweep_config():
+        return {
+            "model": {"family": "pure_quadratic", "init_seed": 2},
+            "dataset": {
+                "kind": "teacher_student",
+                "seed": 2,
+                "n_psi_teacher": 40,
+                "n_psi_student": 20,
+                "train_size": 8,
+                "test_size": 50,
+            },
+            "training": {"eta_lambda0_grid": [0.5, 1.5, 2.5], "ntk_eval_interval": 10},
+        }
+
     def test_parallel_workers_do_not_rely_on_fork(self, tmp_path, monkeypatch):
-        # spawned workers inherit no memory of the parent: each rebuilds the
-        # experiment from the plain-dict config in its pool initializer
+        # spawned workers inherit no memory of the parent: every task carries
+        # the pickled experiment, the teacher-student one with the quadratic
+        # evaluator that scores its test split
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
@@ -266,11 +282,46 @@ class TestSweepCommand:
             "ProcessPoolExecutor",
             lambda **kwargs: ProcessPoolExecutor(mp_context=spawn, **kwargs),
         )
-        path = write_config(tmp_path, self.homogenous_sweep_config())
-        serial, parallel = tmp_path / "s", tmp_path / "p"
-        assert main(["sweep", "--config", path, "--out", str(serial)]) == 0
-        assert main(["sweep", "--config", path, "--out", str(parallel), "--jobs", "2"]) == 0
-        self.assert_same_files(serial, parallel)
+        for family, cfg in (
+            ("homogenous", self.homogenous_sweep_config()),
+            ("teacher_student", self.teacher_student_sweep_config()),
+        ):
+            path = write_config(tmp_path, cfg, name=f"{family}.json")
+            serial, parallel = tmp_path / f"{family}_s", tmp_path / f"{family}_p"
+            assert main(["sweep", "--config", path, "--out", str(serial)]) == 0
+            assert main(["sweep", "--config", path, "--out", str(parallel), "--jobs", "2"]) == 0
+            self.assert_same_files(serial, parallel)
+        rows = (tmp_path / "teacher_student_p" / "sweep.csv").read_text().splitlines()
+        header = rows[0].split(",")
+        test_losses = [row.split(",")[header.index("test_loss_final")] for row in rows[1:]]
+        assert any(value != "" for value in test_losses)
+
+    def test_sweep_assembles_the_quadratic_model_once(self, tmp_path, monkeypatch):
+        # every rate trains a clone of one initialized model; a pool worker
+        # (forked with the patch) that assembled its own would fail its rate
+        import os
+
+        import catapult.cli as cli
+
+        parent = os.getpid()
+        assemble = cli.assemble_quadratic
+        calls = []
+
+        def parent_only(*args):
+            assert os.getpid() == parent, "a pool worker assembled the model"
+            calls.append(args)
+            return assemble(*args)
+
+        monkeypatch.setattr(cli, "assemble_quadratic", parent_only)
+        cfg = normalize_config(self.sweep_config(), tmp_path)
+        assert len(cfg["training"]["eta_lambda0_grid"]) == 4
+        for jobs in (1, 2):
+            calls.clear()
+            cli.cmd_sweep(cfg, tmp_path / f"jobs_{jobs}", jobs=jobs)
+            assert len(calls) == 1
+            rows = (tmp_path / f"jobs_{jobs}" / "sweep.csv").read_text().splitlines()
+            assert [row.split(",")[2] for row in rows[1:]] == ["ok"] * 4
+        self.assert_same_files(tmp_path / "jobs_1", tmp_path / "jobs_2")
 
     def test_serial_sweep_resolves_the_experiment_once(self, tmp_path, monkeypatch):
         import catapult.cli as cli
@@ -532,7 +583,91 @@ class TestCheckCommand:
         assert doc["seed"] == 3
 
 
+def small_teacher_student_config(**dataset):
+    return {
+        "model": {"family": "pure_quadratic"},
+        "dataset": {
+            "kind": "teacher_student",
+            "n_psi_teacher": 8,
+            "n_psi_student": 4,
+            "train_size": 3,
+            "test_size": 5,
+            **dataset,
+        },
+        "training": {"eta": 0.1, "max_steps": 2},
+    }
+
+
+def assert_one_config_error(capsys, prefix: str):
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {prefix}"), err
+    assert err.count("\n") == 1 and "Traceback" not in err, err
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize(
+        "argv, prefix",
+        [
+            (["sweep"], "catapult sweep: the following arguments are required: --config"),
+            (["sweep", "--config", "{config}", "--jobs", "abc"], "catapult sweep: argument --jobs"),
+            (["sweep", "--config", "{config}", "--jobs", "0"], "--jobs: must be at least 1"),
+            (["frobnicate"], "catapult: argument command: invalid choice"),
+            ([], "catapult: the following arguments are required: command"),
+        ],
+    )
+    def test_usage_error_is_config_exit(self, tmp_path, capsys, argv, prefix):
+        # argparse would exit 2, the code of an invariant failure
+        config = write_config(tmp_path, quad_toy_config())
+        argv = [arg.format(config=config) for arg in argv]
+        assert main(argv) == 1
+        assert_one_config_error(capsys, prefix)
+
+    @pytest.mark.parametrize("argv", [["--help"], ["sweep", "--help"]])
+    def test_help_exits_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 0
+        assert "usage: catapult" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["train", "bounds", "check"])
+    def test_jobs_is_a_sweep_option_only(self, tmp_path, capsys, command):
+        argv = [command, "--seed", "0", "--jobs", "7"]
+        if command != "check":
+            argv += ["--config", write_config(tmp_path, quad_toy_config())]
+        assert main(argv) == 1
+        assert_one_config_error(capsys, "catapult: unrecognized arguments: --jobs 7")
+
+    @pytest.mark.parametrize(
+        "command, payload, flags, prefix",
+        [
+            ("check", {"seed": True}, [], "seed: expected an integer"),
+            ("check", {"seed": -1}, [], "seed: must be non-negative"),
+            ("check", None, ["--seed", "-1"], "--seed: must be non-negative"),
+            ("sweep", quad_toy_config(), ["--seed", "-2"], "--seed: must be non-negative"),
+            (
+                "train",
+                {**quad_toy_config(), "model": {**quad_toy_config()["model"], "init_seed": -1}},
+                [],
+                "model.init_seed: must be non-negative",
+            ),
+            ("train", small_teacher_student_config(seed=-3), [], "dataset.seed: must be non-negative"),
+            ("train", small_teacher_student_config(n_psi_student=10), [], "dataset.n_psi_student:"),
+            ("train", small_teacher_student_config(n_psi_teacher=9), [], "dataset.n_psi_teacher:"),
+            ("train", small_teacher_student_config(n_phi_teacher=4), [], "dataset.n_phi_student:"),
+            ("bounds", small_teacher_student_config(n_phi_teacher=4), [], "dataset.n_phi_student:"),
+            ("train", small_teacher_student_config(d=0), [], "dataset.d: must be at least 1"),
+            ("train", small_teacher_student_config(test_size=-1), [], "dataset.test_size:"),
+        ],
+    )
+    def test_config_error_names_its_field(self, tmp_path, capsys, command, payload, flags, prefix):
+        # each of these once ran on, or ended in a traceback
+        argv = [command, "--out", str(tmp_path / "out"), *flags]
+        if payload is not None:
+            argv += ["--config", write_config(tmp_path, payload)]
+        assert main(argv) == 1
+        assert_one_config_error(capsys, prefix)
+        assert not (tmp_path / "out").exists()
+
     def test_data_format_error_is_io_exit(self, tmp_path):
         # files exist (so parsing succeeds) but the payload is corrupt
         bogus = tmp_path / "broken.idx"

@@ -18,6 +18,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
@@ -163,6 +164,9 @@ def _field(section: dict, path: str, key: str, kind, default="__required__", all
         raise ConfigError(f"{path}.{key}: expected an integer")
     if not isinstance(value, kind):
         raise ConfigError(f"{path}.{key}: expected {kind.__name__}")
+    # Python's json reads NaN and Infinity, which no numeric field accepts
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"{path}.{key}: must be a finite number")
     if allowed is not None and value not in allowed:
         raise ConfigError(f"{path}.{key}: must be one of {sorted(allowed)}")
     return value
@@ -193,6 +197,11 @@ def _eigen_scheme_config(section: dict, path: str) -> dict:
     return {"kind": "uniform", "low": low, "high": high}
 
 
+def _check_zeta(zeta: Optional[float]) -> None:
+    if zeta is not None and zeta < 0:
+        raise ConfigError("model.zeta: must be non-negative")
+
+
 def _normalize_model(raw: dict, teacher_student: bool) -> dict:
     section = _section(raw, "model")
     family = _field(section, "model", "family", str, allowed=set(MODEL_FAMILIES))
@@ -208,6 +217,7 @@ def _normalize_model(raw: dict, teacher_student: bool) -> dict:
         # coupling override.
         if family in ("pure_quadratic", "quadratic_with_bias"):
             out["zeta"] = _field(section, "model", "zeta", float, None)
+            _check_zeta(out["zeta"])
         return out
     if family in ("pure_quadratic", "quadratic_with_bias"):
         out["n_psi"] = _field(section, "model", "n_psi", int)
@@ -231,6 +241,7 @@ def _normalize_model(raw: dict, teacher_student: bool) -> dict:
         )
         if (zeta is None) == (zeta_rule is None):
             raise ConfigError("model.zeta: give exactly one of zeta or zeta_rule")
+        _check_zeta(zeta)
         out["zeta"] = zeta
         out["zeta_rule"] = zeta_rule
         out["eigen_scheme"] = _eigen_scheme_config(section, "model")
@@ -267,6 +278,8 @@ def _normalize_dataset(raw: dict, base_dir: Path) -> dict:
         out["half_width"] = _field(section, "dataset", "half_width", float, 0.5)
         if out["size"] < 1:
             raise ConfigError("dataset.size: must be at least 1")
+        if out["half_width"] <= 0:
+            raise ConfigError("dataset.half_width: must be positive")
     elif kind == "teacher_student":
         for key in ("n_psi_teacher", "n_psi_student"):
             out[key] = _field(section, "dataset", key, int)
@@ -295,11 +308,19 @@ def _normalize_dataset(raw: dict, base_dir: Path) -> dict:
             raise ConfigError("dataset.train_size: must be at least 1")
         if out["test_size"] < 0:
             raise ConfigError("dataset.test_size: must be non-negative")
+        if out["input_half_width"] <= 0:
+            raise ConfigError("dataset.input_half_width: must be positive")
     elif kind == "image_two_class":
         fmt = _field(section, "dataset", "format", str, allowed={"idx", "cifar_binary"})
         out["format"] = fmt
         out["class_a"] = _field(section, "dataset", "class_a", int)
         out["class_b"] = _field(section, "dataset", "class_b", int)
+        # both formats hold the ten classes 0-9
+        for key in ("class_a", "class_b"):
+            if not 0 <= out[key] <= 9:
+                raise ConfigError(f"dataset.{key}: must be a class id from 0 to 9")
+        if out["class_a"] == out["class_b"]:
+            raise ConfigError("dataset.class_b: must differ from class_a")
         out["train_size"] = _field(section, "dataset", "train_size", int, 128)
         if fmt == "idx":
             keys = ("train_images", "train_labels", "test_images", "test_labels")
@@ -361,8 +382,9 @@ def _normalize_training(raw: dict) -> dict:
             raise ConfigError(f"training.{key}: expected a non-empty list")
         numbers = []
         for item in value:
-            if not isinstance(item, (int, float)) or isinstance(item, bool) or item <= 0:
-                raise ConfigError(f"training.{key}: entries must be positive numbers")
+            numeric = isinstance(item, (int, float)) and not isinstance(item, bool)
+            if not (numeric and math.isfinite(item) and item > 0):
+                raise ConfigError(f"training.{key}: entries must be finite positive numbers")
             numbers.append(float(item))
         out[key] = numbers
     if out["max_steps"] < 1:

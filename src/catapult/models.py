@@ -17,6 +17,7 @@ records over numpy arrays; a single trainer owns and mutates one model.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field, replace
 
@@ -179,7 +180,11 @@ class QuadraticModel:
         return self.weight_norm() + float(phi @ self.theta) ** 2 / phi_sq
 
     def clone(self) -> "QuadraticModel":
-        return replace(self, theta=self.theta.copy())
+        # The clone shares the features this model's __post_init__ already
+        # checked, so it copies theta and does not check them again.
+        twin = copy.copy(self)
+        twin.theta = self.theta.copy()
+        return twin
 
 
 def linear_net_with_bias_embedding(

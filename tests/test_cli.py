@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import catapult
 from catapult.cli import (
     ConfigError,
     config_digest,
@@ -115,6 +116,13 @@ class TestConfigValidation:
         path = write_config(tmp_path, {"model": {}})
         assert main(["train", "--config", path, "--out", str(tmp_path / "o")]) == 1
         assert "config error" in capsys.readouterr().err
+
+
+def test_artifact_version_matches_pyproject():
+    # every output embeds catapult.__version__; the package metadata must agree
+    tomllib = pytest.importorskip("tomllib")
+    with (Path(__file__).resolve().parents[1] / "pyproject.toml").open("rb") as handle:
+        assert tomllib.load(handle)["project"]["version"] == catapult.__version__
 
 
 class TestTrainCommand:
@@ -598,6 +606,26 @@ def small_teacher_student_config(**dataset):
     }
 
 
+def with_model(config: dict, **model) -> dict:
+    return {**config, "model": {**config["model"], **model}}
+
+
+def image_config(class_a: int, class_b: int) -> dict:
+    # the class ids are checked before the (here missing) files
+    paths = ("train_images", "train_labels", "test_images", "test_labels")
+    return {
+        "model": {"family": "deep_relu", "width": 8},
+        "dataset": {
+            "kind": "image_two_class",
+            "format": "idx",
+            "class_a": class_a,
+            "class_b": class_b,
+            **{key: f"missing-{key}.idx" for key in paths},
+        },
+        "training": {"eta": 0.1},
+    }
+
+
 def assert_one_config_error(capsys, prefix: str):
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {prefix}"), err
@@ -657,6 +685,67 @@ class TestExitCodes:
             ("bounds", small_teacher_student_config(n_phi_teacher=4), [], "dataset.n_phi_student:"),
             ("train", small_teacher_student_config(d=0), [], "dataset.d: must be at least 1"),
             ("train", small_teacher_student_config(test_size=-1), [], "dataset.test_size:"),
+            (
+                "train",
+                {**quad_toy_config(), "training": {"eta": math.nan}},
+                [],
+                "training.eta: must be a finite number",
+            ),
+            (
+                "sweep",
+                quad_toy_config(eta_lambda0_grid=[3.0, math.nan]),
+                [],
+                "training.eta_lambda0_grid: entries must be finite positive numbers",
+            ),
+            (
+                "sweep",
+                quad_toy_config(eta_grid=[math.inf], eta_lambda0_grid=None),
+                [],
+                "training.eta_grid: entries must be finite positive numbers",
+            ),
+            (
+                "train",
+                quad_toy_config(convergence_tol=math.nan),
+                [],
+                "training.convergence_tol: must be a finite number",
+            ),
+            (
+                "sweep",
+                {
+                    "model": {"family": "homogenous", "width": 8, "a_minus": 0.5, "a_plus": math.inf},
+                    "dataset": {"kind": "toy"},
+                    "training": {"eta_lambda0_grid": [3.0]},
+                },
+                [],
+                "model.a_plus: must be a finite number",
+            ),
+            (
+                "train",
+                with_model(quad_toy_config(), zeta_rule=None, zeta=-0.5),
+                [],
+                "model.zeta: must be non-negative",
+            ),
+            (
+                "train",
+                with_model(small_teacher_student_config(), zeta=-0.5),
+                [],
+                "model.zeta: must be non-negative",
+            ),
+            (
+                "train",
+                {**quad_toy_config(), "dataset": {"kind": "random", "size": 4, "half_width": 0.0}},
+                [],
+                "dataset.half_width: must be positive",
+            ),
+            (
+                "train",
+                small_teacher_student_config(input_half_width=-0.5),
+                [],
+                "dataset.input_half_width: must be positive",
+            ),
+            ("train", image_config(3, 3), [], "dataset.class_b: must differ from class_a"),
+            ("train", image_config(12, 3), [], "dataset.class_a: must be a class id from 0 to 9"),
+            ("train", image_config(3, -1), [], "dataset.class_b: must be a class id from 0 to 9"),
         ],
     )
     def test_config_error_names_its_field(self, tmp_path, capsys, command, payload, flags, prefix):

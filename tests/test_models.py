@@ -147,6 +147,20 @@ class TestQuadraticModel:
         scaled.theta[:] = scale * m.theta
         assert scaled.outputs()[0] == pytest.approx(scale**2 * z, rel=1e-10, abs=1e-12)
 
+    def test_clone_copies_theta_without_revalidating(self, monkeypatch):
+        m = with_bias_toy_quadratic(16, 4, seed=9)
+        calls = []
+        validate = QuadraticModel.__post_init__
+        monkeypatch.setattr(
+            QuadraticModel, "__post_init__", lambda self: calls.append(1) or validate(self)
+        )
+        twin = m.clone()
+        assert calls == []
+        assert twin.theta is not m.theta and np.array_equal(twin.theta, m.theta)
+        assert twin.meta_features is m.meta_features and twin.features is m.features
+        twin.theta[:] = 0.0
+        assert np.any(m.theta != 0.0)
+
     def test_with_bias_orthogonality_preserved_after_assembly(self):
         m = with_bias_toy_quadratic(16, 4, seed=9)
         overlap = np.einsum("aij,bj->abi", m.meta_features, m.features)

@@ -165,12 +165,36 @@ class TestExpmAntisymmetric:
         expected = np.array([[0.0, 1.0], [-1.0, 0.0]])
         assert np.abs(q - expected).max() < 1e-10
 
+    def test_block_diagonal_rotation(self):
+        # two planes turned by 0.3 and 2.0 radians
+        b = np.zeros((4, 4))
+        expected = np.zeros((4, 4))
+        for start, angle in ((0, 0.3), (2, 2.0)):
+            c, s = math.cos(angle), math.sin(angle)
+            b[start, start + 1], b[start + 1, start] = angle, -angle
+            expected[start : start + 2, start : start + 2] = [[c, s], [-s, c]]
+        assert np.abs(expm_antisymmetric(b) - expected).max() < 1e-15
+
     @pytest.mark.parametrize("order", [10, 100, 300])
     def test_orthogonality_and_determinant(self, order):
         b = random_antisymmetric(order, Rng(order))
         q = expm_antisymmetric(b)
-        assert np.linalg.norm(q.T @ q - np.eye(order)) < 1e-8
+        # the Frobenius norm is at most order * 1e-12 <= 3e-10 under this bound
+        assert np.abs(q.T @ q - np.eye(order)).max() < 1e-12
         assert np.linalg.det(q) == pytest.approx(1.0, abs=1e-6)
+
+    def test_orthogonality_at_order_1000(self):
+        q = expm_antisymmetric(random_antisymmetric(1000, Rng(1000)))
+        assert np.abs(q.T @ q - np.eye(1000)).max() < 1e-13
+
+    @pytest.mark.parametrize("order", [10, 100, 300])
+    def test_is_the_exponential(self, order):
+        # an orthogonal map of A that is not exp(A), such as the Cayley
+        # transform, misses the semigroup identity by order one
+        b = random_antisymmetric(order, Rng(order))
+        q = expm_antisymmetric(b)
+        assert np.abs(expm_antisymmetric(2.0 * b) - q @ q).max() < 1e-12
+        assert np.abs(q.T - expm_antisymmetric(-b)).max() < 1e-12
 
     def test_rejects_non_antisymmetric(self):
         with pytest.raises(NumericsError):

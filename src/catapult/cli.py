@@ -181,20 +181,34 @@ def _valid_seed(value, path: str) -> int:
     return value
 
 
+def _reject_unknown(section: dict, path: str, normalized: dict) -> None:
+    """A raw section may carry only the fields its normalized form keeps."""
+    for key in section:
+        if key not in normalized:
+            raise ConfigError(f"{path}.{key}: unknown field")
+
+
 def _eigen_scheme_config(section: dict, path: str) -> dict:
     raw = section.get("eigen_scheme")
     if raw is None:
         return {"kind": "uniform", "low": 1.0, "high": 2.0}
+    path = f"{path}.eigen_scheme"
     if not isinstance(raw, dict):
-        raise ConfigError(f"{path}.eigen_scheme: must be an object")
-    kind = _field(raw, f"{path}.eigen_scheme", "kind", str, allowed={"pm_one", "uniform"})
-    if kind == "pm_one":
-        return {"kind": "pm_one", "low": 1.0, "high": 1.0}
-    low = _field(raw, f"{path}.eigen_scheme", "low", float, 1.0)
-    high = _field(raw, f"{path}.eigen_scheme", "high", float, 2.0)
-    if not low < high:
-        raise ConfigError(f"{path}.eigen_scheme.low: must be below high")
-    return {"kind": "uniform", "low": low, "high": high}
+        raise ConfigError(f"{path}: must be an object")
+    kind = _field(raw, path, "kind", str, allowed={"pm_one", "uniform"})
+    out = {
+        "kind": kind,
+        "low": _field(raw, path, "low", float, 1.0),
+        "high": _field(raw, path, "high", float, 2.0 if kind == "uniform" else 1.0),
+    }
+    # the normalized pm_one scheme spells out its fixed magnitude
+    for key in ("low", "high"):
+        if kind == "pm_one" and out[key] != 1.0:
+            raise ConfigError(f"{path}.{key}: must be 1 for pm_one")
+    if kind == "uniform" and not out["low"] < out["high"]:
+        raise ConfigError(f"{path}.low: must be below high")
+    _reject_unknown(raw, path, out)
+    return out
 
 
 def _check_zeta(zeta: Optional[float]) -> None:
@@ -218,18 +232,16 @@ def _normalize_model(raw: dict, teacher_student: bool) -> dict:
         if family in ("pure_quadratic", "quadratic_with_bias"):
             out["zeta"] = _field(section, "model", "zeta", float, None)
             _check_zeta(out["zeta"])
-        return out
-    if family in ("pure_quadratic", "quadratic_with_bias"):
+    elif family in ("pure_quadratic", "quadratic_with_bias"):
         out["n_psi"] = _field(section, "model", "n_psi", int)
-        out["n_phi"] = (
-            _field(section, "model", "n_phi", int)
-            if family == "quadratic_with_bias"
-            else 0
-        )
+        with_bias = family == "quadratic_with_bias"
+        out["n_phi"] = _field(section, "model", "n_phi", int, "__required__" if with_bias else 0)
         if out["n_psi"] < 2 or out["n_psi"] % 2:
             raise ConfigError("model.n_psi: must be a positive even number")
         if out["n_phi"] < 0:
             raise ConfigError("model.n_phi: must be non-negative")
+        if out["n_phi"] and not with_bias:
+            raise ConfigError("model.n_phi: must be 0 for pure_quadratic")
         zeta = _field(section, "model", "zeta", float, None)
         zeta_rule = _field(
             section,
@@ -262,6 +274,7 @@ def _normalize_model(raw: dict, teacher_student: bool) -> dict:
         out["depth"] = _field(section, "model", "depth", int, 0, {0, 1})
     if "width" in out and out["width"] < 1:
         raise ConfigError("model.width: must be at least 1")
+    _reject_unknown(section, "model", out)
     return out
 
 
@@ -344,6 +357,7 @@ def _normalize_dataset(raw: dict, base_dir: Path) -> dict:
                 out[key] = resolved_list
     if "d" in out and out["d"] < 1:
         raise ConfigError("dataset.d: must be at least 1")
+    _reject_unknown(section, "dataset", out)
     return out
 
 
@@ -395,6 +409,7 @@ def _normalize_training(raw: dict) -> dict:
         raise ConfigError("training.divergence_threshold: must exceed convergence_tol")
     if out["ntk_eval_interval"] < 1:
         raise ConfigError("training.ntk_eval_interval: must be at least 1")
+    _reject_unknown(section, "training", out)
     return out
 
 
@@ -413,16 +428,18 @@ def normalize_config(
         if key not in known:
             raise ConfigError(f"{key}: unknown section")
     dataset_cfg = _normalize_dataset(raw, base_dir)
+    output = raw.get("output") or {}
+    if not isinstance(output, dict):
+        raise ConfigError("output: must be an object")
     normalized = {
         "model": _normalize_model(raw, dataset_cfg["kind"] == "teacher_student"),
         "dataset": dataset_cfg,
         "training": _normalize_training(raw),
         "output": {
-            "per_eta_trajectories": _field(
-                raw.get("output") or {}, "output", "per_eta_trajectories", bool, False
-            )
+            "per_eta_trajectories": _field(output, "output", "per_eta_trajectories", bool, False)
         },
     }
+    _reject_unknown(output, "output", normalized["output"])
     if seed_override is not None:
         normalized["model"]["init_seed"] = int(seed_override)
         normalized["dataset"]["seed"] = int(seed_override)

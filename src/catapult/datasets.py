@@ -35,7 +35,6 @@ class Dataset:
     labels: np.ndarray  # (D,)
     test_inputs: Optional[np.ndarray] = None
     test_labels: Optional[np.ndarray] = None
-    provenance: str = "toy"
 
     def __post_init__(self):
         self.inputs = np.asarray(self.inputs, dtype=np.float64)
@@ -69,13 +68,13 @@ class Dataset:
 
 def make_toy() -> Dataset:
     """The single-datapoint toy task (x, y) = (1, 0)."""
-    return Dataset(inputs=[[1.0]], labels=[0.0], provenance="toy")
+    return Dataset(inputs=[[1.0]], labels=[0.0])
 
 
 def make_toy_relu() -> Dataset:
     """The single-datapoint task (x, y) = (4, 2) with a positive label,
     which keeps the ReLU net away from the trivial all-negative solution."""
-    return Dataset(inputs=[[4.0]], labels=[2.0], provenance="toy")
+    return Dataset(inputs=[[4.0]], labels=[2.0])
 
 
 def make_random(d: int, size: int, half_width: float, rng: Rng) -> Dataset:
@@ -85,7 +84,7 @@ def make_random(d: int, size: int, half_width: float, rng: Rng) -> Dataset:
         raise ValueError("half_width must be positive")
     x = rng.uniform(-half_width, half_width, (size, d))
     y = rng.uniform(-half_width, half_width, size)
-    return Dataset(inputs=x, labels=y, provenance="random")
+    return Dataset(inputs=x, labels=y)
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +396,6 @@ def make_teacher_student(spec: TeacherStudentSpec, rng: Rng) -> TeacherStudentSe
         labels=y_train,
         test_inputs=x_test if spec.test_size > 0 else None,
         test_labels=y_test if spec.test_size > 0 else None,
-        provenance="teacher_student",
     )
     return TeacherStudentSetup(
         student_map=student_map,
@@ -556,5 +554,4 @@ def load_two_class_images(
         labels=y_train,
         test_inputs=x_test,
         test_labels=y_test,
-        provenance="image_two_class",
     )

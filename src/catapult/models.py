@@ -11,8 +11,15 @@ Three families:
 
 Every family exposes outputs, the D x D tangent kernel (the 1/D-normalized
 Gram matrix of per-sample output gradients), an exact full-batch
-gradient-descent step, and its squared weight norm.  Models are value-like
-records over numpy arrays; a single trainer owns and mutates one model.
+gradient-descent step, and its squared weight norm.  A family states its
+trainable arrays in a fixed order (``weights``) and, from one forward pass,
+one gradient factor pair ``(left, right)`` per array: sample a's output
+gradient with respect to that array is ``scale * outer(left[a], right[a])``,
+or ``scale * left[a]`` when the array is a vector (``right`` is None).  The
+kernel (``tangent_kernel``) and the step (``loss_gradients``) are written
+once over those factors, so both always come from the same gradients.
+Models are value-like records over numpy arrays; a single trainer owns and
+mutates one model.
 """
 
 from __future__ import annotations
@@ -60,6 +67,38 @@ def _as_inputs(inputs) -> np.ndarray:
     if x.ndim != 2:
         raise ModelError(f"inputs must be a (D, d) matrix, got shape {x.shape}")
     return x
+
+
+def tangent_kernel(factors, scale: float) -> np.ndarray:
+    """D x D kernel of per-sample output gradients: the Gram matrix
+    ``(left left^T) * (right right^T)`` summed over the factor pairs, times
+    ``scale**2 / D``."""
+    gram = sum(
+        left @ left.T if right is None else (left @ left.T) * (right @ right.T)
+        for left, right in factors
+    )
+    return _symmetrize(gram) * (scale**2 / factors[0][0].shape[0])
+
+
+def loss_gradients(factors, errors, scale: float) -> list[np.ndarray]:
+    """Gradient of the 1/(2D) squared loss for per-datapoint errors z - y,
+    one array per factor pair: ``scale/D * sum_a errors[a] * outer(left[a],
+    right[a])``."""
+    errors = np.asarray(errors, dtype=np.float64)
+    step = scale / errors.shape[0]
+    return [
+        step * (left.T @ errors) if right is None else step * ((left * errors[:, None]).T @ right)
+        for left, right in factors
+    ]
+
+
+def _descend(weights: list[np.ndarray], gradients: list[np.ndarray], eta: float) -> None:
+    for w, g in zip(weights, gradients):
+        w -= eta * g
+
+
+def _squared_norm(weights: list[np.ndarray]) -> float:
+    return sum(float(w @ w) if w.ndim == 1 else float((w**2).sum()) for w in weights)
 
 
 # ---------------------------------------------------------------------------
@@ -143,27 +182,29 @@ class QuadraticModel:
         return self.features @ self.theta + 0.5 * self.zeta * (meta_theta @ self.theta)
 
     def effective_features(self) -> np.ndarray:
-        """Theta-dependent features whose Gram matrix is the tangent kernel."""
+        """Theta-dependent features: row a is the output gradient on
+        datapoint a."""
         return self.features + self.zeta * (self.meta_features @ self.theta)
+
+    def weights(self) -> list[np.ndarray]:
+        return [self.theta]
+
+    def _factors(self) -> list:
+        return [(self.effective_features(), None)]
 
     def ntk(self, inputs=None) -> np.ndarray:
         self._check_inputs(inputs)
-        eff = self.effective_features()
-        return _symmetrize(eff @ eff.T) / self.num_points
+        return tangent_kernel(self._factors(), 1.0)
 
     def grad_theta(self, errors: np.ndarray) -> np.ndarray:
         """Loss gradient for supplied per-datapoint errors z - y."""
-        errors = np.asarray(errors, dtype=np.float64)
-        meta_theta = self.meta_features @ self.theta
-        return (
-            self.features.T @ errors + self.zeta * (meta_theta.T @ errors)
-        ) / self.num_points
+        return loss_gradients(self._factors(), errors, 1.0)[0]
 
     def apply_gd_step(self, inputs, errors: np.ndarray, eta: float) -> None:
-        self.theta -= eta * self.grad_theta(errors)
+        _descend(self.weights(), loss_gradients(self._factors(), errors, 1.0), eta)
 
     def weight_norm(self) -> float:
-        return float(self.theta @ self.theta)
+        return _squared_norm(self.weights())
 
     def bias_combined_norm(self) -> float | None:
         """Squared weight norm plus the squared feature-aligned component.
@@ -314,46 +355,42 @@ class HomogenousNet:
     def is_relu(self) -> bool:
         return self.a_minus == 0.0 and self.a_plus == 1.0
 
-    def preactivations(self, inputs) -> np.ndarray:
-        return _as_inputs(inputs) @ self.u.T  # (D, n)
+    @property
+    def output_scale(self) -> float:
+        return 1.0 / math.sqrt(self.width)
+
+    def weights(self) -> list[np.ndarray]:
+        return [self.v, self.u]
+
+    def _forward(self, inputs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        x = _as_inputs(inputs)
+        pre = x @ self.u.T  # (D, n)
+        return x, pre, scale_invariant(pre, self.a_minus, self.a_plus)
+
+    def _factors(self, inputs, zero_slope: float | None) -> list:
+        """Factors of ``weights()``; a non-None ``zero_slope`` replaces the
+        activation slope at exactly-zero preactivations."""
+        x, pre, act = self._forward(inputs)
+        slopes = scale_invariant_deriv(pre, self.a_minus, self.a_plus)
+        if zero_slope is not None:
+            slopes[pre == 0.0] = zero_slope
+        return [(act, None), (slopes * self.v, x)]
 
     def activations(self, inputs) -> list[np.ndarray]:
-        return [scale_invariant(self.preactivations(inputs), self.a_minus, self.a_plus)]
+        return [self._forward(inputs)[2]]
 
     def outputs(self, inputs) -> np.ndarray:
-        act = scale_invariant(self.preactivations(inputs), self.a_minus, self.a_plus)
-        return act @ self.v / math.sqrt(self.width)
+        return self._forward(inputs)[2] @ self.v / math.sqrt(self.width)
 
     def ntk(self, inputs) -> np.ndarray:
-        x = _as_inputs(inputs)
-        pre = x @ self.u.T
-        act = scale_invariant(pre, self.a_minus, self.a_plus)
-        gate = scale_invariant_deriv(pre, self.a_minus, self.a_plus) * self.v
-        d_pts = x.shape[0]
-        h = (act @ act.T + (x @ x.T) * (gate @ gate.T)) / (self.width * d_pts)
-        return _symmetrize(h)
-
-    def _grad_slopes(self, pre: np.ndarray) -> np.ndarray:
-        slopes = scale_invariant_deriv(pre, self.a_minus, self.a_plus)
-        if self._grad_zero_slope_override is not None:
-            slopes = slopes.copy()
-            slopes[pre == 0.0] = self._grad_zero_slope_override
-        return slopes
+        return tangent_kernel(self._factors(inputs, None), self.output_scale)
 
     def apply_gd_step(self, inputs, errors: np.ndarray, eta: float) -> None:
-        x = _as_inputs(inputs)
-        errors = np.asarray(errors, dtype=np.float64)
-        pre = x @ self.u.T
-        act = scale_invariant(pre, self.a_minus, self.a_plus)
-        slopes = self._grad_slopes(pre)
-        scale = 1.0 / (x.shape[0] * math.sqrt(self.width))
-        grad_v = scale * (act.T @ errors)
-        grad_u = scale * ((slopes * self.v * errors[:, None]).T @ x)
-        self.u -= eta * grad_u
-        self.v -= eta * grad_v
+        factors = self._factors(inputs, self._grad_zero_slope_override)
+        _descend(self.weights(), loss_gradients(factors, errors, self.output_scale), eta)
 
     def weight_norm(self) -> float:
-        return float((self.u * self.u).sum() + self.v @ self.v)
+        return _squared_norm(self.weights())
 
     def reduced_weight_norm(self, inputs=None) -> float | None:
         """Squared norm restricted to the coordinates active at the frozen
@@ -458,7 +495,10 @@ class DeepReluNet:
     def output_scale(self) -> float:
         return self.width ** (-(self.depth + 1) / 2.0)
 
-    def _forward_states(self, inputs) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
+    def weights(self) -> list[np.ndarray]:
+        return [self.input_weights, self.output_weights, *self.hidden_weights]
+
+    def _forward(self, inputs) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
         x = _as_inputs(inputs)
         pres = [x @ self.input_weights.T]
         acts = [scale_invariant(pres[0], 0.0, 1.0)]
@@ -468,57 +508,35 @@ class DeepReluNet:
         return x, pres, acts
 
     def outputs(self, inputs) -> np.ndarray:
-        _, _, acts = self._forward_states(inputs)
+        _, _, acts = self._forward(inputs)
         return self.output_scale * (acts[-1] @ self.output_weights)
 
     def activations(self, inputs) -> list[np.ndarray]:
         """Post-activation maps per ReLU layer; used by the sparsity metric."""
-        return self._forward_states(inputs)[2]
+        return self._forward(inputs)[2]
 
-    def _gradient_factors(self, inputs):
-        """Per-sample gradient factor vectors.
-
-        Each per-sample weight gradient is rank one, so the D x D kernel can
-        be assembled from Gram matrices of these factors without ever
-        materializing the Jacobian.
-        """
-        x, pres, acts = self._forward_states(inputs)
+    def _factors(self, inputs) -> list:
+        """Factors of ``weights()``: each layer's backpropagated gates times
+        the activations feeding it."""
+        x, pres, acts = self._forward(inputs)
         gates = [scale_invariant_deriv(p, 0.0, 1.0) for p in pres]
         back = [self.output_weights[None, :] * gates[-1]]  # (D, n) per layer, top down
         for w, gate in zip(reversed(self.hidden_weights), reversed(gates[:-1])):
             back.append((back[-1] @ w) * gate)
         back.reverse()  # back[0] pairs with x, back[i] pairs with acts[i-1]
-        return x, acts, back
+        return [(back[0], x), (acts[-1], None), *zip(back[1:], acts[:-1])]
 
     def ntk(self, inputs) -> np.ndarray:
-        x, acts, back = self._gradient_factors(inputs)
-        d_pts = x.shape[0]
-        h = acts[-1] @ acts[-1].T  # output-layer gradients
-        h = h + (back[0] @ back[0].T) * (x @ x.T)
-        for i in range(1, len(back)):
-            h = h + (back[i] @ back[i].T) * (acts[i - 1] @ acts[i - 1].T)
-        return _symmetrize(h) * (self.output_scale**2 / d_pts)
+        return tangent_kernel(self._factors(inputs), self.output_scale)
 
     def apply_gd_step(self, inputs, errors: np.ndarray, eta: float) -> None:
-        x, acts, back = self._gradient_factors(inputs)
-        errors = np.asarray(errors, dtype=np.float64)
-        scale = self.output_scale / x.shape[0]
-        grad_out = scale * (acts[-1].T @ errors)
-        weighted = [b * errors[:, None] for b in back]
-        grad_in = scale * (weighted[0].T @ x)
-        grad_hidden = [
-            scale * (weighted[i].T @ acts[i - 1]) for i in range(1, len(back))
-        ]
-        self.output_weights -= eta * grad_out
-        self.input_weights -= eta * grad_in
-        for w, g in zip(self.hidden_weights, grad_hidden):
-            w -= eta * g
+        # Holding the factors until the update keeps the heap from being
+        # trimmed each step, which cost the next forward pass page faults.
+        factors = self._factors(inputs)
+        _descend(self.weights(), loss_gradients(factors, errors, self.output_scale), eta)
 
     def weight_norm(self) -> float:
-        total = float((self.input_weights**2).sum() + self.output_weights @ self.output_weights)
-        for w in self.hidden_weights:
-            total += float((w**2).sum())
-        return total
+        return _squared_norm(self.weights())
 
     def clone(self) -> "DeepReluNet":
         return DeepReluNet(

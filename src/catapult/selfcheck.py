@@ -84,49 +84,35 @@ def _pure_toy_model(n: int, seed: int) -> QuadraticModel:
     return assemble_quadratic(feature_map, make_toy(), zeta_for("2_over_n", n), rng.child(2))
 
 
-def check_pure_quadratic_identity(seed: int = 0) -> CheckResult:
-    model = _pure_toy_model(48, seed)
+def _norm_identity_check(name: str, model, series: str, h_shift: float) -> CheckResult:
+    """Train on the toy datapoint at eta = 3/H_0 and take the worst residual
+    of the norm update identity on the given norm series."""
     dataset = make_toy()
-    eta = 3.0 / float(model.ntk()[0, 0])
+    eta = 3.0 / float(model.ntk(dataset.inputs)[0, 0])
     traj = train(model, dataset, _identity_config(eta))
-    residual = float(weight_norm_identity_residuals(traj, "total").max())
+    residual = float(weight_norm_identity_residuals(traj, series, h_shift).max())
     return CheckResult(
-        name="weight_norm_identity_pure_quadratic",
+        name=name,
         passed=residual < IDENTITY_TOL,
         residual=residual,
         threshold=IDENTITY_TOL,
         detail=f"termination={traj.termination} steps={traj.steps_taken}",
     )
+
+
+def check_pure_quadratic_identity(seed: int = 0) -> CheckResult:
+    model = _pure_toy_model(48, seed)
+    return _norm_identity_check("weight_norm_identity_pure_quadratic", model, "total", 0.0)
 
 
 def check_homogenous_identity(seed: int = 0) -> CheckResult:
     net = HomogenousNet.init_random(96, Rng(seed).child(3), a_minus=0.5, a_plus=1.0)
-    dataset = make_toy()
-    eta = 3.0 / float(net.ntk(dataset.inputs)[0, 0])
-    traj = train(net, dataset, _identity_config(eta))
-    residual = float(weight_norm_identity_residuals(traj, "total").max())
-    return CheckResult(
-        name="weight_norm_identity_homogenous",
-        passed=residual < IDENTITY_TOL,
-        residual=residual,
-        threshold=IDENTITY_TOL,
-        detail=f"termination={traj.termination} steps={traj.steps_taken}",
-    )
+    return _norm_identity_check("weight_norm_identity_homogenous", net, "total", 0.0)
 
 
 def check_relu_reduced_identity(seed: int = 0) -> CheckResult:
     net = HomogenousNet.init_random(96, Rng(seed).child(4), a_minus=0.0, a_plus=1.0)
-    dataset = make_toy()
-    eta = 3.0 / float(net.ntk(dataset.inputs)[0, 0])
-    traj = train(net, dataset, _identity_config(eta))
-    residual = float(weight_norm_identity_residuals(traj, "reduced").max())
-    return CheckResult(
-        name="weight_norm_identity_relu_reduced",
-        passed=residual < IDENTITY_TOL,
-        residual=residual,
-        threshold=IDENTITY_TOL,
-        detail=f"termination={traj.termination} steps={traj.steps_taken}",
-    )
+    return _norm_identity_check("weight_norm_identity_relu_reduced", net, "reduced", 0.0)
 
 
 def check_relu_frozen_complement(seed: int = 0) -> CheckResult:
@@ -156,20 +142,9 @@ def check_relu_frozen_complement(seed: int = 0) -> CheckResult:
 
 def check_bias_combined_identity(seed: int = 0) -> CheckResult:
     model = linear_net_with_bias_embedding(32, Rng(seed).child(6), bias0=0.0)
-    dataset = make_toy()
     phi = model.features[0]
-    phi_sq = float(phi @ phi)
-    eta = 3.0 / float(model.ntk()[0, 0])
-    traj = train(model, dataset, _identity_config(eta))
-    residual = float(
-        weight_norm_identity_residuals(traj, "combined", h_shift=phi_sq).max()
-    )
-    return CheckResult(
-        name="weight_norm_identity_bias_combined",
-        passed=residual < IDENTITY_TOL,
-        residual=residual,
-        threshold=IDENTITY_TOL,
-        detail=f"termination={traj.termination} steps={traj.steps_taken}",
+    return _norm_identity_check(
+        "weight_norm_identity_bias_combined", model, "combined", float(phi @ phi)
     )
 
 
@@ -182,7 +157,6 @@ def check_update_recursions_pure(seed: int = 0) -> CheckResult:
     dataset = Dataset(
         inputs=rng.child(8).uniform(-0.5, 0.5, (4, 2)),
         labels=rng.child(9).uniform(-0.5, 0.5, 4),
-        provenance="random",
     )
     model = assemble_quadratic(feature_map, dataset, zeta_for("2_over_n", 24), rng.child(10))
     eta = 2.5 / lambda_max_symmetric(model.ntk())
@@ -205,7 +179,6 @@ def check_update_recursions_with_bias(seed: int = 0) -> CheckResult:
     dataset = Dataset(
         inputs=rng.child(12).uniform(-0.5, 0.5, (4, 2)),
         labels=rng.child(13).uniform(-0.5, 0.5, 4),
-        provenance="random",
     )
     model = assemble_quadratic(feature_map, dataset, zeta_for("1_over_n_psi", 24), rng.child(14))
     eta = 2.5 / lambda_max_symmetric(model.ntk())
@@ -295,7 +268,7 @@ def check_single_datapoint_windows(seed: int = 0) -> CheckResult:
     datasets = {
         "toy": make_toy(),
         "toy_relu": make_toy_relu(),
-        "negative": Dataset(inputs=[[-0.5]], labels=[0.5], provenance="random"),
+        "negative": Dataset(inputs=[[-0.5]], labels=[0.5]),
     }
     pure_map = build_meta_features(
         MetaFeatureSpec(n_psi=24, n_phi=0, d=1, eigen_scheme=EigenScheme("uniform", 1.0, 2.0)),
@@ -343,7 +316,6 @@ def check_omega_dual(seed: int = 0) -> CheckResult:
     dataset = Dataset(
         inputs=rng.child(29).uniform(-0.5, 0.5, (3, 2)),
         labels=rng.child(30).uniform(-0.5, 0.5, 3),
-        provenance="random",
     )
     multi = assemble_quadratic(feature_map, dataset, zeta_for("2_over_n", 8), rng.child(31))
     single = _pure_toy_model(24, seed)

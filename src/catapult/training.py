@@ -96,18 +96,6 @@ def mse_loss(outputs, labels) -> float:
     return float(err @ err) / (2.0 * z.size)
 
 
-def _model_is_finite(model) -> bool:
-    if isinstance(model, QuadraticModel):
-        return bool(np.isfinite(model.theta).all())
-    if isinstance(model, HomogenousNet):
-        return bool(np.isfinite(model.u).all() and np.isfinite(model.v).all())
-    return bool(
-        np.isfinite(model.input_weights).all()
-        and np.isfinite(model.output_weights).all()
-        and all(np.isfinite(w).all() for w in model.hidden_weights)
-    )
-
-
 def train(model, dataset: Dataset, config: TrainConfig) -> Trajectory:
     """Run full-batch gradient descent until convergence, divergence or the
     step limit, recording the loss/weight-norm series every step and the
@@ -143,7 +131,9 @@ def train(model, dataset: Dataset, config: TrainConfig) -> Trajectory:
         # steps; the resulting infs are what the divergence check looks for.
         with np.errstate(over="ignore", invalid="ignore"):
             z = model.outputs(x)
-        finite = bool(np.isfinite(z).all()) and _model_is_finite(model)
+        finite = bool(np.isfinite(z).all()) and all(
+            np.isfinite(w).all() for w in model.weights()
+        )
         loss = mse_loss(z, y) if finite else float("inf")
 
         losses.append(loss)

@@ -147,7 +147,6 @@ def random_quadratic(
     dataset = Dataset(
         inputs=rng.child(3).uniform(-0.5, 0.5, (num_points, d)),
         labels=rng.child(4).uniform(-0.5, 0.5, num_points),
-        provenance="random",
     )
     zeta = zeta_for("1_over_n_psi" if n_phi else "2_over_n", n_psi)
     return assemble_quadratic(feature_map, dataset, zeta, rng.child(2)), dataset

@@ -14,6 +14,19 @@ from pathlib import Path
 import pytest
 
 import catapult.cli as cli
+from catapult.analysis import run_sweep_point
+from catapult.datasets import (
+    Dataset,
+    EigenScheme,
+    MetaFeatureSpec,
+    assemble_quadratic,
+    build_meta_features,
+    make_toy,
+    zeta_for,
+)
+from catapult.models import DeepReluNet, HomogenousNet
+from catapult.numerics import Rng
+from catapult.training import TrainConfig
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -118,3 +131,56 @@ def test_omega_counts_read_the_omega_digest(run, tmp_path):
     counts = run._omega_counts(tmp_path, ["quadratic_toy"])
     assert counts["bounds.omega.power_iterations"] == 0
     assert counts["bounds.omega.converged"] == 1.0
+
+
+def _traced_family(family):
+    if family == "QuadraticModel":
+        spec = MetaFeatureSpec(n_psi=16, n_phi=0, d=1, eigen_scheme=EigenScheme("uniform", 1.0, 2.0))
+        feature_map = build_meta_features(spec, Rng(0).child(1))
+        model = assemble_quadratic(feature_map, make_toy(), zeta_for("2_over_n", 16), Rng(0))
+        return model, make_toy()
+    if family == "HomogenousNet":
+        return HomogenousNet.init_random(8, Rng(0), 0.5, 1.0), make_toy()
+    rng = Rng(1)
+    dataset = Dataset(inputs=rng.child(1).normal((4, 3)), labels=rng.child(2).normal(4))
+    return DeepReluNet.init_random(8, 3, 1, rng.child(3)), dataset
+
+
+# Calls of each traced model method in one 20-step run with a kernel
+# evaluation every step, and the benchmark's per-step pass counts.  The
+# quadratic model's psi passes are pinned as their total, the quantity
+# psi_passes_per_step reads.
+TRACED_20_STEP_CALLS = {
+    "QuadraticModel": (
+        {"outputs": 21, "apply_gd_step": 20, "ntk": 21},
+        {"models.QuadraticModel.psi_passes_per_step": 3.1},
+    ),
+    "HomogenousNet": (
+        {"outputs": 21, "apply_gd_step": 20, "ntk": 21, "activations": 1},
+        {},
+    ),
+    "DeepReluNet": (
+        {"outputs": 21, "apply_gd_step": 20, "ntk": 21, "activations": 1},
+        {"models.DeepReluNet.forward_passes_per_step": 3.15},
+    ),
+}
+
+
+@pytest.mark.parametrize("family", sorted(TRACED_20_STEP_CALLS))
+def test_traced_call_counts_per_family(tracing, family):
+    model, dataset = _traced_family(family)
+    config = TrainConfig(eta=0.01, max_steps=20, convergence_tol=1e-300)
+    recorder = tracing.Recorder()
+    with recorder.installed():
+        record, trajectory = recorder.call(
+            tracing.SWEEP_ROOT, run_sweep_point, model.clone, dataset, 0.01, config, 1.0
+        )
+    assert record.status == "ok" and trajectory.steps_taken == 20
+    calls, per_step = TRACED_20_STEP_CALLS[family]
+    metrics = tracing.span_metrics(recorder.spans)
+    counted = {
+        method: sum(1 for s in recorder.spans if s.name == f"models.{family}.{method}")
+        for method in calls
+    }
+    assert counted == calls
+    assert {name: metrics[name] for name in per_step} == pytest.approx(per_step)

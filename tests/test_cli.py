@@ -61,6 +61,14 @@ class TestConfigValidation:
         assert again == cfg
         assert config_digest(again) == config_digest(cfg)
 
+    def test_roundtrip_keeps_every_normalized_field(self, tmp_path):
+        raw = small_teacher_student_config(eigen_scheme={"kind": "pm_one"}, n_phi_teacher=2)
+        raw["dataset"]["n_phi_student"] = 2
+        raw["model"] = {"family": "quadratic_with_bias", "zeta": 0.5}
+        cfg = normalize_config(raw, tmp_path)
+        assert cfg["dataset"]["eigen_scheme"] == {"kind": "pm_one", "low": 1.0, "high": 1.0}
+        assert normalize_config(cfg, tmp_path) == cfg
+
     def test_requires_exactly_one_rate_field(self, tmp_path):
         bad = quad_toy_config()
         bad["training"]["eta"] = 0.1
@@ -746,6 +754,58 @@ class TestExitCodes:
             ("train", image_config(3, 3), [], "dataset.class_b: must differ from class_a"),
             ("train", image_config(12, 3), [], "dataset.class_a: must be a class id from 0 to 9"),
             ("train", image_config(3, -1), [], "dataset.class_b: must be a class id from 0 to 9"),
+            # fields that no family or kind reads were once dropped silently
+            ("train", quad_toy_config(max_step=10), [], "training.max_step: unknown field"),
+            (
+                "train",
+                {
+                    "model": {
+                        "family": "homogenous",
+                        "width": 8,
+                        "widht": 16,
+                        "a_minus": 0.5,
+                        "a_plus": 1.0,
+                    },
+                    "dataset": {"kind": "toy"},
+                    "training": {"eta": 0.1},
+                },
+                [],
+                "model.widht: unknown field",
+            ),
+            (
+                "train",
+                {**quad_toy_config(), "dataset": {"kind": "toy", "sede": 3}},
+                [],
+                "dataset.sede: unknown field",
+            ),
+            (
+                "sweep",
+                {**quad_toy_config(), "output": {"per_eta_trajectory": True}},
+                [],
+                "output.per_eta_trajectory: unknown field",
+            ),
+            (
+                "train",
+                with_model(quad_toy_config(), eigen_scheme={"kind": "uniform", "hihg": 3.0}),
+                [],
+                "model.eigen_scheme.hihg: unknown field",
+            ),
+            (
+                "train",
+                with_model(quad_toy_config(), eigen_scheme={"kind": "pm_one", "low": 0.5}),
+                [],
+                "model.eigen_scheme.low: must be 1 for pm_one",
+            ),
+            ("train", with_model(quad_toy_config(), n_phi=4), [], "model.n_phi: must be 0 for pure_quadratic"),
+            # teacher-student models take their dimensions from the dataset
+            (
+                "bounds",
+                with_model(small_teacher_student_config(), n_psi=8),
+                [],
+                "model.n_psi: unknown field",
+            ),
+            ("train", small_teacher_student_config(size=10), [], "dataset.size: unknown field"),
+            ("train", {**quad_toy_config(), "output": 5}, [], "output: must be an object"),
         ],
     )
     def test_config_error_names_its_field(self, tmp_path, capsys, command, payload, flags, prefix):

@@ -17,6 +17,7 @@ from catapult.numerics import Rng
 from conftest import (
     analytic_gradient,
     finite_difference_gradient,
+    params_vector,
     pure_toy_quadratic,
     random_quadratic,
     with_bias_toy_quadratic,
@@ -367,22 +368,30 @@ class TestDeepReluNet:
         with pytest.raises(ModelError):
             DeepReluNet.init_random(8, 2, 2, Rng(0))
 
-    def test_kernel_matches_streamed_per_sample_gradients(self):
-        # oracle: assemble the kernel from explicit per-sample gradients
-        rng = Rng(53)
-        net = DeepReluNet.init_random(6, 3, 1, rng)
-        x = rng.child(1).normal((4, 3))
-        from conftest import params_vector
+def kernel_case(family: str):
+    rng = Rng(53)
+    if family == "quadratic_with_bias":
+        model, dataset = random_quadratic(8, 4, 2, 3, seed=53)
+        return model, dataset.inputs
+    if family == "leaky_homogenous":
+        net = HomogenousNet.init_random(6, rng, a_minus=0.5, a_plus=1.0, input_dim=2)
+        return net, rng.child(1).normal((4, 2))
+    return DeepReluNet.init_random(6, 3, 1, rng), rng.child(1).normal((4, 3))
 
-        grads = []
-        for i in range(4):
-            work = net.clone()
-            # unit error turns the step into the raw output gradient
-            work.apply_gd_step(x[i : i + 1], np.ones(1), 1.0)
-            grads.append(params_vector(net) - params_vector(work))
-        jac = np.stack(grads)
-        expected = jac @ jac.T / 4.0
-        assert np.allclose(net.ntk(x), expected, atol=1e-12)
+
+@pytest.mark.parametrize("family", ["quadratic_with_bias", "leaky_homogenous", "deep_relu"])
+def test_kernel_matches_streamed_per_sample_gradients(family):
+    # oracle: assemble the kernel from explicit per-sample gradients; a
+    # unit-rate step on a one-hot error vector moves the weights by J_a / D
+    model, x = kernel_case(family)
+    d_pts = len(x)
+    rows = []
+    for a in range(d_pts):
+        work = model.clone()
+        work.apply_gd_step(x, np.eye(d_pts)[a], 1.0)
+        rows.append(d_pts * (params_vector(model) - params_vector(work)))
+    jac = np.stack(rows)
+    assert np.allclose(model.ntk(x), jac @ jac.T / d_pts, rtol=0.0, atol=1e-12)
 
 
 class TestLinearNetWithBiasEmbedding:

@@ -719,15 +719,31 @@ def _sweep_rate(experiment: Experiment, cfg: dict, lambda0: float, eta: float) -
     )
 
 
+# A ``--jobs`` worker's bound rate function, set once by its initializer.
+_worker_run_rate: Optional[Callable] = None
+
+
+def _start_worker(run_rate: Callable) -> None:
+    global _worker_run_rate
+    _worker_run_rate = run_rate
+
+
+def _run_worker_rate(eta: float) -> tuple:
+    return _worker_run_rate(eta)
+
+
 def cmd_sweep(cfg: dict, out_dir: Path, jobs: int = 1) -> None:
     experiment = resolve_experiment(cfg)
     etas, lambda0 = resolve_eta_grid(cfg, experiment)
     run_rate = partial(_sweep_rate, experiment, cfg, lambda0)
     workers = min(jobs, len(etas))
     if workers > 1:
-        # each task carries the pickled experiment, so any start method works
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_rate, etas))
+        # each worker receives the experiment once, as its initializer's
+        # argument, and each task only its rate; any start method works
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=_start_worker, initargs=(run_rate,)
+        ) as pool:
+            results = list(pool.map(_run_worker_rate, etas))
     else:
         results = list(map(run_rate, etas))
 

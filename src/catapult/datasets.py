@@ -187,28 +187,30 @@ class QuadraticFeatureMap:
     def input_dim(self) -> int:
         return self.meta_generators.shape[0]
 
-    def _apply_activation(self, m: np.ndarray) -> np.ndarray:
-        if self.activation == "tanh":
-            return np.tanh(m)
-        return m
+    def _activations_at(self, x: np.ndarray) -> np.ndarray:
+        """Unprojected meta-feature matrices ``g(sum_i x_i W^i)``, one per
+        row of x.  They are exactly symmetric: every generator is, and the
+        combination and the activation act entrywise."""
+        m = np.tensordot(x, self.meta_generators, axes=([1], [0]))
+        return np.tanh(m, out=m) if self.activation == "tanh" else m
+
+    def _features_at(self, x: np.ndarray) -> Optional[np.ndarray]:
+        if self.feature_matrix is None:
+            return None
+        phi = x @ self.feature_matrix.T
+        if self.phi_projector is not None:
+            phi = phi @ self.phi_projector.T
+        return phi
 
     def _blocks_at(self, inputs) -> tuple[Optional[np.ndarray], np.ndarray]:
         x = np.asarray(inputs, dtype=np.float64)
         if x.ndim == 1:
             x = x[:, None]
-        psi = self._apply_activation(
-            np.tensordot(x, self.meta_generators, axes=([1], [0]))
-        )
+        psi = self._activations_at(x)
         if self.psi_projector is not None:
             q = self.psi_projector
             psi = np.matmul(np.matmul(q[None, :, :], psi), q.T[None, :, :])
-        psi = _symmetrize(psi)
-        phi = None
-        if self.feature_matrix is not None:
-            phi = x @ self.feature_matrix.T
-            if self.phi_projector is not None:
-                phi = phi @ self.phi_projector.T
-        return phi, psi
+        return self._features_at(x), _symmetrize(psi)
 
     def at(self, inputs) -> tuple[np.ndarray, np.ndarray]:
         """Embedded (features, meta_features) arrays for the given inputs."""
@@ -222,20 +224,30 @@ class QuadraticFeatureMap:
             phi[:, self.n_psi :] = phi_block
         return phi, psi
 
-    def outputs_at(self, theta, zeta: float, inputs, chunk: int = 64) -> np.ndarray:
+    def outputs_at(self, theta, zeta: float, inputs, chunk: int = 16) -> np.ndarray:
         """Model outputs on arbitrary inputs, streamed in chunks so large
-        test splits never materialize all their meta-feature matrices."""
+        test splits never materialize all their meta-feature matrices.
+
+        The meta-feature projector is folded into the weights: with
+        ``w = Q^T theta_psi`` the quadratic term ``theta_psi^T Q T Q^T
+        theta_psi`` is ``w^T T w`` for the unprojected activation block
+        ``T = g(sum_i x_i W^i)``, so no projected matrix is ever formed.
+        At n_psi = 200 on one BLAS thread, 16-point chunks timed as fast as
+        4 or 8 and faster than 32 or 64."""
         theta = np.asarray(theta, dtype=np.float64)
         x = np.asarray(inputs, dtype=np.float64)
         if x.ndim == 1:
             x = x[:, None]
-        theta_meta = theta[: self.n_psi]
+        w = theta[: self.n_psi]
+        if self.psi_projector is not None:
+            w = w @ self.psi_projector
         theta_feat = theta[self.n_psi :]
         out = np.empty(x.shape[0])
         for start in range(0, x.shape[0], chunk):
-            phi_block, psi_block = self._blocks_at(x[start : start + chunk])
-            quad = 0.5 * zeta * ((psi_block @ theta_meta) @ theta_meta)
-            lin = phi_block @ theta_feat if phi_block is not None else 0.0
+            x_chunk = x[start : start + chunk]
+            quad = 0.5 * zeta * ((self._activations_at(x_chunk) @ w) @ w)
+            phi = self._features_at(x_chunk)
+            lin = phi @ theta_feat if phi is not None else 0.0
             out[start : start + chunk] = lin + quad
         return out
 

@@ -128,7 +128,8 @@ class QuadraticModel:
     variant: str = "generic"
 
     def __post_init__(self):
-        self.theta = np.asarray(self.theta, dtype=np.float64).reshape(-1)
+        # Trainable arrays are copied: every GD step updates them in place.
+        self.theta = np.array(self.theta, dtype=np.float64).reshape(-1)
         self.features = np.asarray(self.features, dtype=np.float64)
         self.meta_features = np.asarray(self.meta_features, dtype=np.float64)
         self.zeta = float(self.zeta)
@@ -311,10 +312,11 @@ class HomogenousNet:
     _grad_zero_slope_override: float | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        self.u = np.asarray(self.u, dtype=np.float64)
+        # Trainable arrays are copied: every GD step updates them in place.
+        self.u = np.array(self.u, dtype=np.float64)
         if self.u.ndim == 1:
             self.u = self.u[:, None]
-        self.v = np.asarray(self.v, dtype=np.float64).reshape(-1)
+        self.v = np.array(self.v, dtype=np.float64).reshape(-1)
         self.a_minus = float(self.a_minus)
         self.a_plus = float(self.a_plus)
         if self.u.shape[0] != self.v.shape[0]:
@@ -410,7 +412,8 @@ class HomogenousNet:
         return float((u_part * u_part).sum() + self.v[mask] @ self.v[mask])
 
     def clone(self) -> "HomogenousNet":
-        return replace(self, u=self.u.copy(), v=self.v.copy())
+        # __post_init__ copies the trainable arrays, once
+        return replace(self)
 
 
 def relu_project(net: HomogenousNet) -> ReluProjectorDecomposition:
@@ -450,11 +453,10 @@ class DeepReluNet:
     output_weights: np.ndarray  # (n,)
 
     def __post_init__(self):
-        self.input_weights = np.asarray(self.input_weights, dtype=np.float64)
-        self.hidden_weights = [
-            np.asarray(w, dtype=np.float64) for w in self.hidden_weights
-        ]
-        self.output_weights = np.asarray(self.output_weights, dtype=np.float64).reshape(-1)
+        # Trainable arrays are copied: every GD step updates them in place.
+        self.input_weights = np.array(self.input_weights, dtype=np.float64)
+        self.hidden_weights = [np.array(w, dtype=np.float64) for w in self.hidden_weights]
+        self.output_weights = np.array(self.output_weights, dtype=np.float64).reshape(-1)
         n = self.input_weights.shape[0]
         if len(self.hidden_weights) > 1:
             raise ModelError(
@@ -539,9 +541,6 @@ class DeepReluNet:
         return _squared_norm(self.weights())
 
     def clone(self) -> "DeepReluNet":
-        return DeepReluNet(
-            input_weights=self.input_weights.copy(),
-            hidden_weights=[w.copy() for w in self.hidden_weights],
-            output_weights=self.output_weights.copy(),
-        )
+        # __post_init__ copies the trainable arrays, once
+        return replace(self)
 

@@ -284,9 +284,10 @@ class TestSweepCommand:
         }
 
     def test_parallel_workers_do_not_rely_on_fork(self, tmp_path, monkeypatch):
-        # spawned workers inherit no memory of the parent: every task carries
-        # the pickled experiment, the teacher-student one with the quadratic
-        # evaluator that scores its test split
+        # spawned workers inherit no memory of the parent: each receives the
+        # pickled experiment once, through the pool initializer, the
+        # teacher-student ones with the quadratic evaluator that scores their
+        # test split; the 3 rates must not pickle it 3 times over 2 workers
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
@@ -298,19 +299,33 @@ class TestSweepCommand:
             "ProcessPoolExecutor",
             lambda **kwargs: ProcessPoolExecutor(mp_context=spawn, **kwargs),
         )
+        pickled = []
+        monkeypatch.setattr(
+            cli.Experiment,
+            "__getstate__",
+            lambda experiment: pickled.append(1) or dict(experiment.__dict__),
+            raising=False,
+        )
+        with_bias = self.teacher_student_sweep_config()
+        with_bias["model"]["family"] = "quadratic_with_bias"
+        with_bias["dataset"].update({"n_phi_teacher": 6, "n_phi_student": 4})
         for family, cfg in (
             ("homogenous", self.homogenous_sweep_config()),
             ("teacher_student", self.teacher_student_sweep_config()),
+            ("teacher_student_with_bias", with_bias),
         ):
             path = write_config(tmp_path, cfg, name=f"{family}.json")
             serial, parallel = tmp_path / f"{family}_s", tmp_path / f"{family}_p"
             assert main(["sweep", "--config", path, "--out", str(serial)]) == 0
+            pickled.clear()
             assert main(["sweep", "--config", path, "--out", str(parallel), "--jobs", "2"]) == 0
+            assert 1 <= len(pickled) <= 2, family
             self.assert_same_files(serial, parallel)
-        rows = (tmp_path / "teacher_student_p" / "sweep.csv").read_text().splitlines()
-        header = rows[0].split(",")
-        test_losses = [row.split(",")[header.index("test_loss_final")] for row in rows[1:]]
-        assert any(value != "" for value in test_losses)
+            if family.startswith("teacher_student"):
+                rows = (parallel / "sweep.csv").read_text().splitlines()
+                header = rows[0].split(",")
+                column = header.index("test_loss_final")
+                assert any(row.split(",")[column] != "" for row in rows[1:])
 
     def test_sweep_assembles_the_quadratic_model_once(self, tmp_path, monkeypatch):
         # every rate trains a clone of one initialized model; a pool worker

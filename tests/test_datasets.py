@@ -20,7 +20,8 @@ from catapult.datasets import (
     read_cifar_binary,
     zeta_for,
 )
-from catapult.numerics import Rng
+from catapult.models import QuadraticModel
+from catapult.numerics import Rng, random_orthogonal
 from catapult.training import mse_loss
 
 
@@ -110,6 +111,28 @@ class TestMetaFeatureConstruction:
         streamed = fm.outputs_at(model.theta, zeta, x, chunk=2)
         assert np.allclose(streamed, model.outputs(), atol=1e-12)
 
+    @pytest.mark.parametrize("n_phi", [0, 6], ids=["pure", "with_bias"])
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("activation", ["tanh", "identity"])
+    def test_outputs_at_folds_the_projector(self, n_phi, d, activation):
+        # the projected meta-features Q T Q^T are never formed: outputs_at
+        # contracts T with w = Q^T theta instead, on a point count that is
+        # not a multiple of the chunk
+        spec = MetaFeatureSpec(24, n_phi, d, EigenScheme("uniform", 1.0, 2.0), activation)
+        fm = build_meta_features(spec, Rng(16))
+        fm = fm.project(
+            random_orthogonal(24, Rng(17))[:14],
+            random_orthogonal(n_phi, Rng(18))[:4] if n_phi else None,
+        )
+        x = Rng(19).uniform(-0.5, 0.5, (37, d))
+        ds = Dataset(inputs=x, labels=np.zeros(37))
+        zeta = zeta_for("1_over_n_psi", fm.n_psi)
+        model = assemble_quadratic(fm, ds, zeta, Rng(20))
+        expected = model.outputs()
+        for chunk in (16, 5, 37):
+            streamed = fm.outputs_at(model.theta, zeta, x, chunk)
+            assert np.abs(streamed - expected).max() <= 1e-12 * np.abs(expected).max()
+
 
 class TestTeacherStudent:
     def test_identity_projection_when_dims_match(self):
@@ -143,10 +166,12 @@ class TestTeacherStudent:
             activation="identity",
         )
         setup = make_teacher_student(spec, Rng(14))
-        expected = setup.teacher_map.outputs_at(
-            setup.theta_teacher, setup.zeta_teacher, setup.dataset.inputs
-        )
-        assert np.allclose(setup.dataset.labels, expected, atol=1e-12)
+        ds = setup.dataset
+        # the teacher model materialized on each split, at the teacher weights
+        for inputs, labels in ((ds.inputs, ds.labels), (ds.test_inputs, ds.test_labels)):
+            phi, psi = setup.teacher_map.at(inputs)
+            teacher = QuadraticModel(setup.theta_teacher, phi, psi, setup.zeta_teacher)
+            assert np.allclose(labels, teacher.outputs(), rtol=0.0, atol=1e-12)
 
     def test_large_scale_instance_is_well_conditioned(self):
         # rank-500 teacher projected to a rank-400 student on 32 points

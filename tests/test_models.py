@@ -394,6 +394,43 @@ def test_kernel_matches_streamed_per_sample_gradients(family):
     assert np.allclose(model.ntk(x), jac @ jac.T / d_pts, rtol=0.0, atol=1e-12)
 
 
+def aliasing_case(family: str):
+    rng = Rng(54)
+    if family == "quadratic":
+        arrays = {"theta": np.array([1.0, 0.5])}
+        model = QuadraticModel(
+            features=np.zeros((1, 2)), meta_features=EXCHANGE[None], zeta=1.0, **arrays
+        )
+        return arrays, model, None
+    if family == "homogenous":
+        arrays = {"u": rng.normal((5, 2)), "v": rng.child(1).normal(5)}
+        net = HomogenousNet(a_minus=0.5, a_plus=1.0, **arrays)
+        return arrays, net, rng.child(2).normal((3, 2))
+    arrays = {
+        "input_weights": rng.normal((5, 2)),
+        "hidden_weights": [rng.child(1).normal((5, 5))],
+        "output_weights": rng.child(2).normal(5),
+    }
+    return arrays, DeepReluNet(**arrays), rng.child(3).normal((3, 2))
+
+
+@pytest.mark.parametrize("family", ["quadratic", "homogenous", "deep_relu"])
+def test_training_leaves_the_callers_arrays_alone(family):
+    # GD steps update the weights in place, so a model (and each clone) must
+    # own its trainable arrays rather than view the ones it was built from
+    arrays, model, x = aliasing_case(family)
+    before = {key: np.array(value, copy=True) for key, value in arrays.items()}
+    start = params_vector(model)
+    twin = model.clone()
+    twin.apply_gd_step(x, twin.outputs(x) - 1.0, 0.1)
+    assert np.array_equal(params_vector(model), start)
+    model.apply_gd_step(x, model.outputs(x) - 1.0, 0.1)
+    assert np.array_equal(params_vector(model), params_vector(twin))
+    assert not np.array_equal(params_vector(model), start)
+    for key, value in arrays.items():
+        assert np.array_equal(np.asarray(value), before[key]), key
+
+
 class TestLinearNetWithBiasEmbedding:
     def test_output_matches_explicit_network(self):
         width = 12

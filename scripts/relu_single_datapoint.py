@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from catapult.cli import cmd_bounds, cmd_sweep, normalize_config
+from catapult.cli import normalize_config, resolve_experiment, write_bounds, write_sweep
 
 
 def main() -> None:
@@ -43,8 +43,9 @@ def main() -> None:
     }
     out = Path(args.out)
     cfg = normalize_config(raw, Path.cwd())
-    cmd_sweep(cfg, out)
-    cmd_bounds(cfg, out)
+    experiment = resolve_experiment(cfg)
+    write_sweep(cfg, experiment, out, jobs=1)
+    write_bounds(cfg, experiment, out)
     print(f"wrote {out}/sweep.csv and {out}/bounds.json")
 
 

@@ -1,13 +1,15 @@
-"""Phase sweeps, phase labels, sparsity, and the early-time linear predictor.
+"""Sweep records, phase labels, sparsity, and the early-time linear predictor.
 
-A sweep re-initializes the model identically (same seed) for every learning
-rate, trains to termination, and distills each run into one record carrying
+``run_sweep_point`` trains a fresh copy of one initialized model at one
+learning rate to termination and distills the run into one record carrying
 the axes the phase plots use: the normalized initial rate ``eta * lambda0``,
 the final ``eta * lambda_max(H)``, the weight-norm ratio, losses on both
-splits, per-layer sparsity for ReLU nets, and a phase label.
+splits, per-layer sparsity for ReLU nets, and a phase label.  A sweep is
+that call once per rate of a grid, against the one ``lambda0`` of the shared
+initialization; ``catapult sweep`` makes it.
 
 Phases: ``lazy`` (converged without a loss spike), ``catapult`` (converged
-after the loss exceeded ``spike_factor`` times its initial value),
+after the loss exceeded ``SPIKE_FACTOR`` times its initial value),
 ``divergent``, and ``non_converged`` for step-limit runs, which are excluded
 from trend statistics.
 """
@@ -16,13 +18,13 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
 from catapult.datasets import Dataset
 from catapult.models import DeepReluNet, HomogenousNet, QuadraticModel
-from catapult.numerics import lambda_max_symmetric, sym_eigen
+from catapult.numerics import sym_eigen
 from catapult.training import (
     TERMINATION_CONVERGED,
     TERMINATION_DIVERGED,
@@ -32,7 +34,13 @@ from catapult.training import (
     train,
 )
 
-DEFAULT_SPIKE_FACTOR = 1.5
+# A converged run is a catapult once its loss rose above this multiple of
+# its initial value; the factor only needs to exceed lazy-phase
+# micro-oscillations.
+SPIKE_FACTOR = 1.5
+# The linearized prediction is trusted while the output norm stays below
+# this fraction of the model's breakdown scale.
+VALIDITY_FRACTION = 0.01
 
 PHASE_LAZY = "lazy"
 PHASE_CATAPULT = "catapult"
@@ -44,20 +52,17 @@ class AnalysisError(ValueError):
     pass
 
 
-def classify_phase(
-    trajectory: Trajectory, spike_factor: float = DEFAULT_SPIKE_FACTOR
-) -> str:
+def classify_phase(trajectory: Trajectory) -> str:
     """Label a completed run lazy, catapult, divergent, or non_converged.
 
     A converged run is a catapult whenever the loss spiked above
-    ``spike_factor`` times its initial value before settling; the factor is
-    configurable and merely needs to exceed lazy-phase micro-oscillations.
+    ``SPIKE_FACTOR`` times its initial value before settling.
     """
     if trajectory.termination == TERMINATION_DIVERGED:
         return PHASE_DIVERGENT
     if trajectory.termination != TERMINATION_CONVERGED:
         return PHASE_NON_CONVERGED
-    if float(trajectory.losses.max()) > spike_factor * float(trajectory.losses[0]):
+    if float(trajectory.losses.max()) > SPIKE_FACTOR * float(trajectory.losses[0]):
         return PHASE_CATAPULT
     return PHASE_LAZY
 
@@ -125,12 +130,6 @@ class SweepRecord:
     message: str = ""
 
 
-@dataclass
-class SweepResult:
-    lambda0: float
-    records: list[SweepRecord]
-
-
 def run_sweep_point(
     model_factory: Callable[[], object],
     dataset: Dataset,
@@ -180,29 +179,6 @@ def run_sweep_point(
         return failed, None
 
 
-def sweep(
-    model_factory: Callable[[], object],
-    dataset: Dataset,
-    eta_grid: Sequence[float],
-    config: TrainConfig,
-    evaluate_outputs: Optional[Callable] = None,
-) -> SweepResult:
-    """One record per learning rate, in grid order.
-
-    The initial kernel eigenvalue is computed once from a fresh model, since
-    every run starts from the identical initialization.
-    """
-    grid = [float(e) for e in eta_grid]
-    if not grid:
-        raise AnalysisError("eta grid must be non-empty")
-    lambda0 = lambda_max_symmetric(model_factory().ntk(dataset.inputs))
-    records = [
-        run_sweep_point(model_factory, dataset, eta, config, lambda0, evaluate_outputs)[0]
-        for eta in grid
-    ]
-    return SweepResult(lambda0=lambda0, records=records)
-
-
 # ---------------------------------------------------------------------------
 # Early-time linearized prediction
 # ---------------------------------------------------------------------------
@@ -245,12 +221,11 @@ def linearized_predict(
     eta: float,
     horizon: int,
     true_outputs: Optional[np.ndarray] = None,
-    validity_fraction: float = 0.01,
 ) -> LinearizedPrediction:
     """Predict the error series from the eigendecomposition of the initial
     kernel.  When the true output series of a recorded run is supplied, the
     validity horizon is the first step whose output norm exceeds
-    ``validity_fraction`` times the breakdown scale."""
+    ``VALIDITY_FRACTION`` times the breakdown scale."""
     if horizon < 0:
         raise AnalysisError("horizon must be non-negative")
     h0 = model.ntk(dataset.inputs)
@@ -267,7 +242,7 @@ def linearized_predict(
     horizon_idx = None
     if true_outputs is not None:
         norms = np.linalg.norm(np.asarray(true_outputs, dtype=np.float64), axis=1)
-        crossed = np.nonzero(norms >= validity_fraction * scale)[0]
+        crossed = np.nonzero(norms >= VALIDITY_FRACTION * scale)[0]
         if crossed.size:
             horizon_idx = int(crossed[0])
     return LinearizedPrediction(

@@ -382,7 +382,6 @@ def _normalize_training(raw: dict) -> dict:
             section, "training", "divergence_threshold", float, 1e10
         ),
         "ntk_eval_interval": _field(section, "training", "ntk_eval_interval", int, 1),
-        "record_outputs": _field(section, "training", "record_outputs", bool, False),
     }
     key = grids[0]
     if key == "eta":
@@ -487,13 +486,19 @@ def _validate_combination(cfg: dict) -> None:
 @dataclasses.dataclass
 class Experiment:
     """Materialized dataset plus the initialized model every command starts
-    from.  It holds plain values only, so a pool worker receives it pickled
-    instead of resolving the configuration again."""
+    from, with ``lambda0``, the top eigenvalue of the model's initial
+    kernel, measured once here: sweep rates and certified windows are both
+    in its units.  It holds plain values only, so a pool worker receives it
+    pickled instead of resolving the configuration again."""
 
     dataset: Dataset
     model: object
     evaluate_outputs: Optional[Callable] = None
     sparsity_layers: int = 0
+    lambda0: float = dataclasses.field(init=False)
+
+    def __post_init__(self):
+        self.lambda0 = lambda_max_symmetric(self.model.ntk(self.dataset.inputs))
 
 
 def _quadratic_outputs(feature_map: QuadraticFeatureMap, model, inputs) -> np.ndarray:
@@ -604,14 +609,13 @@ def _train_config(cfg: dict, eta: float) -> TrainConfig:
         convergence_tol=section["convergence_tol"],
         divergence_threshold=section["divergence_threshold"],
         ntk_eval_interval=section["ntk_eval_interval"],
-        record_outputs=section["record_outputs"],
     )
 
 
 def resolve_eta_grid(cfg: dict, experiment: Experiment) -> tuple[list[float], float]:
     """Raw learning rates plus the initial kernel eigenvalue they were
     resolved against (rates given as eta * lambda0 divide it out)."""
-    lambda0 = lambda_max_symmetric(experiment.model.ntk(experiment.dataset.inputs))
+    lambda0 = experiment.lambda0
     training = cfg["training"]
     if training["eta"] is not None:
         return [training["eta"]], lambda0
@@ -706,7 +710,7 @@ def cmd_train(cfg: dict, out_dir: Path) -> None:
     _write_json(out_dir / "trajectory.meta.json", meta)
 
 
-def _sweep_rate(experiment: Experiment, cfg: dict, lambda0: float, eta: float) -> tuple:
+def _sweep_rate(experiment: Experiment, cfg: dict, eta: float) -> tuple:
     """One rate of a sweep: train a clone of the experiment's initialized
     model, so every rate starts from the same parameters."""
     return run_sweep_point(
@@ -714,7 +718,7 @@ def _sweep_rate(experiment: Experiment, cfg: dict, lambda0: float, eta: float) -
         experiment.dataset,
         eta,
         _train_config(cfg, eta),
-        lambda0,
+        experiment.lambda0,
         experiment.evaluate_outputs,
     )
 
@@ -732,10 +736,11 @@ def _run_worker_rate(eta: float) -> tuple:
     return _worker_run_rate(eta)
 
 
-def cmd_sweep(cfg: dict, out_dir: Path, jobs: int = 1) -> None:
-    experiment = resolve_experiment(cfg)
+def write_sweep(cfg: dict, experiment: Experiment, out_dir: Path, jobs: int) -> None:
+    """Train a clone of the experiment's model at every rate of the grid and
+    write sweep.csv, sweep.meta.json and, if asked, per-rate trajectories."""
     etas, lambda0 = resolve_eta_grid(cfg, experiment)
-    run_rate = partial(_sweep_rate, experiment, cfg, lambda0)
+    run_rate = partial(_sweep_rate, experiment, cfg)
     workers = min(jobs, len(etas))
     if workers > 1:
         # each worker receives the experiment once, as its initializer's
@@ -759,22 +764,29 @@ def cmd_sweep(cfg: dict, out_dir: Path, jobs: int = 1) -> None:
     _write_json(out_dir / "sweep.meta.json", meta)
 
 
-def cmd_bounds(cfg: dict, out_dir: Path) -> None:
-    experiment = resolve_experiment(cfg)
-    model = experiment.model
-    lambda0 = lambda_max_symmetric(model.ntk(experiment.dataset.inputs))
-    reports, skipped = collect_bound_reports(model, experiment.dataset)
+def write_bounds(cfg: dict, experiment: Experiment, out_dir: Path) -> None:
+    """Certify the learning-rate windows of the experiment's initialized
+    model and write bounds.json."""
+    reports, skipped = collect_bound_reports(experiment.model, experiment.dataset)
     out_dir.mkdir(parents=True, exist_ok=True)
     meta = _base_metadata(cfg, "bounds")
     meta.update(
         {
-            "lambda_max_h0": lambda0,
-            "lazy_threshold": 2.0 / lambda0,
+            "lambda_max_h0": experiment.lambda0,
+            "lazy_threshold": 2.0 / experiment.lambda0,
             "reports": [report.to_dict() for report in reports],
             "skipped": skipped,
         }
     )
     _write_json(out_dir / "bounds.json", meta)
+
+
+def cmd_sweep(cfg: dict, out_dir: Path, jobs: int = 1) -> None:
+    write_sweep(cfg, resolve_experiment(cfg), out_dir, jobs)
+
+
+def cmd_bounds(cfg: dict, out_dir: Path) -> None:
+    write_bounds(cfg, resolve_experiment(cfg), out_dir)
 
 
 def cmd_check(seed: int, out_dir: Optional[Path]) -> bool:
@@ -859,6 +871,9 @@ def main(argv=None) -> int:
                 raw = _read_json(args.config)
                 if not isinstance(raw, dict):
                     raise ConfigError("config: top level must be an object")
+                for key in raw:
+                    if key != "seed":
+                        raise ConfigError(f"{key}: unknown field")
                 seed = _valid_seed(raw.get("seed", 0), "seed")
             if args.seed is not None:
                 seed = args.seed

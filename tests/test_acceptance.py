@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from catapult.analysis import linearized_predict, sweep
+from catapult.analysis import linearized_predict, run_sweep_point
 from catapult.bounds import (
     bound_homogenous_mlp,
     bound_mlp_multi,
@@ -142,13 +142,12 @@ def test_criterion_03_pure_quadratic_phase_boundary():
     factory, dataset = _linear_meta_toy_factory(1000, seed=0)
     lambda0 = float(factory().ntk()[0, 0])
     grid_normalized = np.round(np.arange(2.2, 4.601, 0.2), 10)
-    result = sweep(
-        factory,
-        dataset,
-        [g / lambda0 for g in grid_normalized],
-        TrainConfig(eta=1.0, **FAST),
-    )
-    for g, record in zip(grid_normalized, result.records):
+    config = TrainConfig(eta=1.0, **FAST)
+    records = [
+        run_sweep_point(factory, dataset, g / lambda0, config, lambda0)[0]
+        for g in grid_normalized
+    ]
+    for g, record in zip(grid_normalized, records):
         assert record.status == "ok"
         if g <= 3.8:
             assert record.phase in ("lazy", "catapult"), f"rate {g} did not converge"
@@ -168,14 +167,13 @@ def test_criterion_04_homogenous_weight_norm_peak():
 
     lambda0 = float(factory().ntk(dataset.inputs)[0, 0])
     grid_normalized = np.round(np.arange(2.25, 4.501, 0.25), 10)
-    result = sweep(
-        factory,
-        dataset,
-        [g / lambda0 for g in grid_normalized],
-        TrainConfig(eta=1.0, max_steps=300_000, **FAST),
-    )
+    config = TrainConfig(eta=1.0, max_steps=300_000, **FAST)
+    records = [
+        run_sweep_point(factory, dataset, g / lambda0, config, lambda0)[0]
+        for g in grid_normalized
+    ]
     ratios = {}
-    for g, record in zip(grid_normalized, result.records):
+    for g, record in zip(grid_normalized, records):
         assert record.phase in ("lazy", "catapult"), f"rate {g}: {record.phase}"
         ratios[float(g)] = record.weight_ratio
 
@@ -277,7 +275,7 @@ def test_criterion_07_linearized_predictor():
     )
     prediction = linearized_predict(
         model, dataset, eta, horizon=trajectory.steps_taken,
-        true_outputs=trajectory.outputs, validity_fraction=0.01,
+        true_outputs=trajectory.outputs,
     )
     horizon = prediction.validity_horizon
     assert horizon is not None and horizon >= 1
@@ -364,10 +362,10 @@ def test_criterion_08_two_class_mnist_trends():
     lambda0 = lambda_max_symmetric(factory().ntk(dataset.inputs))
     grid = [2.5, 3.0, 3.5, 4.0, 4.5, 5.0, 5.5, 6.0]
     config = TrainConfig(eta=1.0, max_steps=20_000, ntk_eval_interval=2000)
-    result = sweep(factory, dataset, [g / lambda0 for g in grid], config)
+    records = [run_sweep_point(factory, dataset, g / lambda0, config, lambda0)[0] for g in grid]
 
-    by_rate = dict(zip(grid, result.records))
-    catapult = [r for r in result.records if r.phase == "catapult"]
+    by_rate = dict(zip(grid, records))
+    catapult = [r for r in records if r.phase == "catapult"]
     assert catapult, "no converged catapult runs"
 
     final_sharpness = np.array([r.final_eta_lambda_max for r in catapult])

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from catapult.analysis import (
+    SPIKE_FACTOR,
     AnalysisError,
     classify_phase,
     generalization_report,
     linearized_predict,
     output_breakdown_scale,
+    run_sweep_point,
     sparsity,
-    sweep,
 )
 from catapult.datasets import Dataset, make_toy
 from catapult.models import DeepReluNet, HomogenousNet, QuadraticModel
@@ -59,15 +60,18 @@ class TestClassifyPhase:
         traj = train(m, make_toy(), TrainConfig(eta=eta, max_steps=2, **FAST))
         assert classify_phase(traj) == "non_converged"
 
-    def test_spike_factor_is_configurable(self):
+    def test_spike_above_one_and_a_half_is_a_catapult(self):
         m = pure_toy_quadratic(64, seed=3)
         eta = 2.5 / float(m.ntk()[0, 0])
         traj = train(m, make_toy(), TrainConfig(eta=eta, **FAST))
-        assert classify_phase(traj, spike_factor=1.5) == "catapult"
-        assert classify_phase(traj, spike_factor=1e12) == "lazy"
+        assert SPIKE_FACTOR == 1.5
+        assert classify_phase(traj) == "catapult"
 
 
 class TestSweep:
+    """A grid of ``run_sweep_point`` records, one per rate, as
+    ``catapult sweep`` makes them."""
+
     @staticmethod
     def toy_factory(seed=0, n=96):
         def factory():
@@ -75,23 +79,28 @@ class TestSweep:
 
         return factory
 
+    @staticmethod
+    def records(factory, grid, config, lam0):
+        return [run_sweep_point(factory, make_toy(), eta, config, lam0)[0] for eta in grid]
+
     def test_reproducible_bitwise(self):
         factory = self.toy_factory()
-        lam0 = float(factory().ntk()[0, 0])
-        grid = [value / lam0 for value in (1.0, 2.5, 3.0)]
+        lam_a = float(factory().ntk()[0, 0])
+        lam_b = float(factory().ntk()[0, 0])
+        grid = [value / lam_a for value in (1.0, 2.5, 3.0)]
         cfg = TrainConfig(eta=1.0, **FAST)
-        a = sweep(factory, make_toy(), grid, cfg)
-        b = sweep(factory, make_toy(), grid, cfg)
-        assert a.lambda0 == b.lambda0
-        for ra, rb in zip(a.records, b.records):
+        a = self.records(factory, grid, cfg, lam_a)
+        b = self.records(factory, grid, cfg, lam_b)
+        assert lam_a == lam_b
+        for ra, rb in zip(a, b):
             assert ra == rb
 
     def test_phase_segments_are_contiguous(self):
         factory = self.toy_factory(seed=4, n=200)
         lam0 = float(factory().ntk()[0, 0])
         grid = [value / lam0 for value in np.arange(0.5, 6.01, 0.25)]
-        result = sweep(factory, make_toy(), grid, TrainConfig(eta=1.0, **FAST))
-        phases = [r.phase for r in result.records]
+        records = self.records(factory, grid, TrainConfig(eta=1.0, **FAST), lam0)
+        phases = [r.phase for r in records]
         order = {"lazy": 0, "catapult": 1, "divergent": 2}
         ranks = [order[p] for p in phases]
         assert ranks == sorted(ranks)
@@ -100,8 +109,7 @@ class TestSweep:
     def test_divergent_rows_carry_no_final_scalars(self):
         factory = self.toy_factory(seed=5)
         lam0 = float(factory().ntk()[0, 0])
-        result = sweep(factory, make_toy(), [8.0 / lam0], TrainConfig(eta=1.0, **FAST))
-        record = result.records[0]
+        record = self.records(factory, [8.0 / lam0], TrainConfig(eta=1.0, **FAST), lam0)[0]
         assert record.phase == "divergent"
         assert record.final_eta_lambda_max is None
         assert record.weight_ratio is None
@@ -112,26 +120,22 @@ class TestSweep:
 
         def flaky_factory():
             calls["count"] += 1
-            if calls["count"] == 3:  # fail only the second grid point
+            if calls["count"] == 2:  # fail only the second grid point
                 raise RuntimeError("synthetic failure")
             return pure_toy_quadratic(48, seed=6)
 
         lam0 = float(pure_toy_quadratic(48, seed=6).ntk()[0, 0])
         grid = [1.0 / lam0, 2.5 / lam0, 3.0 / lam0]
-        result = sweep(flaky_factory, make_toy(), grid, TrainConfig(eta=1.0, **FAST))
-        statuses = [r.status for r in result.records]
+        records = self.records(flaky_factory, grid, TrainConfig(eta=1.0, **FAST), lam0)
+        statuses = [r.status for r in records]
         assert statuses == ["ok", "failed", "ok"]
-        assert "synthetic failure" in result.records[1].message
-
-    def test_empty_grid_rejected(self):
-        with pytest.raises(AnalysisError):
-            sweep(self.toy_factory(), make_toy(), [], TrainConfig(eta=1.0))
+        assert "synthetic failure" in records[1].message
 
     def test_eta_lambda0_axis(self):
         factory = self.toy_factory(seed=7)
         lam0 = float(factory().ntk()[0, 0])
-        result = sweep(factory, make_toy(), [2.5 / lam0], TrainConfig(eta=1.0, **FAST))
-        assert result.records[0].eta_lambda0 == pytest.approx(2.5, rel=1e-12)
+        record = self.records(factory, [2.5 / lam0], TrainConfig(eta=1.0, **FAST), lam0)[0]
+        assert record.eta_lambda0 == pytest.approx(2.5, rel=1e-12)
 
 
 class TestSparsity:
@@ -197,7 +201,7 @@ class TestLinearizedPrediction:
         traj = train(m.clone(), make_toy(), cfg)
         prediction = linearized_predict(
             m, make_toy(), 3.0 / h0, horizon=traj.steps_taken,
-            true_outputs=traj.outputs, validity_fraction=0.01,
+            true_outputs=traj.outputs,
         )
         scale = output_breakdown_scale(m)
         norms = np.linalg.norm(traj.outputs, axis=1)

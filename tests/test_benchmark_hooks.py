@@ -3,11 +3,13 @@ package; these tests fail when a change under src/ breaks one of them.
 
 The benchmark's tracer and verifier are loaded by file path under names of
 their own: perfbench/tests has a conftest.py of its own, so the two test
-directories cannot be collected together.
+directories cannot be collected together, and the benchmark's own suite runs
+here in a process of its own.
 """
 
 import importlib.util
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -78,6 +80,17 @@ PURE_QUADRATIC_TOY = {
 
 def pure_quadratic_toy(tmp_path):
     return cli.normalize_config(PURE_QUADRATIC_TOY, tmp_path)
+
+
+def test_benchmark_suite_passes():
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "perfbench/tests"],
+        cwd=PERFBENCH.parent,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
 
 
 def test_tracer_patches_every_name_it_expects(tracing):

@@ -327,6 +327,35 @@ class TestSweepCommand:
                 column = header.index("test_loss_final")
                 assert any(row.split(",")[column] != "" for row in rows[1:])
 
+    @staticmethod
+    def relu_sweep_config():
+        return {
+            "model": {"family": "homogenous", "width": 64, "a_minus": 0.0,
+                      "a_plus": 1.0, "init_seed": 3},
+            "dataset": {"kind": "toy_relu"},
+            "training": {"eta_lambda0_grid": [1.0, 3.0, 5.0], "ntk_eval_interval": 10},
+        }
+
+    @pytest.mark.parametrize("kind", ["toy", "toy_relu"])
+    def test_writers_on_one_experiment_match_the_commands(self, tmp_path, kind):
+        # the scripts sweep and bound one experiment, so a sweep must leave
+        # its model, and the ReLU net's frozen sign split, as it found them
+        import catapult.cli as cli
+
+        raw = self.sweep_config() if kind == "toy" else self.relu_sweep_config()
+        raw["output"] = {"per_eta_trajectories": True}
+        cfg = normalize_config(raw, tmp_path)
+        for jobs in (1, 2):
+            commands, writers = tmp_path / f"commands_{jobs}", tmp_path / f"writers_{jobs}"
+            cli.cmd_sweep(cfg, commands, jobs=jobs)
+            cli.cmd_bounds(cfg, commands)
+            experiment = cli.resolve_experiment(cfg)
+            cli.write_sweep(cfg, experiment, writers, jobs)
+            cli.write_bounds(cfg, experiment, writers)
+            assert (writers / "trajectory_000.csv").is_file()
+            assert (writers / "bounds.json").is_file()
+            self.assert_same_files(commands, writers)
+
     def test_sweep_assembles_the_quadratic_model_once(self, tmp_path, monkeypatch):
         # every rate trains a clone of one initialized model; a pool worker
         # (forked with the patch) that assembled its own would fail its rate
@@ -821,6 +850,15 @@ class TestExitCodes:
             ),
             ("train", small_teacher_student_config(size=10), [], "dataset.size: unknown field"),
             ("train", {**quad_toy_config(), "output": 5}, [], "output: must be an object"),
+            # a field no writer reads, and a check config key other than seed
+            ("train", quad_toy_config(record_outputs=True), [], "training.record_outputs: unknown field"),
+            ("check", {"sed": 3}, [], "sed: unknown field"),
+            (
+                "sweep",
+                quad_toy_config(eta_grid=[], eta_lambda0_grid=None),
+                [],
+                "training.eta_grid: expected a non-empty list",
+            ),
         ],
     )
     def test_config_error_names_its_field(self, tmp_path, capsys, command, payload, flags, prefix):

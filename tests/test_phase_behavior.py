@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from catapult.analysis import sweep
+from catapult.analysis import run_sweep_point
 from catapult.bounds import bound_relu
 from catapult.datasets import make_toy_relu
 from catapult.models import HomogenousNet
@@ -89,8 +89,9 @@ class TestCatapultKernelShrinkage:
         dataset = make_toy()
         lam0 = float(factory().ntk()[0, 0])
         grid = [g / lam0 for g in (2.4, 2.8, 3.2, 3.6)]
-        result = sweep(factory, dataset, grid, TrainConfig(eta=1.0, **FAST))
-        for record in result.records:
+        config = TrainConfig(eta=1.0, **FAST)
+        for eta in grid:
+            record, _ = run_sweep_point(factory, dataset, eta, config, lam0)
             assert record.phase == "catapult"
             assert record.weight_ratio < 1.0
             assert record.final_eta_lambda_max < record.eta_lambda0

@@ -1,5 +1,5 @@
-"""Each reproduction script in scripts/ runs end to end at a reduced size and
-writes a sweep whose every rate succeeded."""
+"""Each reproduction script in scripts/ runs end to end at a reduced size,
+builds its experiment once, and writes a sweep whose every rate succeeded."""
 
 import csv
 import json
@@ -9,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import catapult.cli
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -39,6 +41,14 @@ def run_script(monkeypatch, name: str, *args: str) -> None:
 def test_script_runs_at_reduced_size(
     monkeypatch, tmp_path, synthetic_idx_paths, name, args, writes_bounds
 ):
+    resolve = catapult.cli.resolve_experiment
+    builds = []
+
+    def counting(cfg):
+        builds.append(cfg)
+        return resolve(cfg)
+
+    monkeypatch.setattr(catapult.cli, "resolve_experiment", counting)
     out = tmp_path / "out"
     if name == "mnist_two_class_sweep.py":
         data = tmp_path / "mnist"
@@ -53,3 +63,5 @@ def test_script_runs_at_reduced_size(
     assert len(rows) == len(meta["eta_grid"]) > 1
     assert {row["status"] for row in rows} == {"ok"}
     assert (out / "bounds.json").is_file() == writes_bounds
+    # the sweep and the bounds share one initialization and one lambda0
+    assert len(builds) == 1

@@ -6,16 +6,14 @@ in which the catapult phase provably exists, and provides the sweep and
 reporting machinery used to reproduce the phase-transition experiments.
 """
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 from catapult.numerics import Rng
 from catapult.models import (
     DeepReluNet,
     HomogenousNet,
     QuadraticModel,
-    ReluProjectorDecomposition,
     linear_net_with_bias_embedding,
-    relu_project,
 )
 from catapult.training import TrainConfig, Trajectory, mse_loss, train
 from catapult.datasets import Dataset, make_random, make_toy, make_toy_relu
@@ -26,8 +24,6 @@ __all__ = [
     "QuadraticModel",
     "HomogenousNet",
     "DeepReluNet",
-    "ReluProjectorDecomposition",
-    "relu_project",
     "linear_net_with_bias_embedding",
     "TrainConfig",
     "Trajectory",

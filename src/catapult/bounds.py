@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from catapult.datasets import Dataset
-from catapult.models import HomogenousNet, QuadraticModel, relu_project
+from catapult.models import HomogenousNet, QuadraticModel
 from catapult.numerics import (
     lambda_max_symmetric,
     # unused here, but perfbench/tracing.py patches the name in this module
@@ -239,8 +239,8 @@ def bound_homogenous_mlp(net: HomogenousNet, dataset: Dataset) -> BoundReport:
     divergence threshold.  With equal slopes (a linear net) the window
     between them shrinks to zero size.  On average over initializations the
     window above the stability threshold is non-empty exactly when the
-    negative slope is non-zero, which excludes ReLU; ReLU nets get their own
-    reduced-norm window.
+    negative slope is non-zero, which excludes ReLU; nets with a zero
+    negative slope get their own reduced-norm window.
     """
     x = _single_input(net, dataset, "the single-datapoint window")
     x_sq = x * x
@@ -278,27 +278,25 @@ def bound_homogenous_mlp(net: HomogenousNet, dataset: Dataset) -> BoundReport:
 
 
 def bound_relu(net: HomogenousNet, dataset: Dataset) -> BoundReport:
-    """Window for the two-layer ReLU net on one 1d datapoint x.
+    """Window for a two-layer net with slopes (0, a_plus), such as ReLU, on
+    one 1d datapoint x.
 
     Only the neurons active at initialization (``u_i x > 0``) ever move, so
-    the argument runs on the reduced weight norm over them, and the kernel
-    at initialization is ``H_0 = x**2 * reduced / n``.  That makes the
-    certified window exactly ``(2/H_0, 4/H_0)``.
+    the argument runs on the reduced weight norm over them (the net's
+    ``certified_norm``), and the kernel at initialization is
+    ``H_0 = a_plus**2 * x**2 * reduced / n``.  That makes the certified
+    window exactly ``(2/H_0, 4/H_0)``.
     """
-    if not net.is_relu:
-        raise BoundsError("this window applies to ReLU nets")
+    if net.a_minus != 0.0:
+        raise BoundsError("this window applies to nets with a zero negative slope")
     x = _single_input(net, dataset, "the ReLU window")
-    split = net.frozen_split if net.frozen_split is not None else relu_project(net)
-    mask = split.active_on(x)
-    reduced = float(
-        net.u[mask, 0] @ net.u[mask, 0] + net.v[mask] @ net.v[mask]
-    )
+    reduced = net.certified_norm(dataset.inputs)
     if reduced == 0.0:
         raise BoundsError(
             "no first-layer weight is active on the datapoint at initialization; "
             "the net is frozen and no window exists"
         )
-    h0 = x * x * reduced / net.width
+    h0 = net.a_plus**2 * x * x * reduced / net.width
     return BoundReport(
         method="single_datapoint",
         h0=h0,
@@ -311,7 +309,7 @@ def bound_relu(net: HomogenousNet, dataset: Dataset) -> BoundReport:
             "x": x,
             "reduced_theta0_sq": reduced,
             "h0": h0,
-            "active_fraction": float(mask.mean()),
+            "active_fraction": float(net.active_on(x).mean()),
         },
         notes=[NOTE_RELU_EMPIRICAL],
     )
@@ -544,7 +542,7 @@ def collect_bound_reports(model, dataset: Dataset):
     own applicability.  Bounds are looked up by module name at call time.
     """
     if isinstance(model, HomogenousNet):
-        single = bound_relu if model.is_relu else bound_homogenous_mlp
+        single = bound_relu if model.a_minus == 0.0 else bound_homogenous_mlp
         attempts = [("single_datapoint", single), ("mlp_multi", bound_mlp_multi)]
         args = (model, dataset)
     elif isinstance(model, QuadraticModel) and model.variant == "pure":

@@ -5,8 +5,10 @@ and the training schedule; the subcommands turn it into trajectory CSVs,
 per-learning-rate sweep tables, bound reports, or an invariant check run.
 Every output embeds the seed, a digest of the fully normalized
 configuration, and the artifact version; runs with equal digests produce
-byte-identical files (no timestamps are ever written).  Floats are
-serialized with 17 significant digits so values round-trip exactly.
+byte-identical files (no timestamps are ever written) at a fixed BLAS
+thread count, which sets the floating-point summation order and is recorded
+nowhere.  Floats are serialized with 17 significant digits so values
+round-trip exactly.
 
 Exit codes: 0 success, 1 configuration error, 2 invariant failure,
 3 I/O or data-format error.
@@ -621,6 +623,11 @@ def resolve_eta_grid(cfg: dict, experiment: Experiment) -> tuple[list[float], fl
         return [training["eta"]], lambda0
     if training["eta_grid"] is not None:
         return list(training["eta_grid"]), lambda0
+    if not lambda0 > 0.0:
+        raise ConfigError(
+            "training.eta_lambda0_grid: the initial kernel vanishes (lambda0 = 0), "
+            "so rates cannot be given in units of it; use eta or eta_grid"
+        )
     return [value / lambda0 for value in training["eta_lambda0_grid"]], lambda0
 
 
@@ -631,16 +638,16 @@ def resolve_eta_grid(cfg: dict, experiment: Experiment) -> tuple[list[float], fl
 
 def _trajectory_rows(trajectory: Trajectory) -> tuple[list[str], list[list]]:
     header = ["step", "loss", "weight_norm"]
-    include_reduced = trajectory.reduced_weight_norms is not None
-    if include_reduced:
-        header.append("reduced_weight_norm")
+    certified = trajectory.certified_norms
+    if certified is not None:
+        header.append("certified_norm")
     header.append("eta_lambda_max")
     lam_by_step = dict(zip(trajectory.ntk_steps.tolist(), trajectory.eta_lambda_max))
     rows = []
     for step in range(trajectory.steps_taken + 1):
         row: list = [step, trajectory.losses[step], trajectory.weight_norms[step]]
-        if include_reduced:
-            row.append(trajectory.reduced_weight_norms[step])
+        if certified is not None:
+            row.append(certified[step])
         row.append(lam_by_step.get(step))
         rows.append(row)
     return header, rows
@@ -766,14 +773,15 @@ def write_sweep(cfg: dict, experiment: Experiment, out_dir: Path, jobs: int) -> 
 
 def write_bounds(cfg: dict, experiment: Experiment, out_dir: Path) -> None:
     """Certify the learning-rate windows of the experiment's initialized
-    model and write bounds.json."""
+    model and write bounds.json.  A vanishing initial kernel has no lazy
+    threshold; it is written as null."""
     reports, skipped = collect_bound_reports(experiment.model, experiment.dataset)
     out_dir.mkdir(parents=True, exist_ok=True)
     meta = _base_metadata(cfg, "bounds")
     meta.update(
         {
             "lambda_max_h0": experiment.lambda0,
-            "lazy_threshold": 2.0 / experiment.lambda0,
+            "lazy_threshold": 2.0 / experiment.lambda0 if experiment.lambda0 > 0.0 else None,
             "reports": [report.to_dict() for report in reports],
             "skipped": skipped,
         }

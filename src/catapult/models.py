@@ -11,8 +11,10 @@ Three families:
 
 Every family exposes outputs, the D x D tangent kernel (the 1/D-normalized
 Gram matrix of per-sample output gradients), an exact full-batch
-gradient-descent step, and its squared weight norm.  A family states its
-trainable arrays in a fixed order (``weights``) and, from one forward pass,
+gradient-descent step, its squared weight norm, and the norm its
+single-datapoint window is proved on (``certified_norm``; None where that
+is the weight norm itself, or where no window is proved).  A family states
+its trainable arrays in a fixed order (``weights``) and, from one forward pass,
 one gradient factor pair ``(left, right)`` per array: sample a's output
 gradient with respect to that array is ``scale * outer(left[a], right[a])``,
 or ``scale * left[a]`` when the array is a vector (``right`` is None).  The
@@ -207,11 +209,12 @@ class QuadraticModel:
     def weight_norm(self) -> float:
         return _squared_norm(self.weights())
 
-    def bias_combined_norm(self) -> float | None:
+    def certified_norm(self, inputs=None) -> float | None:
         """Squared weight norm plus the squared feature-aligned component.
 
-        Defined for the single-datapoint with-bias model; this is the
-        quantity that decreases monotonically inside the certified window.
+        Defined for the single-datapoint with-bias model, whose window is
+        proved on it; None elsewhere, where the weight norm is the
+        certified quantity (or none is).
         """
         if self.variant != "with_bias" or self.num_points != 1:
             return None
@@ -265,32 +268,6 @@ def linear_net_with_bias_embedding(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ReluProjectorDecomposition:
-    """Split of the first-layer weights by their sign at a reference time.
-
-    ``u_plus + u_minus == u`` exactly and the two parts have disjoint
-    support; ``p_plus``/``p_minus`` are the diagonals of the complementary
-    0/1 projectors (components with ``u == 0`` go to the plus side).
-    """
-
-    u_plus: np.ndarray
-    u_minus: np.ndarray
-    p_plus: np.ndarray  # bool mask, diagonal of the plus projector
-    p_minus: np.ndarray
-
-    def __post_init__(self):
-        if np.any(self.p_plus & self.p_minus) or not np.all(self.p_plus | self.p_minus):
-            raise ModelError("projector diagonals must partition the coordinates")
-        if self.u_plus @ self.u_minus != 0.0:
-            raise ModelError("u_plus and u_minus must have disjoint support")
-
-    def active_on(self, x: float) -> np.ndarray:
-        """Mask of the neurons active on the 1d input x (``u x > 0``): the
-        minus side when x < 0, otherwise the plus side."""
-        return self.p_minus if x < 0.0 else self.p_plus
-
-
 @dataclass
 class HomogenousNet:
     """Two-layer net with a scale-invariant activation.
@@ -305,7 +282,10 @@ class HomogenousNet:
     v: np.ndarray  # (n,)
     a_minus: float
     a_plus: float
-    frozen_split: ReluProjectorDecomposition | None = None
+    # Sign of the first layer at construction (u >= 0), kept for 1d nets
+    # with a zero negative slope: on one datapoint only the neurons on the
+    # side active at initialization ever move.
+    frozen_plus: np.ndarray | None = field(default=None, init=False, repr=False)
     # Test hook for the self-check negative control: when set, the gradient
     # path uses this slope at exactly-zero preactivations while the kernel
     # keeps the documented (a_plus+a_minus)/2 convention.
@@ -323,6 +303,8 @@ class HomogenousNet:
             raise ModelError("u and v must agree on the hidden width")
         if not (0.0 <= self.a_minus <= self.a_plus):
             raise ModelError("slopes must satisfy 0 <= a_minus <= a_plus")
+        if self.a_minus == 0.0 and self.input_dim == 1:
+            self.frozen_plus = self.u[:, 0] >= 0.0
 
     @classmethod
     def init_random(
@@ -333,17 +315,13 @@ class HomogenousNet:
         a_plus: float,
         input_dim: int = 1,
     ) -> "HomogenousNet":
-        """Standard-normal initialization; ReLU nets on 1d inputs also get
-        their sign split frozen at initialization."""
-        net = cls(
+        """Standard-normal initialization."""
+        return cls(
             u=rng.normal((width, input_dim)),
             v=rng.normal(width),
             a_minus=a_minus,
             a_plus=a_plus,
         )
-        if net.is_relu and input_dim == 1:
-            net.frozen_split = relu_project(net)
-        return net
 
     @property
     def width(self) -> int:
@@ -352,10 +330,6 @@ class HomogenousNet:
     @property
     def input_dim(self) -> int:
         return self.u.shape[1]
-
-    @property
-    def is_relu(self) -> bool:
-        return self.a_minus == 0.0 and self.a_plus == 1.0
 
     @property
     def output_scale(self) -> float:
@@ -394,44 +368,32 @@ class HomogenousNet:
     def weight_norm(self) -> float:
         return _squared_norm(self.weights())
 
-    def reduced_weight_norm(self, inputs=None) -> float | None:
-        """Squared norm restricted to the coordinates active at the frozen
-        reference time (first layer plus the matching second-layer slots).
+    def active_on(self, x: float) -> np.ndarray:
+        """Mask of the neurons active on the 1d input x at construction
+        (``u x > 0``): the u < 0 side when x < 0, otherwise the u >= 0 side."""
+        if self.frozen_plus is None:
+            raise ModelError("the sign split is kept for 1d nets with a_minus == 0 only")
+        return ~self.frozen_plus if x < 0.0 else self.frozen_plus
 
-        On a single 1d datapoint those are the neurons active on it, so the
-        u < 0 side when x < 0; otherwise (no inputs, or several points) the
-        u >= 0 side."""
-        if self.frozen_split is None:
+    def certified_norm(self, inputs) -> float | None:
+        """Squared norm over the neurons active on a single 1d datapoint
+        (first layer plus the matching second-layer slots): the quantity the
+        zero-negative-slope window is proved on.  None on several points and
+        for nets with a non-zero negative slope, whose window is proved on
+        the weight norm."""
+        x = _as_inputs(inputs)
+        if self.frozen_plus is None or x.shape != (1, 1):
             return None
-        mask = self.frozen_split.p_plus
-        if inputs is not None:
-            x = _as_inputs(inputs)
-            if x.shape == (1, 1):
-                mask = self.frozen_split.active_on(float(x[0, 0]))
-        u_part = self.u[mask, 0] if self.input_dim == 1 else self.u[mask]
-        return float((u_part * u_part).sum() + self.v[mask] @ self.v[mask])
+        mask = self.active_on(float(x[0, 0]))
+        u, v = self.u[mask, 0], self.v[mask]
+        return float(u @ u + v @ v)
 
     def clone(self) -> "HomogenousNet":
-        # __post_init__ copies the trainable arrays, once
-        return replace(self)
-
-
-def relu_project(net: HomogenousNet) -> ReluProjectorDecomposition:
-    """Sign decomposition of the first layer, frozen at the supplied weights.
-
-    Only defined for 1d inputs; components with ``u == 0`` land on the plus
-    side.  ``u_plus`` keeps the non-negative components, ``u_minus`` the
-    negative ones, so they sum back to ``u`` exactly.
-    """
-    if net.input_dim != 1:
-        raise ModelError("the sign decomposition is defined for 1d inputs only")
-    u = net.u[:, 0]
-    p_plus = u >= 0.0
-    u_plus = np.where(p_plus, u, 0.0)
-    u_minus = np.where(p_plus, 0.0, u)
-    return ReluProjectorDecomposition(
-        u_plus=u_plus, u_minus=u_minus, p_plus=p_plus, p_minus=~p_plus
-    )
+        # __post_init__ copies the trainable arrays, once; the sign split
+        # stays the one frozen at construction
+        twin = replace(self)
+        twin.frozen_plus = self.frozen_plus
+        return twin
 
 
 # ---------------------------------------------------------------------------
@@ -539,6 +501,10 @@ class DeepReluNet:
 
     def weight_norm(self) -> float:
         return _squared_norm(self.weights())
+
+    def certified_norm(self, inputs) -> None:
+        """No window is proved for deep ReLU nets."""
+        return None
 
     def clone(self) -> "DeepReluNet":
         # __post_init__ copies the trainable arrays, once

@@ -84,13 +84,13 @@ def _pure_toy_model(n: int, seed: int) -> QuadraticModel:
     return assemble_quadratic(feature_map, make_toy(), zeta_for("2_over_n", n), rng.child(2))
 
 
-def _norm_identity_check(name: str, model, series: str, h_shift: float) -> CheckResult:
+def _norm_identity_check(name: str, model, h_shift: float = 0.0) -> CheckResult:
     """Train on the toy datapoint at eta = 3/H_0 and take the worst residual
-    of the norm update identity on the given norm series."""
+    of the norm update identity on the model's monotone norm."""
     dataset = make_toy()
     eta = 3.0 / float(model.ntk(dataset.inputs)[0, 0])
     traj = train(model, dataset, _identity_config(eta))
-    residual = float(weight_norm_identity_residuals(traj, series, h_shift).max())
+    residual = float(weight_norm_identity_residuals(traj, h_shift).max())
     return CheckResult(
         name=name,
         passed=residual < IDENTITY_TOL,
@@ -102,25 +102,25 @@ def _norm_identity_check(name: str, model, series: str, h_shift: float) -> Check
 
 def check_pure_quadratic_identity(seed: int = 0) -> CheckResult:
     model = _pure_toy_model(48, seed)
-    return _norm_identity_check("weight_norm_identity_pure_quadratic", model, "total", 0.0)
+    return _norm_identity_check("weight_norm_identity_pure_quadratic", model)
 
 
 def check_homogenous_identity(seed: int = 0) -> CheckResult:
     net = HomogenousNet.init_random(96, Rng(seed).child(3), a_minus=0.5, a_plus=1.0)
-    return _norm_identity_check("weight_norm_identity_homogenous", net, "total", 0.0)
+    return _norm_identity_check("weight_norm_identity_homogenous", net)
 
 
 def check_relu_reduced_identity(seed: int = 0) -> CheckResult:
     net = HomogenousNet.init_random(96, Rng(seed).child(4), a_minus=0.0, a_plus=1.0)
-    return _norm_identity_check("weight_norm_identity_relu_reduced", net, "reduced", 0.0)
+    return _norm_identity_check("weight_norm_identity_relu_reduced", net)
 
 
 def check_relu_frozen_complement(seed: int = 0) -> CheckResult:
     net = HomogenousNet.init_random(64, Rng(seed).child(5), a_minus=0.0, a_plus=1.0)
     dataset = make_toy()
-    split = net.frozen_split
-    u_minus_before = net.u[split.p_minus].copy()
-    v_minus_before = net.v[split.p_minus].copy()
+    inactive = ~net.frozen_plus
+    u_minus_before = net.u[inactive].copy()
+    v_minus_before = net.v[inactive].copy()
     eta = 3.0 / float(net.ntk(dataset.inputs)[0, 0])
     drift = 0.0
     for _ in range(200):
@@ -128,8 +128,8 @@ def check_relu_frozen_complement(seed: int = 0) -> CheckResult:
         net.apply_gd_step(dataset.inputs, z - dataset.labels, eta)
         drift = max(
             drift,
-            float(np.abs(net.u[split.p_minus] - u_minus_before).max(initial=0.0)),
-            float(np.abs(net.v[split.p_minus] - v_minus_before).max(initial=0.0)),
+            float(np.abs(net.u[inactive] - u_minus_before).max(initial=0.0)),
+            float(np.abs(net.v[inactive] - v_minus_before).max(initial=0.0)),
         )
     return CheckResult(
         name="relu_frozen_complement",
@@ -143,9 +143,7 @@ def check_relu_frozen_complement(seed: int = 0) -> CheckResult:
 def check_bias_combined_identity(seed: int = 0) -> CheckResult:
     model = linear_net_with_bias_embedding(32, Rng(seed).child(6), bias0=0.0)
     phi = model.features[0]
-    return _norm_identity_check(
-        "weight_norm_identity_bias_combined", model, "combined", float(phi @ phi)
-    )
+    return _norm_identity_check("weight_norm_identity_bias_combined", model, float(phi @ phi))
 
 
 def check_update_recursions_pure(seed: int = 0) -> CheckResult:
@@ -261,9 +259,10 @@ def check_linearized_exact_for_linear_model(seed: int = 0) -> CheckResult:
 def check_single_datapoint_windows(seed: int = 0) -> CheckResult:
     """Every single-datapoint window opens at ``2 / lambda_max(H_0)``, with
     H_0 the kernel the simulator measures on the datapoint.  Checked for the
-    four single-datapoint bounds on the unit toy point, on the (4, 2) ReLU
-    point and on a negative input, where a unit-datapoint formula is off by
-    ``x**2`` (and, for ReLU, by the active side)."""
+    four single-datapoint bounds, the reduced-norm one also at slopes
+    (0, 2), on the unit toy point, on the (4, 2) ReLU point and on a
+    negative input, where a unit-datapoint formula is off by ``x**2`` (and,
+    for ReLU, by the active side)."""
     rng = Rng(seed)
     datasets = {
         "toy": make_toy(),
@@ -280,6 +279,7 @@ def check_single_datapoint_windows(seed: int = 0) -> CheckResult:
     )
     relu = HomogenousNet.init_random(64, rng.child(24), a_minus=0.0, a_plus=1.0)
     leaky = HomogenousNet.init_random(64, rng.child(25), a_minus=0.5, a_plus=1.0)
+    scaled_relu = HomogenousNet.init_random(64, rng.child(32), a_minus=0.0, a_plus=2.0)
     worst, worst_case = 0.0, ""
     for label, dataset in datasets.items():
         pure = assemble_quadratic(pure_map, dataset, zeta_for("2_over_n", 24), rng.child(26))
@@ -288,6 +288,11 @@ def check_single_datapoint_windows(seed: int = 0) -> CheckResult:
             ("pure_quadratic", bound_pure_quadratic(pure), pure.ntk()),
             ("quadratic_with_bias", bound_quadratic_with_bias(bias), bias.ntk()),
             ("relu", bound_relu(relu, dataset), relu.ntk(dataset.inputs)),
+            (
+                "scaled_relu",
+                bound_relu(scaled_relu, dataset),
+                scaled_relu.ntk(dataset.inputs),
+            ),
             ("homogenous", bound_homogenous_mlp(leaky, dataset), leaky.ntk(dataset.inputs)),
         )
         for family, report, kernel in cases:
@@ -344,8 +349,9 @@ def check_omega_dual(seed: int = 0) -> CheckResult:
 
 def check_negative_control_corrupted_slope(seed: int = 0) -> CheckResult:
     """Corrupt the gradient's slope convention at exactly-zero preactivations
-    and demand the weight-norm identity notices.  The net is built with one
-    exact zero in the first layer so the corrupted branch is exercised.  The
+    and demand the norm identity, on the ReLU net's reduced norm, notices.
+    The net is built with one exact zero in the first layer (on the active
+    side) so the corrupted branch is exercised.  The
     corrupted gradient scales with the output, so every active unit gets a
     positive output weight: z0 is a sum of positive terms, of order one, and
     no draw can hide the corruption behind a near-zero output."""
@@ -360,7 +366,7 @@ def check_negative_control_corrupted_slope(seed: int = 0) -> CheckResult:
     eta = 3.0 / float(net.ntk(dataset.inputs)[0, 0])
     traj = train(net, dataset, _identity_config(eta, max_steps=50))
     steps = min(traj.steps_taken, 3) or 1
-    residual = float(weight_norm_identity_residuals(traj, "total")[:steps].max())
+    residual = float(weight_norm_identity_residuals(traj)[:steps].max())
     return CheckResult(
         name="negative_control_corrupted_zero_slope",
         passed=residual > NEGATIVE_CONTROL_MIN,

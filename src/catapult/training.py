@@ -3,9 +3,10 @@
 The trainer owns one model, applies the exact update
 ``theta_{t+1} = theta_t - (eta/D) * sum_a (z_a - y_a) dz_a/dtheta``
 to every trainable tensor of the family, and records the loss, weight-norm
-and kernel series needed by the phase analysis.  Termination is one of
-``converged`` (per-step loss change below tolerance), ``diverged`` (loss
-above threshold or non-finite state) or ``step_limit``.
+and kernel series needed by the phase analysis, plus the model's certified
+norm where its window is proved on a norm other than the weight norm.
+Termination is one of ``converged`` (per-step loss change below tolerance),
+``diverged`` (loss above threshold or non-finite state) or ``step_limit``.
 
 The module also carries the closed-form update recursions for quadratic
 models.  They are a test-time consistency oracle: the recursion advances the
@@ -21,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from catapult.datasets import Dataset
-from catapult.models import HomogenousNet, QuadraticModel
+from catapult.models import QuadraticModel
 from catapult.numerics import lambda_max_symmetric
 
 TERMINATION_CONVERGED = "converged"
@@ -62,14 +63,14 @@ class Trajectory:
     All per-step series have length ``steps_taken + 1`` (state before any
     update through the final state).  Kernel evaluations are sparse: entry i
     of ``eta_lambda_max`` was measured at step ``ntk_steps[i]``; gaps are
-    explicit, never interpolated.
+    explicit, never interpolated.  ``certified_norms`` is the model's
+    ``certified_norm`` per step, or None where the model has none.
     """
 
     eta: float
     losses: np.ndarray
     weight_norms: np.ndarray
-    reduced_weight_norms: Optional[np.ndarray]
-    combined_weight_norms: Optional[np.ndarray]
+    certified_norms: Optional[np.ndarray]
     ntk_steps: np.ndarray
     eta_lambda_max: np.ndarray
     outputs: Optional[np.ndarray]
@@ -78,12 +79,18 @@ class Trajectory:
 
     def __post_init__(self):
         expected = self.steps_taken + 1
-        for name in ("losses", "weight_norms"):
+        for name in ("losses", "weight_norms", "certified_norms"):
             series = getattr(self, name)
-            if len(series) != expected:
+            if series is not None and len(series) != expected:
                 raise TrainingError(
                     f"{name} has length {len(series)}, expected {expected}"
                 )
+
+    @property
+    def monotone_norms(self) -> np.ndarray:
+        """The norm the model's single-datapoint window is proved on: the
+        certified norm where recorded, otherwise the weight norm."""
+        return self.weight_norms if self.certified_norms is None else self.certified_norms
 
 
 def mse_loss(outputs, labels) -> float:
@@ -104,21 +111,11 @@ def train(model, dataset: Dataset, config: TrainConfig) -> Trajectory:
     y = dataset.labels
     eta = config.eta
 
-    # The reduced norm is certified (by the ReLU window) only on one 1d
-    # datapoint; with several points it follows no bound, so it is not kept.
-    track_reduced = (
-        isinstance(model, HomogenousNet)
-        and model.frozen_split is not None
-        and x.shape == (1, 1)
-    )
-    track_combined = (
-        isinstance(model, QuadraticModel) and model.bias_combined_norm() is not None
-    )
+    track_certified = model.certified_norm(x) is not None
 
     losses: list[float] = []
     weight_norms: list[float] = []
-    reduced: list[float] = []
-    combined: list[float] = []
+    certified: list[float] = []
     ntk_steps: list[int] = []
     eta_lambda: list[float] = []
     outputs: list[np.ndarray] = []
@@ -138,10 +135,8 @@ def train(model, dataset: Dataset, config: TrainConfig) -> Trajectory:
 
         losses.append(loss)
         weight_norms.append(model.weight_norm() if finite else float("inf"))
-        if track_reduced:
-            reduced.append(model.reduced_weight_norm(x))
-        if track_combined:
-            combined.append(model.bias_combined_norm())
+        if track_certified:
+            certified.append(model.certified_norm(x))
         if config.record_outputs:
             outputs.append(np.array(z, dtype=np.float64))
 
@@ -173,8 +168,7 @@ def train(model, dataset: Dataset, config: TrainConfig) -> Trajectory:
         eta=eta,
         losses=np.array(losses),
         weight_norms=np.array(weight_norms),
-        reduced_weight_norms=np.array(reduced) if track_reduced else None,
-        combined_weight_norms=np.array(combined) if track_combined else None,
+        certified_norms=np.array(certified) if track_certified else None,
         ntk_steps=np.array(ntk_steps, dtype=np.int64),
         eta_lambda_max=np.array(eta_lambda),
         outputs=np.array(outputs) if config.record_outputs else None,
@@ -183,16 +177,15 @@ def train(model, dataset: Dataset, config: TrainConfig) -> Trajectory:
     )
 
 
-def weight_norm_identity_residuals(
-    trajectory: Trajectory, series: str = "total", h_shift: float = 0.0
-) -> np.ndarray:
+def weight_norm_identity_residuals(trajectory: Trajectory, h_shift: float = 0.0) -> np.ndarray:
     """Per-step residuals of the norm update identity on a single-datapoint run.
 
     For homogeneity-weight-two models trained on one datapoint with label
     zero, such as the toy (x, y) = (1, 0), the exact identity is
     ``N_{t+1} - N_t == eta * z_t**2 * (eta * (H_t + h_shift) - 4)`` where N
-    is the tracked norm (``total`` weight norm, the ReLU ``reduced`` norm, or
-    the with-bias ``combined`` quantity with ``h_shift = phi**2``).
+    is the trajectory's ``monotone_norms`` (the weight norm, the reduced norm
+    of a zero-negative-slope net, or the with-bias combined quantity, which
+    takes ``h_shift = phi**2``).
     Requires a trajectory recorded with outputs and kernel evaluations at
     every step.  Residuals are normalized by the larger of the norm scale and
     the update magnitude so they are comparable across the run.
@@ -205,19 +198,7 @@ def weight_norm_identity_residuals(
     if not np.array_equal(trajectory.ntk_steps[: steps + 1], np.arange(steps + 1)):
         raise TrainingError("trajectory must record the kernel at every step")
 
-    if series == "total":
-        norms = trajectory.weight_norms
-    elif series == "reduced":
-        if trajectory.reduced_weight_norms is None:
-            raise TrainingError("trajectory carries no reduced weight norms")
-        norms = trajectory.reduced_weight_norms
-    elif series == "combined":
-        if trajectory.combined_weight_norms is None:
-            raise TrainingError("trajectory carries no combined weight norms")
-        norms = trajectory.combined_weight_norms
-    else:
-        raise TrainingError(f"unknown series {series!r}")
-
+    norms = trajectory.monotone_norms
     eta = trajectory.eta
     z = trajectory.outputs[:steps, 0]
     eta_h = trajectory.eta_lambda_max[:steps] + eta * h_shift

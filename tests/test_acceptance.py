@@ -70,10 +70,7 @@ def test_criterion_01_weight_norm_identity_suite():
             h0 = float(model.ntk(toy.inputs)[0, 0])
             cfg = TrainConfig(eta=3.0 / h0, ntk_eval_interval=1, record_outputs=True)
             trajectory = train(model, toy, cfg)
-            series = "reduced" if getattr(model, "is_relu", False) else "total"
-            worst = max(
-                worst, float(weight_norm_identity_residuals(trajectory, series).max())
-            )
+            worst = max(worst, float(weight_norm_identity_residuals(trajectory).max()))
     elapsed = time.time() - started
     assert worst < 1e-9
     assert elapsed < 10.0
@@ -84,31 +81,26 @@ def test_criterion_02_certified_window_sufficiency():
     started = time.time()
     toy = make_toy()
 
-    def check_monotone(model, report, series: str):
+    def check_monotone(model, report):
         assert report.window_nonempty
         for eta in interior_rates(report.catapult_lower, report.sufficient_upper, 8):
             trajectory = train(model.clone(), toy, TrainConfig(eta=eta, **FAST))
             assert trajectory.termination == "converged"
-            if series == "total":
-                norms = trajectory.weight_norms
-            elif series == "reduced":
-                norms = trajectory.reduced_weight_norms
-            else:
-                norms = trajectory.combined_weight_norms
+            norms = trajectory.monotone_norms
             assert np.all(np.diff(norms) <= 1e-10 * norms[0])
 
     for seed in range(20):
         pure = pure_toy_quadratic(64, seed=seed, scheme=EigenScheme("uniform", 1.0, 1.2))
-        check_monotone(pure, bound_pure_quadratic(pure), "total")
+        check_monotone(pure, bound_pure_quadratic(pure))
 
         biased = with_bias_toy_quadratic(100, 10, seed=seed)
-        check_monotone(biased, bound_quadratic_with_bias(biased), "combined")
+        check_monotone(biased, bound_quadratic_with_bias(biased))
 
         leaky = HomogenousNet.init_random(256, Rng(seed).child(3), 0.75, 1.0)
-        check_monotone(leaky, bound_homogenous_mlp(leaky, toy), "total")
+        check_monotone(leaky, bound_homogenous_mlp(leaky, toy))
 
         relu = HomogenousNet.init_random(128, Rng(seed).child(4), 0.0, 1.0)
-        check_monotone(relu, bound_relu(relu, toy), "reduced")
+        check_monotone(relu, bound_relu(relu, toy))
 
         # certified divergence for the two families with a kernel lower bound
         for model, report in (

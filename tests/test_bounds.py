@@ -27,6 +27,7 @@ from catapult.datasets import (
     make_random,
     make_teacher_student,
     make_toy,
+    make_toy_relu,
     zeta_for,
 )
 from catapult.models import HomogenousNet, QuadraticModel, linear_net_with_bias_embedding
@@ -203,14 +204,18 @@ class TestSingleDatapointScale:
     are given: the kernel carries a factor x**2, and on x < 0 the active
     ReLU neurons are those with u < 0."""
 
-    FAMILIES = {"relu": ((0.0, 1.0), bound_relu), "leaky": ((0.5, 1.0), bound_homogenous_mlp)}
+    FAMILIES = {
+        "relu": ((0.0, 1.0), bound_relu),
+        "scaled_relu": ((0.0, 2.0), bound_relu),
+        "leaky": ((0.5, 1.0), bound_homogenous_mlp),
+    }
 
     @staticmethod
     def dataset(x):
         return Dataset(inputs=[[x]], labels=[0.5])
 
     @pytest.mark.parametrize("x", [1.0, 4.0, -0.5])
-    @pytest.mark.parametrize("kind", ["relu", "leaky"])
+    @pytest.mark.parametrize("kind", ["relu", "scaled_relu", "leaky"])
     def test_h0_is_the_kernel_at_the_datapoint(self, kind, x):
         slopes, bound = self.FAMILIES[kind]
         net = HomogenousNet.init_random(128, Rng(25), *slopes)
@@ -230,7 +235,7 @@ class TestSingleDatapointScale:
         multi = bound_mlp_multi(net, dataset)
         assert single.sufficient_upper == pytest.approx(multi.sufficient_upper, rel=1e-10)
 
-    @pytest.mark.parametrize("kind", ["relu", "leaky"])
+    @pytest.mark.parametrize("kind", ["relu", "scaled_relu", "leaky"])
     def test_zero_input_rejected(self, kind):
         slopes, bound = self.FAMILIES[kind]
         net = HomogenousNet.init_random(16, Rng(27), *slopes)
@@ -504,6 +509,20 @@ class TestCollectBoundReports:
             {"method": "psi_eff", "reason": vanishes},
         ]
 
+    def test_scaled_relu_gets_the_reduced_norm_window(self):
+        # slopes (0, 2): a zero negative slope, so the reduced-norm window
+        # applies, with the kernel a_plus**2 times the ReLU one
+        net = HomogenousNet.init_random(64, Rng(2), 0.0, 2.0)
+        dataset = make_toy_relu()
+        reports, skipped = collect_bound_reports(net, dataset)
+        assert [r.method for r in reports] == ["single_datapoint"]
+        assert [s["method"] for s in skipped] == ["mlp_multi"]
+        report = reports[0]
+        assert report.inputs_digest["family"] == "relu"
+        assert report.window_nonempty
+        kernel = lambda_max_symmetric(net.ntk(dataset.inputs))
+        assert abs(report.catapult_lower * kernel - 2.0) <= 1e-12 * 2.0
+
     def test_zero_weight_net_lists_skips(self):
         net = HomogenousNet(u=np.zeros(4), v=np.zeros(4), a_minus=0.5, a_plus=1.0)
         reports, skipped = collect_bound_reports(net, make_toy())
@@ -529,7 +548,7 @@ def _direct_bound(model, dataset, method):
             },
         }[model.variant]
         return lambda: bounds[method](model)
-    single = bound_relu if model.is_relu else bound_homogenous_mlp
+    single = bound_relu if model.a_minus == 0.0 else bound_homogenous_mlp
     bound = {"single_datapoint": single, "mlp_multi": bound_mlp_multi}[method]
     return lambda: bound(model, dataset)
 

@@ -22,6 +22,16 @@ def write_config(tmp_path: Path, payload: dict, name="config.json") -> str:
     return str(path)
 
 
+# A one-neuron ReLU net whose only first-layer weight is negative at
+# init_seed 0, so nothing is active on the toy_relu point x = 4 and the
+# initial kernel is exactly zero.
+VANISHING_KERNEL_CONFIG = {
+    "model": {"family": "homogenous", "width": 1, "a_minus": 0.0, "a_plus": 1.0, "init_seed": 0},
+    "dataset": {"kind": "toy_relu"},
+    "training": {"eta_lambda0_grid": [1.0, 3.0]},
+}
+
+
 def quad_toy_config(**training):
     training = {"eta_lambda0_grid": [3.0], "ntk_eval_interval": 1, **training}
     return {
@@ -164,6 +174,36 @@ class TestTrainCommand:
         assert main(["train", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
         header = (out / "trajectory.csv").read_text().splitlines()[0]
         assert header == "step,loss,weight_norm,eta_lambda_max"
+
+    @pytest.mark.parametrize(
+        "model, kind",
+        [
+            ({"family": "homogenous", "width": 64, "a_minus": 0.0, "a_plus": 1.0}, "toy_relu"),
+            ({"family": "linear_net_with_bias", "width": 24, "bias0": 0.0}, "toy"),
+        ],
+        ids=["relu", "linear_net_with_bias"],
+    )
+    def test_one_point_runs_write_the_certified_norm(self, tmp_path, model, kind):
+        cfg = {
+            "model": {**model, "init_seed": 3},
+            "dataset": {"kind": kind},
+            "training": {"eta_lambda0_grid": [1.0], "max_steps": 20},
+        }
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "run"
+        assert main(["train", "--config", path, "--out", str(out)]) == 0
+        assert main(["bounds", "--config", path, "--out", str(out)]) == 0
+        lines = (out / "trajectory.csv").read_text().splitlines()
+        assert lines[0] == "step,loss,weight_norm,certified_norm,eta_lambda_max"
+        doc = json.loads((out / "bounds.json").read_text())
+        digest = next(
+            r["inputs_digest"] for r in doc["reports"] if r["method"] == "single_datapoint"
+        )
+        if kind == "toy_relu":
+            certified = digest["reduced_theta0_sq"]
+        else:
+            certified = digest["theta0_sq"] + digest["feature_overlap_sq"] / digest["phi_sq"]
+        assert float(lines[1].split(",")[3]) == certified
 
     def test_byte_identical_reruns(self, tmp_path):
         path = write_config(tmp_path, quad_toy_config())
@@ -540,6 +580,17 @@ class TestBoundsCommand:
         assert report["inputs_digest"]["h0"] == pytest.approx(doc["lambda_max_h0"], rel=1e-12)
         assert report["catapult_lower"] == pytest.approx(doc["lazy_threshold"], rel=1e-12)
 
+    def test_vanishing_kernel_has_no_lazy_threshold(self, tmp_path):
+        # width 1 at init_seed 0 draws u < 0: nothing is active on x = 4
+        out = tmp_path / "bounds"
+        path = write_config(tmp_path, VANISHING_KERNEL_CONFIG)
+        assert main(["bounds", "--config", path, "--out", str(out)]) == 0
+        doc = json.loads((out / "bounds.json").read_text())
+        assert doc["lambda_max_h0"] == 0.0
+        assert doc["lazy_threshold"] is None
+        assert doc["reports"] == []
+        assert [s["method"] for s in doc["skipped"]] == ["single_datapoint", "mlp_multi"]
+
     def test_paired_unit_spectrum_collapses_uncertain_region(self, tmp_path):
         cfg = quad_toy_config()
         cfg["model"]["eigen_scheme"] = {"kind": "pm_one"}
@@ -591,6 +642,21 @@ class TestCheckCommand:
 
         result = getattr(selfcheck, check)(seed)
         assert result.passed, (result.residual, result.detail)
+
+    def test_default_suite_passes_at_many_seeds(self):
+        # the benchmark runs `catapult check` at a random seed; the large
+        # seeds are those where a check was once flawed (the linearized
+        # predictor at 192643646, the negative control at the other four)
+        from catapult.selfcheck import run_default_suite
+
+        seeds = [*range(50), 192643646, 282266799, 525027446, 1186112100, 1966312124]
+        failed = [
+            (seed, result.name, result.residual)
+            for seed in seeds
+            for result in run_default_suite(seed)
+            if not result.passed
+        ]
+        assert failed == []
 
     @pytest.mark.parametrize("name", ["bound_relu", "bound_homogenous_mlp"])
     def test_window_check_catches_unit_datapoint_formula(self, monkeypatch, name):
@@ -858,6 +924,13 @@ class TestExitCodes:
                 quad_toy_config(eta_grid=[], eta_lambda0_grid=None),
                 [],
                 "training.eta_grid: expected a non-empty list",
+            ),
+            # rates in units of a vanishing initial kernel
+            (
+                "sweep",
+                VANISHING_KERNEL_CONFIG,
+                [],
+                "training.eta_lambda0_grid: the initial kernel vanishes",
             ),
         ],
     )

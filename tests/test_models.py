@@ -11,7 +11,6 @@ from catapult.models import (
     ModelError,
     QuadraticModel,
     linear_net_with_bias_embedding,
-    relu_project,
 )
 from catapult.numerics import Rng
 from conftest import (
@@ -244,43 +243,55 @@ class TestHomogenousNet:
 
 
 class TestReluProjector:
+    """The sign split a 1d net with a zero negative slope freezes when it is
+    built: ``frozen_plus`` is the mask of u >= 0."""
+
     def test_decomposition_of_mixed_signs(self):
         net = HomogenousNet(
             u=np.array([1.0, -2.0, 3.0]), v=np.ones(3), a_minus=0.0, a_plus=1.0
         )
-        split = relu_project(net)
-        assert np.array_equal(split.u_plus, [1.0, 0.0, 3.0])
-        assert np.array_equal(split.u_minus, [0.0, -2.0, 0.0])
-        assert np.array_equal(split.p_plus, [True, False, True])
-        assert np.array_equal(split.u_plus + split.u_minus, net.u[:, 0])
+        assert np.array_equal(net.frozen_plus, [True, False, True])
+        assert np.array_equal(net.active_on(1.0), [True, False, True])
+        assert np.array_equal(net.active_on(-1.0), [False, True, False])
+        # the two sides partition the coordinates
+        plus, minus = net.certified_norm([[1.0]]), net.certified_norm([[-1.0]])
+        assert (plus, minus) == (12.0, 5.0)
+        assert plus + minus == net.weight_norm()
 
     def test_all_positive_weights(self):
         net = HomogenousNet(
             u=np.array([0.5, 1.5]), v=np.array([2.0, -1.0]), a_minus=0.0, a_plus=1.0
         )
-        net.frozen_split = relu_project(net)
-        assert np.array_equal(net.frozen_split.u_minus, [0.0, 0.0])
-        assert net.reduced_weight_norm() == pytest.approx(net.weight_norm())
+        assert not np.any(net.active_on(-1.0))
+        assert net.certified_norm([[1.0]]) == pytest.approx(net.weight_norm())
 
     def test_zero_goes_to_plus_side(self):
         net = HomogenousNet(
             u=np.array([0.0, -1.0]), v=np.ones(2), a_minus=0.0, a_plus=1.0
         )
-        split = relu_project(net)
-        assert split.p_plus[0] and not split.p_plus[1]
+        assert net.frozen_plus[0] and not net.frozen_plus[1]
 
     def test_sign_fraction_near_half(self):
         n = 100_000
         net = HomogenousNet(
             u=Rng(77).normal(n), v=np.ones(n), a_minus=0.0, a_plus=1.0
         )
-        fraction = relu_project(net).p_plus.mean()
+        fraction = net.frozen_plus.mean()
         assert abs(fraction - 0.5) < 3.0 * 0.5 / math.sqrt(n)
 
     def test_requires_one_dimensional_inputs(self):
         net = HomogenousNet.init_random(8, Rng(1), 0.0, 1.0, input_dim=2)
+        assert net.frozen_plus is None
+        assert net.certified_norm([[1.0, 0.5]]) is None
         with pytest.raises(ModelError):
-            relu_project(net)
+            net.active_on(1.0)
+
+    def test_clone_keeps_the_split_frozen_at_construction(self):
+        net = HomogenousNet(
+            u=np.array([1.0, -2.0]), v=np.ones(2), a_minus=0.0, a_plus=1.0
+        )
+        net.u[:, 0] = [-1.0, 2.0]
+        assert np.array_equal(net.clone().frozen_plus, [True, False])
 
 
 class TestWeightNorm:

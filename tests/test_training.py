@@ -2,17 +2,23 @@ import numpy as np
 import pytest
 
 from catapult.datasets import Dataset, make_random, make_toy
-from catapult.models import HomogenousNet, QuadraticModel, linear_net_with_bias_embedding
+from catapult.models import (
+    DeepReluNet,
+    HomogenousNet,
+    QuadraticModel,
+    linear_net_with_bias_embedding,
+)
 from catapult.numerics import Rng, lambda_max_symmetric
 from catapult.training import (
     TrainConfig,
     TrainingError,
+    Trajectory,
     mse_loss,
     quad_update_consistency,
     train,
     weight_norm_identity_residuals,
 )
-from conftest import pure_toy_quadratic, random_quadratic
+from conftest import pure_toy_quadratic, random_quadratic, with_bias_toy_quadratic
 
 EXCHANGE_MODEL = dict(
     features=np.zeros((1, 2)),
@@ -133,21 +139,22 @@ class TestWeightNormIdentity:
         m = pure_toy_quadratic(48, seed=seed)
         eta = 3.0 / float(m.ntk()[0, 0])
         traj = train(m, make_toy(), identity_config(eta))
-        assert weight_norm_identity_residuals(traj, "total").max() < 1e-9
+        assert weight_norm_identity_residuals(traj).max() < 1e-9
 
     @pytest.mark.parametrize("seed", range(5))
     def test_homogenous_net(self, seed):
         net = HomogenousNet.init_random(64, Rng(seed).child(1), 0.5, 1.0)
         eta = 3.0 / float(net.ntk([[1.0]])[0, 0])
         traj = train(net, make_toy(), identity_config(eta))
-        assert weight_norm_identity_residuals(traj, "total").max() < 1e-9
+        assert weight_norm_identity_residuals(traj).max() < 1e-9
 
     @pytest.mark.parametrize("seed", range(5))
     def test_relu_reduced_norm(self, seed):
         net = HomogenousNet.init_random(64, Rng(seed).child(2), 0.0, 1.0)
         eta = 3.0 / float(net.ntk([[1.0]])[0, 0])
         traj = train(net, make_toy(), identity_config(eta))
-        assert weight_norm_identity_residuals(traj, "reduced").max() < 1e-9
+        assert traj.certified_norms is not None
+        assert weight_norm_identity_residuals(traj).max() < 1e-9
 
     @pytest.mark.parametrize("seed", range(5))
     def test_with_bias_combined_quantity(self, seed):
@@ -155,23 +162,24 @@ class TestWeightNormIdentity:
         phi_sq = float(m.features[0] @ m.features[0])
         eta = 3.0 / float(m.ntk()[0, 0])
         traj = train(m, make_toy(), identity_config(eta))
-        residuals = weight_norm_identity_residuals(traj, "combined", h_shift=phi_sq)
+        assert traj.certified_norms is not None
+        residuals = weight_norm_identity_residuals(traj, h_shift=phi_sq)
         assert residuals.max() < 1e-9
 
 
 class TestReluFrozenComplement:
     def test_inactive_coordinates_never_move(self):
         net = HomogenousNet.init_random(64, Rng(11).child(4), 0.0, 1.0)
-        split = net.frozen_split
-        u_minus = net.u[split.p_minus].copy()
-        v_minus = net.v[split.p_minus].copy()
+        inactive = ~net.frozen_plus
+        u_minus = net.u[inactive].copy()
+        v_minus = net.v[inactive].copy()
         dataset = make_toy()
         eta = 3.0 / float(net.ntk(dataset.inputs)[0, 0])
         for _ in range(300):
             z = net.outputs(dataset.inputs)
             net.apply_gd_step(dataset.inputs, z - dataset.labels, eta)
-            assert np.array_equal(net.u[split.p_minus], u_minus)
-            assert np.array_equal(net.v[split.p_minus], v_minus)
+            assert np.array_equal(net.u[inactive], u_minus)
+            assert np.array_equal(net.v[inactive], v_minus)
 
 
 class TestReluReducedNormOnTheDatapoint:
@@ -179,18 +187,19 @@ class TestReluReducedNormOnTheDatapoint:
     active on it (u x > 0), the same set `bound_relu` certifies."""
 
     @staticmethod
-    def setup(x, label):
-        net = HomogenousNet.init_random(128, Rng(0).child(4), 0.0, 1.0)
+    def setup(x, label, seed=0):
+        net = HomogenousNet.init_random(128, Rng(seed).child(4), 0.0, 1.0)
         return net, Dataset(inputs=[[x]], labels=[label])
 
+    @pytest.mark.parametrize("seed", range(10))
     @pytest.mark.parametrize("x", [4.0, -0.5])
-    def test_step_zero_is_the_certified_reduced_norm(self, x):
+    def test_step_zero_is_the_certified_reduced_norm(self, x, seed):
         from catapult.bounds import bound_relu
 
-        net, dataset = self.setup(x, 0.5)
+        net, dataset = self.setup(x, 0.5, seed)
         certified = bound_relu(net, dataset).inputs_digest["reduced_theta0_sq"]
         traj = train(net, dataset, TrainConfig(eta=0.01, max_steps=1))
-        assert traj.reduced_weight_norms[0] == pytest.approx(certified, rel=1e-12)
+        assert traj.certified_norms[0] == certified
 
     def test_negative_datapoint_norm_decreases_inside_window(self):
         from catapult.bounds import bound_relu
@@ -200,10 +209,10 @@ class TestReluReducedNormOnTheDatapoint:
         eta = 0.5 * (report.catapult_lower + report.sufficient_upper)
         traj = train(net.clone(), dataset, identity_config(eta))
         assert traj.termination == "converged"
-        norms = traj.reduced_weight_norms
+        norms = traj.certified_norms
         assert norms[-1] < norms[0]
         assert np.all(np.diff(norms) <= 1e-10 * norms[0])
-        assert weight_norm_identity_residuals(traj, "reduced").max() < 1e-9
+        assert weight_norm_identity_residuals(traj).max() < 1e-9
 
     def test_several_points_record_no_reduced_norm(self):
         # with several points no window certifies the reduced norm, so the
@@ -211,14 +220,54 @@ class TestReluReducedNormOnTheDatapoint:
         net, _ = self.setup(1.0, 0.0)
         dataset = make_random(1, 4, 0.5, Rng(2))
         traj = train(net, dataset, TrainConfig(eta=0.01, max_steps=3))
-        assert traj.reduced_weight_norms is None
+        assert traj.certified_norms is None
+        assert traj.monotone_norms is traj.weight_norms
 
-    def test_several_points_keep_the_nonnegative_side(self):
-        net, _ = self.setup(1.0, 0.0)
-        mask = net.frozen_split.p_plus
-        expected = float(net.u[mask, 0] @ net.u[mask, 0] + net.v[mask] @ net.v[mask])
-        for inputs in (None, [[-0.5], [0.25]]):
-            assert net.reduced_weight_norm(inputs) == pytest.approx(expected, rel=1e-12)
+
+class TestCertifiedNorm:
+    """`train` records the model's certified norm as one series, only where
+    a single-datapoint window is proved on a norm other than the weight
+    norm."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_step_zero_is_the_certified_combined_norm(self, seed):
+        from catapult.bounds import bound_quadratic_with_bias
+
+        m = with_bias_toy_quadratic(24, 6, seed=seed)
+        digest = bound_quadratic_with_bias(m).inputs_digest
+        traj = train(m, make_toy(), TrainConfig(eta=0.01, max_steps=1))
+        expected = digest["theta0_sq"] + digest["feature_overlap_sq"] / digest["phi_sq"]
+        assert traj.certified_norms[0] == expected
+        assert traj.monotone_norms is traj.certified_norms
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: pure_toy_quadratic(16, seed=0),
+            lambda: HomogenousNet.init_random(16, Rng(1), 0.5, 1.0),
+            lambda: DeepReluNet.init_random(8, 1, 1, Rng(2)),
+        ],
+        ids=["pure_quadratic", "leaky", "deep_relu"],
+    )
+    def test_weight_norm_families_record_none(self, build):
+        traj = train(build(), make_toy(), TrainConfig(eta=0.01, max_steps=2))
+        assert traj.certified_norms is None
+        assert traj.monotone_norms is traj.weight_norms
+
+    def test_series_length_is_checked(self):
+        series = np.zeros(3)
+        with pytest.raises(TrainingError, match="certified_norms has length 2"):
+            Trajectory(
+                eta=0.1,
+                losses=series,
+                weight_norms=series,
+                certified_norms=series[:2],
+                ntk_steps=np.arange(3),
+                eta_lambda_max=series,
+                outputs=None,
+                termination="converged",
+                steps_taken=2,
+            )
 
 
 class TestMonotoneDecreaseInsideWindow:
@@ -254,8 +303,24 @@ class TestMonotoneDecreaseInsideWindow:
         for eta in self.interior(report):
             traj = train(net.clone(), make_toy(), TrainConfig(eta=eta, ntk_eval_interval=10**9))
             assert traj.termination == "converged"
-            slack = 1e-10 * traj.reduced_weight_norms[0]
-            assert np.all(np.diff(traj.reduced_weight_norms) <= slack)
+            slack = 1e-10 * traj.certified_norms[0]
+            assert np.all(np.diff(traj.certified_norms) <= slack)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("x", [4.0, -0.5])
+    @pytest.mark.parametrize("a_plus", [0.5, 2.0])
+    def test_scaled_relu_reduced(self, a_plus, x, seed):
+        # slopes (0, a_plus) share the ReLU reduced-norm window
+        from catapult.bounds import bound_relu
+
+        net = HomogenousNet.init_random(64, Rng(seed).child(6), 0.0, a_plus)
+        dataset = Dataset(inputs=[[x]], labels=[0.0])
+        report = bound_relu(net, dataset)
+        for eta in self.interior(report):
+            traj = train(net.clone(), dataset, TrainConfig(eta=eta, ntk_eval_interval=10**9))
+            assert traj.termination == "converged"
+            slack = 1e-10 * traj.certified_norms[0]
+            assert np.all(np.diff(traj.certified_norms) <= slack)
 
 
 class TestUpdateRecursions:

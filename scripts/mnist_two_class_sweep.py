@@ -1,7 +1,9 @@
 """Two-class image sweep for bias-free ReLU nets (IDX files, e.g. MNIST).
 
 Trains a width-1024 net on the first 128 images of the two classes and
-evaluates on every matching test image.  The sweep table carries the final
+evaluates on every matching test image.  ``--depth 0`` (the default) trains
+the two-layer ReLU net, the ``homogenous`` family with slopes (0, 1);
+``--depth 1`` adds one square hidden matrix.  The sweep table carries the final
 sharpness eta * lambda_max(H), the weight-norm ratio, per-layer activation
 sparsity, and test accuracy across the learning-rate grid.
 """

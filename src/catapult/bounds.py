@@ -230,36 +230,30 @@ def _single_input(net: HomogenousNet, dataset: Dataset, window: str) -> float:
 
 
 def bound_homogenous_mlp(net: HomogenousNet, dataset: Dataset) -> BoundReport:
-    """Window for a two-layer scale-invariant net on one 1d datapoint x.
+    """Window for a two-layer scale-invariant net with a non-zero negative
+    slope on one 1d datapoint x.
 
-    The kernel is bounded by ``a_plus**2 x**2 theta_t**2 / n`` above and,
-    when the negative slope is non-zero, by ``a_minus**2 x**2 theta_t**2 / n``
-    below; the first gives the sufficient upper value
-    ``4 n / (a_plus**2 x**2 theta0**2)`` and the second a certified
-    divergence threshold.  With equal slopes (a linear net) the window
-    between them shrinks to zero size.  On average over initializations the
-    window above the stability threshold is non-empty exactly when the
-    negative slope is non-zero, which excludes ReLU; nets with a zero
-    negative slope get their own reduced-norm window.
+    The kernel is bounded by ``a_plus**2 x**2 theta_t**2 / n`` above and by
+    ``a_minus**2 x**2 theta_t**2 / n`` below; the first gives the sufficient
+    upper value ``4 n / (a_plus**2 x**2 theta0**2)`` and the second a
+    certified divergence threshold.  With equal slopes (a linear net) the
+    window between them shrinks to zero size.  Nets with a zero negative
+    slope, such as ReLU, get the reduced-norm window of ``bound_relu``.
     """
+    if net.a_minus == 0.0:
+        raise BoundsError(
+            "this window applies to nets with a non-zero negative slope; "
+            "bound_relu covers a zero one"
+        )
     x = _single_input(net, dataset, "the single-datapoint window")
     x_sq = x * x
     theta_sq = net.weight_norm()
     h0 = float(net.ntk(dataset.inputs)[0, 0])
-    floor = None
-    notes = []
-    if net.a_minus > 0.0:
-        floor = net.a_minus**2 * x_sq * theta_sq
-    else:
-        notes.append(
-            "zero negative slope: no divergence certificate, and the window is "
-            "empty on average; the ReLU reduced-norm window applies instead"
-        )
     return BoundReport(
         method="single_datapoint",
         h0=h0,
         ceiling=net.a_plus**2 * x_sq * theta_sq,
-        floor=floor,
+        floor=net.a_minus**2 * x_sq * theta_sq,
         scale=net.width,
         proven=True,
         inputs_digest={
@@ -271,9 +265,7 @@ def bound_homogenous_mlp(net: HomogenousNet, dataset: Dataset) -> BoundReport:
             "a_plus": net.a_plus,
             "theta0_sq": theta_sq,
             "h0": h0,
-            "window_nonempty_in_expectation": net.a_minus != 0.0,
         },
-        notes=notes,
     )
 
 
@@ -286,6 +278,12 @@ def bound_relu(net: HomogenousNet, dataset: Dataset) -> BoundReport:
     ``certified_norm``), and the kernel at initialization is
     ``H_0 = a_plus**2 * x**2 * reduced / n``.  That makes the certified
     window exactly ``(2/H_0, 4/H_0)``.
+
+    The reduced norm falls at every step inside the window only at label 0.
+    On (x, y) = (4, 0), width 128, seeds 0-9 and four rates evenly inside
+    the window, no run's reduced norm rises by more than 1e-12 of its start.
+    On (4, 2) all 40 runs converge too, but the reduced norm rises in every
+    one, by up to 7% of its start in one step.
     """
     if net.a_minus != 0.0:
         raise BoundsError("this window applies to nets with a zero negative slope")

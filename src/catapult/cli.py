@@ -337,6 +337,8 @@ def _normalize_dataset(raw: dict, base_dir: Path) -> dict:
         if out["class_a"] == out["class_b"]:
             raise ConfigError("dataset.class_b: must differ from class_a")
         out["train_size"] = _field(section, "dataset", "train_size", int, 128)
+        if out["train_size"] < 1:
+            raise ConfigError("dataset.train_size: must be at least 1")
         if fmt == "idx":
             keys = ("train_images", "train_labels", "test_images", "test_labels")
             for key in keys:
@@ -549,27 +551,24 @@ def resolve_experiment(cfg: dict) -> Experiment:
             linear_net_with_bias_embedding(model_cfg["width"], theta_rng, model_cfg["bias0"]),
         )
 
-    if family == "homogenous":
+    if family == "deep_relu" and model_cfg["depth"] == 1:
+        dataset = _build_dataset(cfg)
+        return Experiment(
+            dataset,
+            DeepReluNet.init_random(model_cfg["width"], dataset.dim, theta_rng),
+            sparsity_layers=2,
+        )
+
+    if family in ("homogenous", "deep_relu"):
+        # a depth-0 deep_relu net is the two-layer ReLU net: slopes (0, 1)
+        a_minus, a_plus = model_cfg.get("a_minus", 0.0), model_cfg.get("a_plus", 1.0)
         dataset = _build_dataset(cfg)
         return Experiment(
             dataset,
             HomogenousNet.init_random(
-                model_cfg["width"],
-                theta_rng,
-                model_cfg["a_minus"],
-                model_cfg["a_plus"],
-                input_dim=dataset.dim,
+                model_cfg["width"], theta_rng, a_minus, a_plus, input_dim=dataset.dim
             ),
             sparsity_layers=1,
-        )
-
-    if family == "deep_relu":
-        dataset = _build_dataset(cfg)
-        depth = model_cfg["depth"]
-        return Experiment(
-            dataset,
-            DeepReluNet.init_random(model_cfg["width"], dataset.dim, depth, theta_rng),
-            sparsity_layers=depth + 1,
         )
 
     # The quadratic families: a student feature map from a teacher-student

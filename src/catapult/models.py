@@ -6,8 +6,8 @@ Three families:
   per-datapoint feature vectors and symmetric meta-feature matrices,
 * two-layer nets with a scale-invariant activation (ReLU as the special
   case with slopes (0, 1)),
-* deeper ReLU nets with one or two hidden layers and no biases, used for
-  the image experiments.
+* a three-layer ReLU net with one square hidden matrix and no biases, used
+  for the image experiments.
 
 Every family exposes outputs, the D x D tangent kernel (the 1/D-normalized
 Gram matrix of per-sample output gradients), an exact full-batch
@@ -286,10 +286,6 @@ class HomogenousNet:
     # with a zero negative slope: on one datapoint only the neurons on the
     # side active at initialization ever move.
     frozen_plus: np.ndarray | None = field(default=None, init=False, repr=False)
-    # Test hook for the self-check negative control: when set, the gradient
-    # path uses this slope at exactly-zero preactivations while the kernel
-    # keeps the documented (a_plus+a_minus)/2 convention.
-    _grad_zero_slope_override: float | None = field(default=None, repr=False)
 
     def __post_init__(self):
         # Trainable arrays are copied: every GD step updates them in place.
@@ -343,14 +339,10 @@ class HomogenousNet:
         pre = x @ self.u.T  # (D, n)
         return x, pre, scale_invariant(pre, self.a_minus, self.a_plus)
 
-    def _factors(self, inputs, zero_slope: float | None) -> list:
-        """Factors of ``weights()``; a non-None ``zero_slope`` replaces the
-        activation slope at exactly-zero preactivations."""
+    def _factors(self, inputs) -> list:
+        """Factors of ``weights()``."""
         x, pre, act = self._forward(inputs)
-        slopes = scale_invariant_deriv(pre, self.a_minus, self.a_plus)
-        if zero_slope is not None:
-            slopes[pre == 0.0] = zero_slope
-        return [(act, None), (slopes * self.v, x)]
+        return [(act, None), (scale_invariant_deriv(pre, self.a_minus, self.a_plus) * self.v, x)]
 
     def activations(self, inputs) -> list[np.ndarray]:
         return [self._forward(inputs)[2]]
@@ -359,10 +351,10 @@ class HomogenousNet:
         return self._forward(inputs)[2] @ self.v / math.sqrt(self.width)
 
     def ntk(self, inputs) -> np.ndarray:
-        return tangent_kernel(self._factors(inputs, None), self.output_scale)
+        return tangent_kernel(self._factors(inputs), self.output_scale)
 
     def apply_gd_step(self, inputs, errors: np.ndarray, eta: float) -> None:
-        factors = self._factors(inputs, self._grad_zero_slope_override)
+        factors = self._factors(inputs)
         _descend(self.weights(), loss_gradients(factors, errors, self.output_scale), eta)
 
     def weight_norm(self) -> float:
@@ -397,49 +389,38 @@ class HomogenousNet:
 
 
 # ---------------------------------------------------------------------------
-# Deep ReLU nets for image tasks
+# Three-layer ReLU net for image tasks
 # ---------------------------------------------------------------------------
 
 
 @dataclass
 class DeepReluNet:
-    """Bias-free ReLU net with one or two hidden layers of equal width.
+    """Bias-free three-layer ReLU net: one square hidden matrix.
 
-    Output on input x is ``v @ relu(W_1 relu(... relu(U x)))`` scaled by
-    ``width ** -(depth+1)/2`` where depth counts the square hidden matrices
-    (0 for a two-layer net, 1 for a three-layer net).
+    Output on input x is ``v @ relu(W relu(U x)) / width``.  The two-layer
+    ReLU net is ``HomogenousNet`` with slopes (0, 1).
     """
 
     input_weights: np.ndarray  # (n, d)
-    hidden_weights: list[np.ndarray]  # depth matrices, each (n, n)
+    hidden_weights: np.ndarray  # (n, n)
     output_weights: np.ndarray  # (n,)
 
     def __post_init__(self):
         # Trainable arrays are copied: every GD step updates them in place.
         self.input_weights = np.array(self.input_weights, dtype=np.float64)
-        self.hidden_weights = [np.array(w, dtype=np.float64) for w in self.hidden_weights]
+        self.hidden_weights = np.array(self.hidden_weights, dtype=np.float64)
         self.output_weights = np.array(self.output_weights, dtype=np.float64).reshape(-1)
         n = self.input_weights.shape[0]
-        if len(self.hidden_weights) > 1:
-            raise ModelError(
-                f"unsupported depth {len(self.hidden_weights)}; only 0 or 1 hidden "
-                "matrices (two- and three-layer nets) are supported"
-            )
-        for w in self.hidden_weights:
-            if w.shape != (n, n):
-                raise ModelError("hidden matrices must be square with the net width")
+        if self.hidden_weights.shape != (n, n):
+            raise ModelError("the hidden matrix must be square with the net width")
         if self.output_weights.shape[0] != n:
             raise ModelError("output weights must match the net width")
 
     @classmethod
-    def init_random(
-        cls, width: int, input_dim: int, depth: int, rng: Rng
-    ) -> "DeepReluNet":
-        if depth not in (0, 1):
-            raise ModelError(f"unsupported depth {depth}; expected 0 or 1")
+    def init_random(cls, width: int, input_dim: int, rng: Rng) -> "DeepReluNet":
         return cls(
             input_weights=rng.normal((width, input_dim)),
-            hidden_weights=[rng.normal((width, width)) for _ in range(depth)],
+            hidden_weights=rng.normal((width, width)),
             output_weights=rng.normal(width),
         )
 
@@ -452,24 +433,18 @@ class DeepReluNet:
         return self.input_weights.shape[1]
 
     @property
-    def depth(self) -> int:
-        return len(self.hidden_weights)
-
-    @property
     def output_scale(self) -> float:
-        return self.width ** (-(self.depth + 1) / 2.0)
+        return self.width ** -1.0
 
     def weights(self) -> list[np.ndarray]:
-        return [self.input_weights, self.output_weights, *self.hidden_weights]
+        return [self.input_weights, self.output_weights, self.hidden_weights]
 
     def _forward(self, inputs) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
         x = _as_inputs(inputs)
-        pres = [x @ self.input_weights.T]
-        acts = [scale_invariant(pres[0], 0.0, 1.0)]
-        for w in self.hidden_weights:
-            pres.append(acts[-1] @ w.T)
-            acts.append(scale_invariant(pres[-1], 0.0, 1.0))
-        return x, pres, acts
+        pre_in = x @ self.input_weights.T
+        act_in = scale_invariant(pre_in, 0.0, 1.0)
+        pre_hidden = act_in @ self.hidden_weights.T
+        return x, [pre_in, pre_hidden], [act_in, scale_invariant(pre_hidden, 0.0, 1.0)]
 
     def outputs(self, inputs) -> np.ndarray:
         _, _, acts = self._forward(inputs)
@@ -482,13 +457,10 @@ class DeepReluNet:
     def _factors(self, inputs) -> list:
         """Factors of ``weights()``: each layer's backpropagated gates times
         the activations feeding it."""
-        x, pres, acts = self._forward(inputs)
-        gates = [scale_invariant_deriv(p, 0.0, 1.0) for p in pres]
-        back = [self.output_weights[None, :] * gates[-1]]  # (D, n) per layer, top down
-        for w, gate in zip(reversed(self.hidden_weights), reversed(gates[:-1])):
-            back.append((back[-1] @ w) * gate)
-        back.reverse()  # back[0] pairs with x, back[i] pairs with acts[i-1]
-        return [(back[0], x), (acts[-1], None), *zip(back[1:], acts[:-1])]
+        x, (pre_in, pre_hidden), (act_in, act_hidden) = self._forward(inputs)
+        back_hidden = self.output_weights[None, :] * scale_invariant_deriv(pre_hidden, 0.0, 1.0)
+        back_in = (back_hidden @ self.hidden_weights) * scale_invariant_deriv(pre_in, 0.0, 1.0)
+        return [(back_in, x), (act_hidden, None), (back_hidden, act_in)]
 
     def ntk(self, inputs) -> np.ndarray:
         return tangent_kernel(self._factors(inputs), self.output_scale)
@@ -503,7 +475,7 @@ class DeepReluNet:
         return _squared_norm(self.weights())
 
     def certified_norm(self, inputs) -> None:
-        """No window is proved for deep ReLU nets."""
+        """No window is proved for the three-layer net."""
         return None
 
     def clone(self) -> "DeepReluNet":

@@ -41,7 +41,13 @@ from catapult.datasets import (
     make_toy_relu,
     zeta_for,
 )
-from catapult.models import HomogenousNet, QuadraticModel, linear_net_with_bias_embedding
+from catapult.models import (
+    HomogenousNet,
+    QuadraticModel,
+    linear_net_with_bias_embedding,
+    loss_gradients,
+    scale_invariant_deriv,
+)
 from catapult.numerics import Rng, lambda_max_symmetric
 from catapult.training import (
     TrainConfig,
@@ -347,6 +353,19 @@ def check_omega_dual(seed: int = 0) -> CheckResult:
     )
 
 
+class _CorruptedZeroSlopeNet(HomogenousNet):
+    """A net whose gradient takes slope 1 at exactly-zero preactivations
+    while its kernel keeps the documented (a_plus+a_minus)/2 convention."""
+
+    def apply_gd_step(self, inputs, errors: np.ndarray, eta: float) -> None:
+        x, pre, act = self._forward(inputs)
+        slopes = scale_invariant_deriv(pre, self.a_minus, self.a_plus)
+        slopes[pre == 0.0] = 1.0
+        factors = [(act, None), (slopes * self.v, x)]
+        for w, g in zip(self.weights(), loss_gradients(factors, errors, self.output_scale)):
+            w -= eta * g
+
+
 def check_negative_control_corrupted_slope(seed: int = 0) -> CheckResult:
     """Corrupt the gradient's slope convention at exactly-zero preactivations
     and demand the norm identity, on the ReLU net's reduced norm, notices.
@@ -360,8 +379,7 @@ def check_negative_control_corrupted_slope(seed: int = 0) -> CheckResult:
     v = np.abs(rng.normal(32))
     u[0] = 0.0
     v[0] = 2.0
-    net = HomogenousNet(u=u, v=v, a_minus=0.0, a_plus=1.0)
-    net._grad_zero_slope_override = 1.0  # kernel keeps the halfway convention
+    net = _CorruptedZeroSlopeNet(u=u, v=v, a_minus=0.0, a_plus=1.0)
     dataset = make_toy()
     eta = 3.0 / float(net.ntk(dataset.inputs)[0, 0])
     traj = train(net, dataset, _identity_config(eta, max_steps=50))

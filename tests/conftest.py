@@ -17,7 +17,7 @@ from catapult.datasets import (
     make_toy,
     zeta_for,
 )
-from catapult.models import DeepReluNet, HomogenousNet, QuadraticModel
+from catapult.models import QuadraticModel
 from catapult.numerics import Rng
 
 
@@ -27,37 +27,14 @@ from catapult.numerics import Rng
 
 
 def params_vector(model) -> np.ndarray:
-    if isinstance(model, QuadraticModel):
-        return model.theta.copy()
-    if isinstance(model, HomogenousNet):
-        return np.concatenate([model.u.ravel(), model.v])
-    if isinstance(model, DeepReluNet):
-        parts = [model.input_weights.ravel()]
-        parts.extend(w.ravel() for w in model.hidden_weights)
-        parts.append(model.output_weights)
-        return np.concatenate(parts)
-    raise TypeError(type(model))
+    return np.concatenate([w.ravel() for w in model.weights()])
 
 
 def set_params(model, vec: np.ndarray) -> None:
-    vec = np.asarray(vec, dtype=np.float64)
-    if isinstance(model, QuadraticModel):
-        model.theta[:] = vec
-        return
-    if isinstance(model, HomogenousNet):
-        nu = model.u.size
-        model.u[:] = vec[:nu].reshape(model.u.shape)
-        model.v[:] = vec[nu:]
-        return
-    if isinstance(model, DeepReluNet):
-        offset = model.input_weights.size
-        model.input_weights[:] = vec[:offset].reshape(model.input_weights.shape)
-        for w in model.hidden_weights:
-            w[:] = vec[offset : offset + w.size].reshape(w.shape)
-            offset += w.size
-        model.output_weights[:] = vec[offset:]
-        return
-    raise TypeError(type(model))
+    offset = 0
+    for w in model.weights():
+        w[...] = np.reshape(vec[offset : offset + w.size], w.shape)
+        offset += w.size
 
 
 def batch_loss(model, dataset: Dataset) -> float:

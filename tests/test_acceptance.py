@@ -39,7 +39,7 @@ from catapult.datasets import (
     make_toy,
     zeta_for,
 )
-from catapult.models import DeepReluNet, HomogenousNet, QuadraticModel
+from catapult.models import HomogenousNet, QuadraticModel
 from catapult.numerics import Rng, lambda_max_symmetric
 from catapult.training import TrainConfig, train, weight_norm_identity_residuals
 from conftest import pure_toy_quadratic, random_quadratic, with_bias_toy_quadratic
@@ -349,7 +349,7 @@ def test_criterion_08_two_class_mnist_trends():
     assert dataset.test_inputs.shape[0] == 2115
 
     def factory():
-        return DeepReluNet.init_random(1024, 784, 0, Rng(0).child(2))
+        return HomogenousNet.init_random(1024, Rng(0).child(2), 0.0, 1.0, input_dim=784)
 
     lambda0 = lambda_max_symmetric(factory().ntk(dataset.inputs))
     grid = [2.5, 3.0, 3.5, 4.0, 4.5, 5.0, 5.5, 6.0]

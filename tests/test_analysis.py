@@ -150,7 +150,7 @@ class TestSparsity:
         assert sparsity(net, [[1.0]]) == [0.5]
 
     def test_random_init_near_half(self):
-        net = DeepReluNet.init_random(2048, 4, 1, Rng(16))
+        net = DeepReluNet.init_random(2048, 4, Rng(16))
         x = Rng(17).normal((16, 4))
         values = sparsity(net, x)
         assert len(values) == 2

@@ -156,7 +156,7 @@ def _traced_family(family):
         return HomogenousNet.init_random(8, Rng(0), 0.5, 1.0), make_toy()
     rng = Rng(1)
     dataset = Dataset(inputs=rng.child(1).normal((4, 3)), labels=rng.child(2).normal(4))
-    return DeepReluNet.init_random(8, 3, 1, rng.child(3)), dataset
+    return DeepReluNet.init_random(8, 3, rng.child(3)), dataset
 
 
 # Calls of each traced model method in one 20-step run with a kernel

@@ -156,11 +156,10 @@ class TestHomogenousBound:
         assert mean_leaky - 2.0 * 0.25 > -3.0 * se_leaky
         assert mean_leaky > 3.0 * se_leaky
 
-    def test_relu_slope_flagged(self):
+    def test_zero_negative_slope_is_left_to_bound_relu(self):
         net = HomogenousNet.init_random(32, Rng(6), a_minus=0.0, a_plus=1.0)
-        report = bound_homogenous_mlp(net, make_toy())
-        assert report.divergence_lower is None
-        assert any("reduced-norm" in note for note in report.notes)
+        with pytest.raises(BoundsError, match="bound_relu"):
+            bound_homogenous_mlp(net, make_toy())
 
 
 class TestReluBound:
@@ -485,7 +484,7 @@ class TestCollectBoundReports:
     def test_deep_net_has_no_guarantees(self):
         from catapult.models import DeepReluNet
 
-        net = DeepReluNet.init_random(8, 4, 1, Rng(23))
+        net = DeepReluNet.init_random(8, 4, Rng(23))
         dataset = Dataset(inputs=Rng(24).normal((3, 4)), labels=np.ones(3))
         reports, skipped = collect_bound_reports(net, dataset)
         assert reports == []

@@ -728,8 +728,8 @@ def with_model(config: dict, **model) -> dict:
     return {**config, "model": {**config["model"], **model}}
 
 
-def image_config(class_a: int, class_b: int) -> dict:
-    # the class ids are checked before the (here missing) files
+def image_config(class_a: int, class_b: int, **dataset) -> dict:
+    # the class ids and the train size are checked before the (here missing) files
     paths = ("train_images", "train_labels", "test_images", "test_labels")
     return {
         "model": {"family": "deep_relu", "width": 8},
@@ -739,6 +739,7 @@ def image_config(class_a: int, class_b: int) -> dict:
             "class_a": class_a,
             "class_b": class_b,
             **{key: f"missing-{key}.idx" for key in paths},
+            **dataset,
         },
         "training": {"eta": 0.1},
     }
@@ -864,6 +865,9 @@ class TestExitCodes:
             ("train", image_config(3, 3), [], "dataset.class_b: must differ from class_a"),
             ("train", image_config(12, 3), [], "dataset.class_a: must be a class id from 0 to 9"),
             ("train", image_config(3, -1), [], "dataset.class_b: must be a class id from 0 to 9"),
+            # a negative size sliced off the last images; 0 ended in a traceback
+            ("train", image_config(0, 1, train_size=-5), [], "dataset.train_size: must be at least 1"),
+            ("train", image_config(0, 1, train_size=0), [], "dataset.train_size: must be at least 1"),
             # fields that no family or kind reads were once dropped silently
             ("train", quad_toy_config(max_step=10), [], "training.max_step: unknown field"),
             (
@@ -966,9 +970,10 @@ class TestExitCodes:
 
 
 class TestImagePipeline:
-    def test_deep_relu_sweep_on_synthetic_images(self, tmp_path, synthetic_idx_paths):
+    @pytest.mark.parametrize("depth", [0, 1])
+    def test_deep_relu_sweep_on_synthetic_images(self, tmp_path, synthetic_idx_paths, depth):
         cfg = {
-            "model": {"family": "deep_relu", "width": 64, "depth": 0, "init_seed": 0},
+            "model": {"family": "deep_relu", "width": 64, "depth": depth, "init_seed": 0},
             "dataset": {
                 "kind": "image_two_class",
                 "format": "idx",
@@ -989,9 +994,60 @@ class TestImagePipeline:
         lines = (out / "sweep.csv").read_text().splitlines()
         header = lines[0].split(",")
         assert "sparsity_0" in header and "accuracy" in header
+        assert ("sparsity_1" in header) == (depth == 1)
         for line in lines[1:]:
             row = dict(zip(header, line.split(",")))
             assert row["status"] == "ok"
             if row["phase"] in ("lazy", "catapult"):
                 assert float(row["accuracy"]) >= 0.9
                 assert 0.0 <= float(row["sparsity_0"]) <= 1.0
+
+
+class TestDepthZeroDeepRelu:
+    """A depth-0 deep_relu config builds the two-layer ReLU net: the
+    homogenous family with slopes (0, 1), windows included."""
+
+    @staticmethod
+    def configs(dataset: dict) -> list[dict]:
+        training = {"eta_lambda0_grid": [1.0, 3.0], "max_steps": 100}
+        models = (
+            {"family": "deep_relu", "width": 64, "depth": 0, "init_seed": 5},
+            {"family": "homogenous", "width": 64, "a_minus": 0.0, "a_plus": 1.0, "init_seed": 5},
+        )
+        return [{"model": model, "dataset": dataset, "training": training} for model in models]
+
+    @staticmethod
+    def image_dataset(paths: dict) -> dict:
+        return {"kind": "image_two_class", "format": "idx", "class_a": 0, "class_b": 1, **paths}
+
+    def test_resolves_to_the_same_net(self, tmp_path, synthetic_idx_paths):
+        from catapult.cli import resolve_experiment
+        from catapult.models import HomogenousNet
+
+        deep, relu = (
+            resolve_experiment(normalize_config(cfg, tmp_path)).model
+            for cfg in self.configs(self.image_dataset(synthetic_idx_paths))
+        )
+        assert type(deep) is HomogenousNet and (deep.a_minus, deep.a_plus) == (0.0, 1.0)
+        assert np.array_equal(deep.u, relu.u) and np.array_equal(deep.v, relu.v)
+
+    @pytest.mark.parametrize("kind", ["image_two_class", "toy_relu"])
+    def test_writes_the_same_sweep_and_windows(self, tmp_path, synthetic_idx_paths, kind):
+        if kind == "toy_relu":
+            dataset = {"kind": "toy_relu"}
+        else:
+            dataset = self.image_dataset(synthetic_idx_paths)
+        outs = []
+        for name, cfg in zip(("deep", "relu"), self.configs(dataset)):
+            path = write_config(tmp_path, cfg, f"{name}.json")
+            out = tmp_path / name
+            assert main(["sweep", "--config", path, "--out", str(out)]) == 0
+            assert main(["bounds", "--config", path, "--out", str(out)]) == 0
+            outs.append(out)
+        deep, relu = outs
+        assert (deep / "sweep.csv").read_bytes() == (relu / "sweep.csv").read_bytes()
+        deep_doc, relu_doc = (json.loads((out / "bounds.json").read_text()) for out in outs)
+        assert deep_doc["skipped"] == relu_doc["skipped"]
+        assert deep_doc["reports"] == relu_doc["reports"]
+        if kind == "toy_relu":
+            assert [r["method"] for r in deep_doc["reports"]] == ["single_datapoint"]

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from catapult.datasets import (
+    OUTPUTS_AT_CHUNK,
     DataFormatError,
     Dataset,
     EigenScheme,
@@ -104,11 +105,13 @@ class TestMetaFeatureConstruction:
     def test_outputs_at_matches_materialized_model(self):
         spec = MetaFeatureSpec(16, 4, 2, EigenScheme("uniform", 1.0, 2.0))
         fm = build_meta_features(spec, Rng(9))
-        x = Rng(10).uniform(-0.5, 0.5, (6, 2))
-        ds = Dataset(inputs=x, labels=np.zeros(6))
+        # two whole blocks, then a partial one
+        assert 2 * OUTPUTS_AT_CHUNK < 37 < 3 * OUTPUTS_AT_CHUNK
+        x = Rng(10).uniform(-0.5, 0.5, (37, 2))
+        ds = Dataset(inputs=x, labels=np.zeros(37))
         zeta = zeta_for("1_over_n_psi", 16)
         model = assemble_quadratic(fm, ds, zeta, Rng(11))
-        streamed = fm.outputs_at(model.theta, zeta, x, chunk=2)
+        streamed = fm.outputs_at(model.theta, zeta, x)
         assert np.allclose(streamed, model.outputs(), atol=1e-12)
 
     @pytest.mark.parametrize("n_phi", [0, 6], ids=["pure", "with_bias"])
@@ -117,7 +120,7 @@ class TestMetaFeatureConstruction:
     def test_outputs_at_folds_the_projector(self, n_phi, d, activation):
         # the projected meta-features Q T Q^T are never formed: outputs_at
         # contracts T with w = Q^T theta instead, on a point count that is
-        # not a multiple of the chunk
+        # not a multiple of the block size
         spec = MetaFeatureSpec(24, n_phi, d, EigenScheme("uniform", 1.0, 2.0), activation)
         fm = build_meta_features(spec, Rng(16))
         fm = fm.project(
@@ -129,9 +132,8 @@ class TestMetaFeatureConstruction:
         zeta = zeta_for("1_over_n_psi", fm.n_psi)
         model = assemble_quadratic(fm, ds, zeta, Rng(20))
         expected = model.outputs()
-        for chunk in (16, 5, 37):
-            streamed = fm.outputs_at(model.theta, zeta, x, chunk)
-            assert np.abs(streamed - expected).max() <= 1e-12 * np.abs(expected).max()
+        streamed = fm.outputs_at(model.theta, zeta, x)
+        assert np.abs(streamed - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 class TestTeacherStudent:
@@ -210,6 +212,12 @@ class TestIdxLoader:
         mask = (raw_labels == 0) | (raw_labels == 1)
         expected = raw_images[mask][:10].astype(float) / 255.0
         assert np.array_equal(ds.inputs, expected)
+
+    @pytest.mark.parametrize("train_size", [0, -5])
+    def test_rejects_a_non_positive_train_size(self, synthetic_idx_paths, train_size):
+        # a negative size once sliced off the last matching images instead
+        with pytest.raises(ValueError, match="train_size must be at least 1"):
+            load_two_class_images("idx", synthetic_idx_paths, 0, 1, train_size=train_size)
 
     def test_image_magic_mismatch(self, tmp_path):
         bad = tmp_path / "bad.idx"

@@ -325,30 +325,20 @@ class TestWeightNorm:
     def test_deep_net_counts_every_layer(self):
         net = DeepReluNet(
             input_weights=np.ones((2, 3)),
-            hidden_weights=[2.0 * np.ones((2, 2))],
+            hidden_weights=2.0 * np.ones((2, 2)),
             output_weights=np.array([1.0, -1.0]),
         )
         assert net.weight_norm() == 6.0 + 16.0 + 2.0
 
 
 class TestDeepReluNet:
-    def test_depth_zero_matches_homogenous_relu(self):
-        rng = Rng(50)
-        u = rng.normal((16, 3))
-        v = rng.child(1).normal(16)
-        deep = DeepReluNet(input_weights=u.copy(), hidden_weights=[], output_weights=v.copy())
-        shallow = HomogenousNet(u=u.copy(), v=v.copy(), a_minus=0.0, a_plus=1.0)
-        x = rng.child(2).normal((5, 3))
-        assert np.allclose(deep.outputs(x), shallow.outputs(x), atol=1e-14)
-        assert np.allclose(deep.ntk(x), shallow.ntk(x), atol=1e-14)
-
     def test_single_chain_kernel_in_linear_region(self):
         # all-positive weights and a positive input keep every ReLU active,
         # so the gradient factors are plain weight products
         u, w, v, x = 0.7, 1.3, 2.1, 1.9
         net = DeepReluNet(
             input_weights=np.array([[u]]),
-            hidden_weights=[np.array([[w]])],
+            hidden_weights=np.array([[w]]),
             output_weights=np.array([v]),
         )
         z = net.outputs([[x]])[0]
@@ -358,14 +348,14 @@ class TestDeepReluNet:
 
     def test_kernel_psd_random(self):
         rng = Rng(51)
-        net = DeepReluNet.init_random(32, 6, 1, rng)
+        net = DeepReluNet.init_random(32, 6, rng)
         h = net.ntk(rng.child(1).normal((8, 6)))
         evals = np.linalg.eigvalsh(h)
         assert evals.min() >= -1e-8 * max(evals.max(), 1.0)
 
     def test_gradient_matches_finite_differences(self):
         rng = Rng(52)
-        net = DeepReluNet.init_random(10, 4, 1, rng)
+        net = DeepReluNet.init_random(10, 4, rng)
         from catapult.datasets import Dataset
 
         dataset = Dataset(
@@ -375,9 +365,15 @@ class TestDeepReluNet:
         numeric = finite_difference_gradient(net, dataset)
         assert np.linalg.norm(analytic - numeric) / np.linalg.norm(analytic) < 1e-5
 
-    def test_rejects_unsupported_depth(self):
-        with pytest.raises(ModelError):
-            DeepReluNet.init_random(8, 2, 2, Rng(0))
+    @pytest.mark.parametrize("shape", [(2, 3), (1, 2, 2), (2, 2, 2)])
+    def test_rejects_a_hidden_matrix_of_another_shape(self, shape):
+        # one square (width x width) matrix; no stack of them
+        with pytest.raises(ModelError, match="hidden matrix"):
+            DeepReluNet(
+                input_weights=np.ones((2, 3)),
+                hidden_weights=np.ones(shape),
+                output_weights=np.ones(2),
+            )
 
 def kernel_case(family: str):
     rng = Rng(53)
@@ -387,7 +383,7 @@ def kernel_case(family: str):
     if family == "leaky_homogenous":
         net = HomogenousNet.init_random(6, rng, a_minus=0.5, a_plus=1.0, input_dim=2)
         return net, rng.child(1).normal((4, 2))
-    return DeepReluNet.init_random(6, 3, 1, rng), rng.child(1).normal((4, 3))
+    return DeepReluNet.init_random(6, 3, rng), rng.child(1).normal((4, 3))
 
 
 @pytest.mark.parametrize("family", ["quadratic_with_bias", "leaky_homogenous", "deep_relu"])
@@ -419,7 +415,7 @@ def aliasing_case(family: str):
         return arrays, net, rng.child(2).normal((3, 2))
     arrays = {
         "input_weights": rng.normal((5, 2)),
-        "hidden_weights": [rng.child(1).normal((5, 5))],
+        "hidden_weights": rng.child(1).normal((5, 5)),
         "output_weights": rng.child(2).normal(5),
     }
     return arrays, DeepReluNet(**arrays), rng.child(3).normal((3, 2))

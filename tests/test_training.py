@@ -214,6 +214,28 @@ class TestReluReducedNormOnTheDatapoint:
         assert np.all(np.diff(norms) <= 1e-10 * norms[0])
         assert weight_norm_identity_residuals(traj).max() < 1e-9
 
+    @pytest.mark.parametrize("label", [0.0, 2.0])
+    def test_norm_falls_at_every_step_only_at_label_zero(self, label):
+        # a step moves the norm by eta e (eta H e - 4 z), with e = z - y:
+        # never up inside the window at y = 0, but up on some steps at y != 0
+        from catapult.bounds import bound_relu
+
+        rises = []
+        for seed in range(10):
+            net, dataset = self.setup(4.0, label, seed)
+            report = bound_relu(net, dataset)
+            lower, upper = report.catapult_lower, report.sufficient_upper
+            for k in range(1, 5):
+                eta = lower + (upper - lower) * k / 5
+                traj = train(net.clone(), dataset, TrainConfig(eta=eta, ntk_eval_interval=10**9))
+                assert traj.termination == "converged"
+                norms = traj.certified_norms
+                rises.append(np.diff(norms).max() / norms[0])
+        if label == 0.0:
+            assert max(rises) <= 1e-12
+        else:
+            assert max(rises) > 0.01
+
     def test_several_points_record_no_reduced_norm(self):
         # with several points no window certifies the reduced norm, so the
         # run does not record it
@@ -245,7 +267,7 @@ class TestCertifiedNorm:
         [
             lambda: pure_toy_quadratic(16, seed=0),
             lambda: HomogenousNet.init_random(16, Rng(1), 0.5, 1.0),
-            lambda: DeepReluNet.init_random(8, 1, 1, Rng(2)),
+            lambda: DeepReluNet.init_random(8, 1, Rng(2)),
         ],
         ids=["pure_quadratic", "leaky", "deep_relu"],
     )

@@ -8,7 +8,7 @@ configuration, and the artifact version; runs with equal digests produce
 byte-identical files (no timestamps are ever written) at a fixed BLAS
 thread count, which sets the floating-point summation order and is recorded
 nowhere.  Floats are serialized with 17 significant digits so values
-round-trip exactly.
+round-trip exactly; JSON writes a non-finite float as null.
 
 Exit codes: 0 success, 1 configuration error, 2 invariant failure,
 3 I/O or data-format error.
@@ -90,7 +90,8 @@ def _json_fragment(value, pieces: list[str]) -> None:
     elif isinstance(value, (int, np.integer)):
         pieces.append(str(int(value)))
     elif isinstance(value, (float, np.floating)):
-        pieces.append(format_float(value))
+        # JSON has no inf or nan; CSV cells keep them, which float() reads
+        pieces.append(format_float(value) if math.isfinite(value) else "null")
     elif isinstance(value, str):
         pieces.append(json.dumps(value))
     elif isinstance(value, dict):
@@ -114,7 +115,8 @@ def _json_fragment(value, pieces: list[str]) -> None:
 
 
 def dumps_json(value) -> str:
-    """Canonical JSON: sorted keys, 17-significant-digit floats, no spaces."""
+    """Canonical JSON: sorted keys, 17-significant-digit floats, non-finite
+    floats as null, no spaces."""
     pieces: list[str] = []
     _json_fragment(value, pieces)
     return "".join(pieces)
@@ -154,9 +156,24 @@ def _section(raw: dict, name: str) -> dict:
     return value
 
 
-def _field(section: dict, path: str, key: str, kind, default="__required__", allowed=None):
+_REQUIRED = "__required__"
+# Lower bounds a numeric field declares where it is read: (test, message)
+NON_NEGATIVE = (lambda value: value >= 0, "must be non-negative")
+POSITIVE = (lambda value: value > 0, "must be positive")
+AT_LEAST_ONE = (lambda value: value >= 1, "must be at least 1")
+# A record field's annotation, as the type its config field must have
+_FIELD_KINDS = {"int": int, "float": float, "Optional[float]": float, "str": str}
+# TrainConfig's fields that the training section sets beside its rates
+_TRAINING_FIELDS = tuple(
+    item.name
+    for item in dataclasses.fields(TrainConfig)
+    if item.name not in ("eta", "record_outputs")
+)
+
+
+def _field(section: dict, path: str, key: str, kind, default=_REQUIRED, allowed=None, bound=None):
     if key not in section or section[key] is None:
-        if default == "__required__":
+        if default == _REQUIRED:
             raise ConfigError(f"{path}.{key}: field is required")
         return default
     value = section[key]
@@ -171,7 +188,32 @@ def _field(section: dict, path: str, key: str, kind, default="__required__", all
         raise ConfigError(f"{path}.{key}: must be a finite number")
     if allowed is not None and value not in allowed:
         raise ConfigError(f"{path}.{key}: must be one of {sorted(allowed)}")
+    if bound is not None and not bound[0](value):
+        raise ConfigError(f"{path}.{key}: {bound[1]}")
     return value
+
+
+def _record(cls, section: dict, path: str, defaults: Optional[dict] = None, **given):
+    """The record a config section feeds.  Every field not ``given`` is read
+    from the section, in the record's order, with the record's default or
+    one from ``defaults``; an eigenvalue scheme is read as its own section.
+    The record's ValueError, which starts with the field's name, comes back
+    as a ConfigError under the section's path."""
+    values = dict(given)
+    for item in dataclasses.fields(cls):
+        if item.name in given:
+            continue
+        if item.type == "EigenScheme":
+            values[item.name] = _eigen_scheme(section, path)
+            continue
+        default = (defaults or {}).get(item.name, item.default)
+        if default is dataclasses.MISSING:
+            default = _REQUIRED
+        values[item.name] = _field(section, path, item.name, _FIELD_KINDS[item.type], default)
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(f"{path}.{exc}") from exc
 
 
 def _valid_seed(value, path: str) -> int:
@@ -190,92 +232,64 @@ def _reject_unknown(section: dict, path: str, normalized: dict) -> None:
             raise ConfigError(f"{path}.{key}: unknown field")
 
 
-def _eigen_scheme_config(section: dict, path: str) -> dict:
+def _eigen_scheme(section: dict, path: str) -> EigenScheme:
     raw = section.get("eigen_scheme")
     if raw is None:
-        return {"kind": "uniform", "low": 1.0, "high": 2.0}
+        return EigenScheme()
     path = f"{path}.eigen_scheme"
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: must be an object")
-    kind = _field(raw, path, "kind", str, allowed={"pm_one", "uniform"})
-    out = {
-        "kind": kind,
-        "low": _field(raw, path, "low", float, 1.0),
-        "high": _field(raw, path, "high", float, 2.0 if kind == "uniform" else 1.0),
-    }
-    # the normalized pm_one scheme spells out its fixed magnitude
-    for key in ("low", "high"):
-        if kind == "pm_one" and out[key] != 1.0:
-            raise ConfigError(f"{path}.{key}: must be 1 for pm_one")
-    if kind == "uniform" and not out["low"] < out["high"]:
-        raise ConfigError(f"{path}.low: must be below high")
-    _reject_unknown(raw, path, out)
-    return out
+    # a scheme that is given names its kind
+    scheme = _record(EigenScheme, raw, path, defaults={"kind": _REQUIRED})
+    _reject_unknown(raw, path, dataclasses.asdict(scheme))
+    return scheme
 
 
-def _check_zeta(zeta: Optional[float]) -> None:
-    if zeta is not None and zeta < 0:
-        raise ConfigError("model.zeta: must be non-negative")
-
-
-def _normalize_model(raw: dict, teacher_student: bool) -> dict:
+def _normalize_model(raw: dict, dataset_cfg: dict) -> dict:
     section = _section(raw, "model")
     family = _field(section, "model", "family", str, allowed=set(MODEL_FAMILIES))
     out = {
         "family": family,
-        "init_seed": _valid_seed(
-            _field(section, "model", "init_seed", int, 0), "model.init_seed"
-        ),
+        "init_seed": _field(section, "model", "init_seed", int, 0, bound=NON_NEGATIVE),
     }
-    if teacher_student:
+    quadratic = family in ("pure_quadratic", "quadratic_with_bias")
+    if dataset_cfg["kind"] == "teacher_student":
         # Dimensions, eigenvalue scheme and activation come from the
         # teacher-student dataset section; the model keeps only an optional
         # coupling override.
-        if family in ("pure_quadratic", "quadratic_with_bias"):
-            out["zeta"] = _field(section, "model", "zeta", float, None)
-            _check_zeta(out["zeta"])
-    elif family in ("pure_quadratic", "quadratic_with_bias"):
-        out["n_psi"] = _field(section, "model", "n_psi", int)
+        if quadratic:
+            out["zeta"] = _field(section, "model", "zeta", float, None, bound=NON_NEGATIVE)
+    elif quadratic:
         with_bias = family == "quadratic_with_bias"
-        out["n_phi"] = _field(section, "model", "n_phi", int, "__required__" if with_bias else 0)
-        if out["n_psi"] < 2 or out["n_psi"] % 2:
-            raise ConfigError("model.n_psi: must be a positive even number")
-        if out["n_phi"] < 0:
-            raise ConfigError("model.n_phi: must be non-negative")
-        if out["n_phi"] and not with_bias:
-            raise ConfigError("model.n_phi: must be 0 for pure_quadratic")
-        zeta = _field(section, "model", "zeta", float, None)
-        zeta_rule = _field(
+        spec = _record(
+            MetaFeatureSpec,
             section,
             "model",
-            "zeta_rule",
-            str,
-            None,
-            allowed={"2_over_n", "1_over_n_psi"},
+            defaults=None if with_bias else {"n_phi": 0},
+            # toy inputs are one-dimensional; images fail the combination check
+            d=dataset_cfg.get("d", 1),
+        )
+        if spec.n_phi and not with_bias:
+            raise ConfigError("model.n_phi: must be 0 for pure_quadratic")
+        zeta = _field(section, "model", "zeta", float, None, bound=NON_NEGATIVE)
+        zeta_rule = _field(
+            section, "model", "zeta_rule", str, None, allowed={"2_over_n", "1_over_n_psi"}
         )
         if (zeta is None) == (zeta_rule is None):
             raise ConfigError("model.zeta: give exactly one of zeta or zeta_rule")
-        _check_zeta(zeta)
-        out["zeta"] = zeta
-        out["zeta_rule"] = zeta_rule
-        out["eigen_scheme"] = _eigen_scheme_config(section, "model")
-        out["activation"] = _field(
-            section, "model", "activation", str, "identity", {"identity", "tanh"}
-        )
-    elif family == "linear_net_with_bias":
-        out["width"] = _field(section, "model", "width", int)
-        out["bias0"] = _field(section, "model", "bias0", float, 0.0)
-    elif family == "homogenous":
-        out["width"] = _field(section, "model", "width", int)
-        out["a_minus"] = _field(section, "model", "a_minus", float)
-        out["a_plus"] = _field(section, "model", "a_plus", float)
-        if not 0.0 <= out["a_minus"] <= out["a_plus"]:
-            raise ConfigError("model.a_minus: slopes must satisfy 0 <= a_minus <= a_plus")
-    else:  # deep_relu
-        out["width"] = _field(section, "model", "width", int)
-        out["depth"] = _field(section, "model", "depth", int, 0, {0, 1})
-    if "width" in out and out["width"] < 1:
-        raise ConfigError("model.width: must be at least 1")
+        out.update(dataclasses.asdict(spec), zeta=zeta, zeta_rule=zeta_rule)
+        del out["d"]  # the dataset's, not a model field
+    else:
+        out["width"] = _field(section, "model", "width", int, bound=AT_LEAST_ONE)
+        if family == "linear_net_with_bias":
+            out["bias0"] = _field(section, "model", "bias0", float, 0.0)
+        elif family == "homogenous":
+            out["a_minus"] = _field(section, "model", "a_minus", float)
+            out["a_plus"] = _field(section, "model", "a_plus", float)
+            if not 0.0 <= out["a_minus"] <= out["a_plus"]:
+                raise ConfigError("model.a_minus: slopes must satisfy 0 <= a_minus <= a_plus")
+        else:  # deep_relu
+            out["depth"] = _field(section, "model", "depth", int, 0, {0, 1})
     _reject_unknown(section, "model", out)
     return out
 
@@ -285,46 +299,14 @@ def _normalize_dataset(raw: dict, base_dir: Path) -> dict:
     kind = _field(section, "dataset", "kind", str, allowed=set(DATASET_KINDS))
     out = {
         "kind": kind,
-        "seed": _valid_seed(_field(section, "dataset", "seed", int, 0), "dataset.seed"),
+        "seed": _field(section, "dataset", "seed", int, 0, bound=NON_NEGATIVE),
     }
     if kind == "random":
-        out["d"] = _field(section, "dataset", "d", int, 1)
-        out["size"] = _field(section, "dataset", "size", int)
-        out["half_width"] = _field(section, "dataset", "half_width", float, 0.5)
-        if out["size"] < 1:
-            raise ConfigError("dataset.size: must be at least 1")
-        if out["half_width"] <= 0:
-            raise ConfigError("dataset.half_width: must be positive")
+        out["d"] = _field(section, "dataset", "d", int, 1, bound=AT_LEAST_ONE)
+        out["size"] = _field(section, "dataset", "size", int, bound=AT_LEAST_ONE)
+        out["half_width"] = _field(section, "dataset", "half_width", float, 0.5, bound=POSITIVE)
     elif kind == "teacher_student":
-        for key in ("n_psi_teacher", "n_psi_student"):
-            out[key] = _field(section, "dataset", key, int)
-        out["n_phi_teacher"] = _field(section, "dataset", "n_phi_teacher", int, 0)
-        out["n_phi_student"] = _field(section, "dataset", "n_phi_student", int, 0)
-        out["d"] = _field(section, "dataset", "d", int, 1)
-        out["train_size"] = _field(section, "dataset", "train_size", int, 32)
-        out["test_size"] = _field(section, "dataset", "test_size", int, 1000)
-        out["input_half_width"] = _field(
-            section, "dataset", "input_half_width", float, 0.5
-        )
-        out["eigen_scheme"] = _eigen_scheme_config(section, "dataset")
-        out["activation"] = _field(
-            section, "dataset", "activation", str, "tanh", {"identity", "tanh"}
-        )
-        if out["n_psi_teacher"] < 2 or out["n_psi_teacher"] % 2:
-            raise ConfigError("dataset.n_psi_teacher: must be a positive even number")
-        if not 1 <= out["n_psi_student"] <= out["n_psi_teacher"]:
-            raise ConfigError("dataset.n_psi_student: must be between 1 and n_psi_teacher")
-        phi_teacher, phi_student = out["n_phi_teacher"], out["n_phi_student"]
-        if not (0 < phi_student <= phi_teacher or phi_student == phi_teacher == 0):
-            raise ConfigError(
-                "dataset.n_phi_student: must be between 1 and n_phi_teacher, or both 0"
-            )
-        if out["train_size"] < 1:
-            raise ConfigError("dataset.train_size: must be at least 1")
-        if out["test_size"] < 0:
-            raise ConfigError("dataset.test_size: must be non-negative")
-        if out["input_half_width"] <= 0:
-            raise ConfigError("dataset.input_half_width: must be positive")
+        out.update(dataclasses.asdict(_record(TeacherStudentSpec, section, "dataset")))
     elif kind == "image_two_class":
         fmt = _field(section, "dataset", "format", str, allowed={"idx", "cifar_binary"})
         out["format"] = fmt
@@ -336,9 +318,7 @@ def _normalize_dataset(raw: dict, base_dir: Path) -> dict:
                 raise ConfigError(f"dataset.{key}: must be a class id from 0 to 9")
         if out["class_a"] == out["class_b"]:
             raise ConfigError("dataset.class_b: must differ from class_a")
-        out["train_size"] = _field(section, "dataset", "train_size", int, 128)
-        if out["train_size"] < 1:
-            raise ConfigError("dataset.train_size: must be at least 1")
+        out["train_size"] = _field(section, "dataset", "train_size", int, 128, bound=AT_LEAST_ONE)
         if fmt == "idx":
             keys = ("train_images", "train_labels", "test_images", "test_labels")
             for key in keys:
@@ -350,17 +330,16 @@ def _normalize_dataset(raw: dict, base_dir: Path) -> dict:
         else:
             for key in ("train_files", "test_files"):
                 value = section.get(key)
-                if not isinstance(value, list) or not value:
+                paths = isinstance(value, list) and all(isinstance(item, str) for item in value)
+                if not paths or not value:
                     raise ConfigError(f"dataset.{key}: expected a non-empty list of paths")
                 resolved_list = []
                 for item in value:
-                    resolved = (base_dir / item).resolve() if not Path(str(item)).is_absolute() else Path(str(item))
+                    resolved = (base_dir / item).resolve() if not Path(item).is_absolute() else Path(item)
                     if not resolved.exists():
                         raise ConfigError(f"dataset.{key}: file does not exist: {resolved}")
                     resolved_list.append(str(resolved))
                 out[key] = resolved_list
-    if "d" in out and out["d"] < 1:
-        raise ConfigError("dataset.d: must be at least 1")
     _reject_unknown(section, "dataset", out)
     return out
 
@@ -376,24 +355,10 @@ def _normalize_training(raw: dict) -> dict:
         raise ConfigError(
             "training.eta: give exactly one of eta, eta_grid, eta_lambda0_grid"
         )
-    out = {
-        "eta": None,
-        "eta_grid": None,
-        "eta_lambda0_grid": None,
-        "max_steps": _field(section, "training", "max_steps", int, 100_000),
-        "convergence_tol": _field(section, "training", "convergence_tol", float, 1e-8),
-        "divergence_threshold": _field(
-            section, "training", "divergence_threshold", float, 1e10
-        ),
-        "ntk_eval_interval": _field(section, "training", "ntk_eval_interval", int, 1),
-    }
     key = grids[0]
-    if key == "eta":
-        value = _field(section, "training", "eta", float)
-        if value <= 0:
-            raise ConfigError("training.eta: must be positive")
-        out["eta"] = value
-    else:
+    out = {"eta": None, "eta_grid": None, "eta_lambda0_grid": None}
+    given = {"record_outputs": False}
+    if key != "eta":
         value = section[key]
         if not isinstance(value, list) or not value:
             raise ConfigError(f"training.{key}: expected a non-empty list")
@@ -404,14 +369,12 @@ def _normalize_training(raw: dict) -> dict:
                 raise ConfigError(f"training.{key}: entries must be finite positive numbers")
             numbers.append(float(item))
         out[key] = numbers
-    if out["max_steps"] < 1:
-        raise ConfigError("training.max_steps: must be at least 1")
-    if out["convergence_tol"] <= 0:
-        raise ConfigError("training.convergence_tol: must be positive")
-    if out["divergence_threshold"] <= out["convergence_tol"]:
-        raise ConfigError("training.divergence_threshold: must exceed convergence_tol")
-    if out["ntk_eval_interval"] < 1:
-        raise ConfigError("training.ntk_eval_interval: must be at least 1")
+        # every rate of the grid is valid, so any one checks the schedule
+        given["eta"] = numbers[0]
+    config = _record(TrainConfig, section, "training", **given)
+    if key == "eta":
+        out["eta"] = config.eta
+    out.update({name: getattr(config, name) for name in _TRAINING_FIELDS})
     _reject_unknown(section, "training", out)
     return out
 
@@ -435,7 +398,7 @@ def normalize_config(
     if not isinstance(output, dict):
         raise ConfigError("output: must be an object")
     normalized = {
-        "model": _normalize_model(raw, dataset_cfg["kind"] == "teacher_student"),
+        "model": _normalize_model(raw, dataset_cfg),
         "dataset": dataset_cfg,
         "training": _normalize_training(raw),
         "output": {
@@ -603,14 +566,7 @@ def resolve_experiment(cfg: dict) -> Experiment:
 
 
 def _train_config(cfg: dict, eta: float) -> TrainConfig:
-    section = cfg["training"]
-    return TrainConfig(
-        eta=eta,
-        max_steps=section["max_steps"],
-        convergence_tol=section["convergence_tol"],
-        divergence_threshold=section["divergence_threshold"],
-        ntk_eval_interval=section["ntk_eval_interval"],
-    )
+    return TrainConfig(eta=eta, **{name: cfg["training"][name] for name in _TRAINING_FIELDS})
 
 
 def resolve_eta_grid(cfg: dict, experiment: Experiment) -> tuple[list[float], float]:

@@ -27,6 +27,8 @@ CIFAR_RECORD_BYTES = 3073  # 1 label byte + 32*32*3 pixel bytes
 # n_psi = 200 on one BLAS thread, 16-point blocks timed as fast as 4 or 8
 # and faster than 32 or 64.
 OUTPUTS_AT_CHUNK = 16
+EIGEN_KINDS = ("pm_one", "uniform")
+ACTIVATIONS = ("identity", "tanh")
 
 
 class DataFormatError(ValueError):
@@ -101,19 +103,26 @@ class EigenScheme:
     """How meta-feature eigenvalues are drawn.
 
     Eigenvalues always come in exact +/- pairs so the model output has zero
-    mean at initialization.  ``pm_one`` fixes them to +/-1; ``uniform`` draws
-    the positive half from U[low, high) and mirrors it exactly.
+    mean at initialization.  ``pm_one`` fixes them to +/-1, which its
+    ``low`` and ``high`` spell out; ``uniform`` draws the positive half from
+    U[low, high) and mirrors it exactly.  ``high`` defaults by kind.
     """
 
-    kind: str  # "pm_one" | "uniform"
+    kind: str = "uniform"  # "pm_one" | "uniform"
     low: float = 1.0
-    high: float = 2.0
+    high: Optional[float] = None  # 2 for uniform, 1 for pm_one
 
     def __post_init__(self):
-        if self.kind not in ("pm_one", "uniform"):
-            raise ValueError(f"unknown eigenvalue scheme {self.kind!r}")
-        if self.kind == "uniform" and not self.low < self.high:
-            raise ValueError("uniform scheme requires low < high")
+        if self.kind not in EIGEN_KINDS:
+            raise ValueError(f"kind: must be one of {sorted(EIGEN_KINDS)}")
+        if self.high is None:
+            object.__setattr__(self, "high", 2.0 if self.kind == "uniform" else 1.0)
+        if self.kind == "pm_one":
+            for key in ("low", "high"):
+                if getattr(self, key) != 1.0:
+                    raise ValueError(f"{key}: must be 1 for pm_one")
+        elif not self.low < self.high:
+            raise ValueError("low: must be below high")
 
     def draw(self, count: int, rng: Rng) -> np.ndarray:
         if count % 2 != 0:
@@ -126,13 +135,20 @@ class EigenScheme:
         return np.concatenate([positive, -positive])
 
 
+def _check_activation(activation: str) -> None:
+    if activation not in ACTIVATIONS:
+        raise ValueError(f"activation: must be one of {sorted(ACTIVATIONS)}")
+
+
 @dataclass(frozen=True)
 class MetaFeatureSpec:
     """Shape of a quadratic model's feature functions.
 
     The weight space splits into a meta-feature block of size ``n_psi`` and
     a feature block of size ``n_phi`` (zero for the pure model); keeping the
-    blocks disjoint enforces the with-bias orthogonality exactly.
+    blocks disjoint enforces the with-bias orthogonality exactly.  Its
+    checks are those of a quadratic model config's ``n_psi``, ``n_phi`` and
+    ``activation``.
     """
 
     n_psi: int
@@ -143,13 +159,12 @@ class MetaFeatureSpec:
 
     def __post_init__(self):
         if self.n_psi < 2 or self.n_psi % 2 != 0:
-            raise ValueError("n_psi must be a positive even number")
+            raise ValueError("n_psi: must be a positive even number")
         if self.n_phi < 0:
-            raise ValueError("n_phi must be non-negative")
+            raise ValueError("n_phi: must be non-negative")
         if self.d < 1:
-            raise ValueError("d must be at least 1")
-        if self.activation not in ("identity", "tanh"):
-            raise ValueError(f"unknown activation {self.activation!r}")
+            raise ValueError("d: must be at least 1")
+        _check_activation(self.activation)
 
 
 @dataclass
@@ -332,7 +347,11 @@ def assemble_quadratic(
 
 @dataclass(frozen=True)
 class TeacherStudentSpec:
-    """A wider teacher quadratic model labels data for a projected student."""
+    """A wider teacher quadratic model labels data for a projected student.
+
+    Its defaults and checks are those of a config's teacher_student dataset
+    section; each check's message starts with the field it names.
+    """
 
     n_psi_teacher: int
     n_psi_student: int
@@ -342,18 +361,26 @@ class TeacherStudentSpec:
     train_size: int = 32
     test_size: int = 1000
     input_half_width: float = 0.5
-    eigen_scheme: EigenScheme = EigenScheme("pm_one")
+    eigen_scheme: EigenScheme = EigenScheme()
     activation: str = "tanh"
 
     def __post_init__(self):
-        if self.n_psi_student > self.n_psi_teacher:
-            raise ValueError("student meta-feature dimension exceeds the teacher's")
-        if self.n_phi_student > self.n_phi_teacher:
-            raise ValueError("student feature dimension exceeds the teacher's")
-        if (self.n_phi_teacher == 0) != (self.n_phi_student == 0):
-            raise ValueError("teacher and student must agree on having a feature block")
-        if self.train_size < 1 or self.test_size < 0:
-            raise ValueError("train_size must be >= 1 and test_size >= 0")
+        _check_activation(self.activation)
+        if self.n_psi_teacher < 2 or self.n_psi_teacher % 2:
+            raise ValueError("n_psi_teacher: must be a positive even number")
+        if not 1 <= self.n_psi_student <= self.n_psi_teacher:
+            raise ValueError("n_psi_student: must be between 1 and n_psi_teacher")
+        phi_teacher, phi_student = self.n_phi_teacher, self.n_phi_student
+        if not (0 < phi_student <= phi_teacher or phi_student == phi_teacher == 0):
+            raise ValueError("n_phi_student: must be between 1 and n_phi_teacher, or both 0")
+        if self.train_size < 1:
+            raise ValueError("train_size: must be at least 1")
+        if self.test_size < 0:
+            raise ValueError("test_size: must be non-negative")
+        if not self.input_half_width > 0:
+            raise ValueError("input_half_width: must be positive")
+        if self.d < 1:
+            raise ValueError("d: must be at least 1")
 
 
 @dataclass

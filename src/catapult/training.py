@@ -36,6 +36,10 @@ class TrainingError(ValueError):
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """A run's rate and schedule.  Its defaults and checks are those of a
+    config's training section; each check's message starts with the field
+    it names."""
+
     eta: float
     max_steps: int = 100_000
     convergence_tol: float = 1e-8
@@ -45,15 +49,15 @@ class TrainConfig:
 
     def __post_init__(self):
         if not self.eta > 0.0:
-            raise TrainingError("eta must be positive")
+            raise TrainingError("eta: must be positive")
         if self.max_steps < 1:
-            raise TrainingError("max_steps must be at least 1")
+            raise TrainingError("max_steps: must be at least 1")
         if not self.convergence_tol > 0.0:
-            raise TrainingError("convergence_tol must be positive")
+            raise TrainingError("convergence_tol: must be positive")
         if not self.divergence_threshold > self.convergence_tol:
-            raise TrainingError("divergence_threshold must exceed convergence_tol")
+            raise TrainingError("divergence_threshold: must exceed convergence_tol")
         if self.ntk_eval_interval < 1:
-            raise TrainingError("ntk_eval_interval must be at least 1")
+            raise TrainingError("ntk_eval_interval: must be at least 1")
 
 
 @dataclass

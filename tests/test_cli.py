@@ -14,6 +14,7 @@ from catapult.cli import (
     main,
     normalize_config,
 )
+from catapult.datasets import EigenScheme, TeacherStudentSpec
 
 
 def write_config(tmp_path: Path, payload: dict, name="config.json") -> str:
@@ -58,6 +59,11 @@ class TestSerialization:
         assert text.index('"a"') < text.index('"b"')
         assert dumps_json(payload) == text
 
+    def test_non_finite_floats_are_json_null(self):
+        # JSON has no inf or nan; no parser reads the bare tokens
+        text = dumps_json({"a": math.inf, "b": -math.inf, "c": math.nan, "d": [np.float64("inf")]})
+        assert json.loads(text) == {"a": None, "b": None, "c": None, "d": [None]}
+
     def test_digest_changes_with_seed(self):
         base = normalize_config(quad_toy_config(), Path("."))
         other = normalize_config(quad_toy_config(), Path("."), seed_override=5)
@@ -70,6 +76,19 @@ class TestConfigValidation:
         again = normalize_config(cfg, tmp_path)
         assert again == cfg
         assert config_digest(again) == config_digest(cfg)
+
+    def test_digests_are_pinned(self, tmp_path):
+        # the normalized form is what outputs embed; moving a default or a
+        # check into a library record must not change it
+        quad = normalize_config(quad_toy_config(), tmp_path)
+        assert config_digest(quad) == "dc0a3a659ff84091e583f88fd8080c740b056c65bbdadf456fed5dcd8949cd97"
+        student = normalize_config(small_teacher_student_config(), tmp_path)
+        assert config_digest(student) == "aa9fc984c64a1ddadd0a4ac0a9626fc727c80dd8f7e000f92c2846ef05ed7b62"
+
+    def test_absent_eigen_scheme_is_the_record_default(self, tmp_path):
+        cfg = normalize_config(small_teacher_student_config(), tmp_path)
+        scheme = EigenScheme(**cfg["dataset"]["eigen_scheme"])
+        assert scheme == EigenScheme() == TeacherStudentSpec(8, 4).eigen_scheme
 
     def test_roundtrip_keeps_every_normalized_field(self, tmp_path):
         raw = small_teacher_student_config(eigen_scheme={"kind": "pm_one"}, n_phi_teacher=2)
@@ -254,6 +273,22 @@ class TestTrainCommand:
         meta2 = json.loads((out2 / "trajectory.meta.json").read_text())
         assert meta1["config_digest"] != meta2["config_digest"]
         assert meta2["seed"] == 9
+
+
+def test_diverged_train_writes_json_null(tmp_path):
+    # the loss overflows to inf below a 1e300 divergence threshold
+    cfg = {
+        "model": {"family": "homogenous", "width": 16, "a_minus": 0.5, "a_plus": 1.0},
+        "dataset": {"kind": "toy"},
+        "training": {"eta_lambda0_grid": [40], "divergence_threshold": 1e300},
+    }
+    out = tmp_path / "train"
+    assert main(["train", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    meta = json.loads((out / "trajectory.meta.json").read_text())
+    assert meta["termination"] == "diverged"
+    assert meta["final_loss"] is None and meta["final_weight_norm"] is None
+    last = (out / "trajectory.csv").read_text().splitlines()[-1].split(",")
+    assert math.isinf(float(last[1]))
 
 
 class TestSweepCommand:
@@ -803,6 +838,16 @@ class TestExitCodes:
             ("train", small_teacher_student_config(n_phi_teacher=4), [], "dataset.n_phi_student:"),
             ("bounds", small_teacher_student_config(n_phi_teacher=4), [], "dataset.n_phi_student:"),
             ("train", small_teacher_student_config(d=0), [], "dataset.d: must be at least 1"),
+            (
+                "train",
+                {
+                    "model": {"family": "homogenous", "width": 0, "a_minus": 0.5, "a_plus": 1.0},
+                    "dataset": {"kind": "toy"},
+                    "training": {"eta": 0.1},
+                },
+                [],
+                "model.width: must be at least 1",
+            ),
             ("train", small_teacher_student_config(test_size=-1), [], "dataset.test_size:"),
             (
                 "train",
@@ -862,12 +907,90 @@ class TestExitCodes:
                 [],
                 "dataset.input_half_width: must be positive",
             ),
+            # rules that live in the records a section feeds
+            ("train", with_model(quad_toy_config(), n_psi=7), [], "model.n_psi: must be a positive even number"),
+            (
+                "train",
+                with_model(quad_toy_config(), family="quadratic_with_bias", n_phi=-1),
+                [],
+                "model.n_phi: must be non-negative",
+            ),
+            (
+                "train",
+                with_model(quad_toy_config(), activation="relu"),
+                [],
+                "model.activation: must be one of ['identity', 'tanh']",
+            ),
+            (
+                "train",
+                {**quad_toy_config(), "dataset": {"kind": "random", "size": 0}},
+                [],
+                "dataset.size: must be at least 1",
+            ),
+            (
+                "train",
+                small_teacher_student_config(n_psi_student=0),
+                [],
+                "dataset.n_psi_student: must be between 1 and n_psi_teacher",
+            ),
+            ("train", small_teacher_student_config(train_size=0), [], "dataset.train_size: must be at least 1"),
+            (
+                "train",
+                small_teacher_student_config(activation="relu"),
+                [],
+                "dataset.activation: must be one of ['identity', 'tanh']",
+            ),
+            ("train", quad_toy_config(eta=0, eta_lambda0_grid=None), [], "training.eta: must be positive"),
+            ("train", quad_toy_config(max_steps=0), [], "training.max_steps: must be at least 1"),
+            ("train", quad_toy_config(convergence_tol=0), [], "training.convergence_tol: must be positive"),
+            (
+                "train",
+                quad_toy_config(convergence_tol=1e-3, divergence_threshold=1e-4),
+                [],
+                "training.divergence_threshold: must exceed convergence_tol",
+            ),
+            ("train", quad_toy_config(ntk_eval_interval=0), [], "training.ntk_eval_interval: must be at least 1"),
+            (
+                "train",
+                with_model(quad_toy_config(), eigen_scheme={"kind": "uniform", "low": 2, "high": 1}),
+                [],
+                "model.eigen_scheme.low: must be below high",
+            ),
+            (
+                "train",
+                small_teacher_student_config(eigen_scheme={"kind": "pm_one", "high": 2}),
+                [],
+                "dataset.eigen_scheme.high: must be 1 for pm_one",
+            ),
+            (
+                "train",
+                with_model(quad_toy_config(), eigen_scheme={"kind": "bogus"}),
+                [],
+                "model.eigen_scheme.kind: must be one of ['pm_one', 'uniform']",
+            ),
             ("train", image_config(3, 3), [], "dataset.class_b: must differ from class_a"),
             ("train", image_config(12, 3), [], "dataset.class_a: must be a class id from 0 to 9"),
             ("train", image_config(3, -1), [], "dataset.class_b: must be a class id from 0 to 9"),
             # a negative size sliced off the last images; 0 ended in a traceback
             ("train", image_config(0, 1, train_size=-5), [], "dataset.train_size: must be at least 1"),
             ("train", image_config(0, 1, train_size=0), [], "dataset.train_size: must be at least 1"),
+            # a number among the paths once ended in a TypeError traceback
+            (
+                "train",
+                {
+                    **image_config(0, 1),
+                    "dataset": {
+                        "kind": "image_two_class",
+                        "format": "cifar_binary",
+                        "class_a": 0,
+                        "class_b": 1,
+                        "train_files": [3],
+                        "test_files": ["test.bin"],
+                    },
+                },
+                [],
+                "dataset.train_files: expected a non-empty list of paths",
+            ),
             # fields that no family or kind reads were once dropped silently
             ("train", quad_toy_config(max_step=10), [], "training.max_step: unknown field"),
             (

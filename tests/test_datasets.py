@@ -102,6 +102,22 @@ class TestMetaFeatureConstruction:
         with pytest.raises(ValueError):
             MetaFeatureSpec(7, 0, 1, EigenScheme("pm_one"))
 
+    def test_scheme_high_defaults_by_kind(self):
+        assert EigenScheme() == EigenScheme("uniform", 1.0, 2.0)
+        assert EigenScheme("pm_one").high == 1.0
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"kind": "bogus"}, "kind: must be one of"),
+            ({"kind": "pm_one", "high": 2.0}, "high: must be 1 for pm_one"),
+            ({"kind": "uniform", "low": 2.0, "high": 1.0}, "low: must be below high"),
+        ],
+    )
+    def test_scheme_errors_name_their_field(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            EigenScheme(**kwargs)
+
     def test_outputs_at_matches_materialized_model(self):
         spec = MetaFeatureSpec(16, 4, 2, EigenScheme("uniform", 1.0, 2.0))
         fm = build_meta_features(spec, Rng(9))
@@ -155,7 +171,8 @@ class TestTeacherStudent:
 
     def test_projector_rows_orthonormal(self):
         spec = TeacherStudentSpec(
-            n_psi_teacher=32, n_psi_student=20, d=1, train_size=4, test_size=2
+            n_psi_teacher=32, n_psi_student=20, d=1, train_size=4, test_size=2,
+            eigen_scheme=EigenScheme("pm_one"),
         )
         setup = make_teacher_student(spec, Rng(13))
         q = setup.student_map.psi_projector
@@ -165,7 +182,7 @@ class TestTeacherStudent:
     def test_labels_come_from_the_teacher(self):
         spec = TeacherStudentSpec(
             n_psi_teacher=16, n_psi_student=8, d=2, train_size=6, test_size=3,
-            activation="identity",
+            activation="identity", eigen_scheme=EigenScheme("pm_one"),
         )
         setup = make_teacher_student(spec, Rng(14))
         ds = setup.dataset
@@ -192,6 +209,22 @@ class TestTeacherStudent:
     def test_student_cannot_exceed_teacher(self):
         with pytest.raises(ValueError):
             TeacherStudentSpec(n_psi_teacher=8, n_psi_student=16)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            # an empty student once ended in a ZeroDivisionError in its coupling
+            ({"n_psi_student": 0}, "n_psi_student: must be between 1 and n_psi_teacher"),
+            # a non-positive width once reached numpy's uniform draw
+            ({"input_half_width": 0.0}, "input_half_width: must be positive"),
+            ({"input_half_width": -0.5}, "input_half_width: must be positive"),
+            ({"d": 0}, "d: must be at least 1"),
+            ({"activation": "relu"}, "activation: must be one of"),
+        ],
+    )
+    def test_spec_errors_name_their_field(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            TeacherStudentSpec(**{"n_psi_teacher": 8, "n_psi_student": 4, **kwargs})
 
 
 class TestIdxLoader:

@@ -165,9 +165,7 @@ AT_LEAST_ONE = (lambda value: value >= 1, "must be at least 1")
 _FIELD_KINDS = {"int": int, "float": float, "Optional[float]": float, "str": str}
 # TrainConfig's fields that the training section sets beside its rates
 _TRAINING_FIELDS = tuple(
-    item.name
-    for item in dataclasses.fields(TrainConfig)
-    if item.name not in ("eta", "record_outputs")
+    item.name for item in dataclasses.fields(TrainConfig) if item.name != "eta"
 )
 
 
@@ -357,7 +355,7 @@ def _normalize_training(raw: dict) -> dict:
         )
     key = grids[0]
     out = {"eta": None, "eta_grid": None, "eta_lambda0_grid": None}
-    given = {"record_outputs": False}
+    given = {}
     if key != "eta":
         value = section[key]
         if not isinstance(value, list) or not value:

@@ -11,9 +11,10 @@ Three families:
 
 Every family exposes outputs, the D x D tangent kernel (the 1/D-normalized
 Gram matrix of per-sample output gradients), an exact full-batch
-gradient-descent step, its squared weight norm, and the norm its
-single-datapoint window is proved on (``certified_norm``; None where that
-is the weight norm itself, or where no window is proved).  A family states
+gradient-descent step, its squared weight norm, its ``degree`` in the
+weights, and the norm its single-datapoint window is proved on
+(``certified_norm``; None where that is the weight norm itself, or where
+no window is proved).  A family states
 its trainable arrays in a fixed order (``weights``) and, from one forward pass,
 one gradient factor pair ``(left, right)`` per array: sample a's output
 gradient with respect to that array is ``scale * outer(left[a], right[a])``,
@@ -128,6 +129,7 @@ class QuadraticModel:
     meta_features: np.ndarray  # (D, n, n), each exactly symmetric
     zeta: float
     variant: str = "generic"
+    degree = 2  # of the meta-feature term; the feature term has degree one
 
     def __post_init__(self):
         # Trainable arrays are copied: every GD step updates them in place.
@@ -286,6 +288,7 @@ class HomogenousNet:
     # with a zero negative slope: on one datapoint only the neurons on the
     # side active at initialization ever move.
     frozen_plus: np.ndarray | None = field(default=None, init=False, repr=False)
+    degree = 2
 
     def __post_init__(self):
         # Trainable arrays are copied: every GD step updates them in place.
@@ -397,13 +400,14 @@ class HomogenousNet:
 class DeepReluNet:
     """Bias-free three-layer ReLU net: one square hidden matrix.
 
-    Output on input x is ``v @ relu(W relu(U x)) / width``.  The two-layer
-    ReLU net is ``HomogenousNet`` with slopes (0, 1).
+    Output on input x is ``v @ relu(W relu(U x)) / width``, of degree 3 in
+    the weights.  The two-layer ReLU net is ``HomogenousNet`` (0, 1).
     """
 
     input_weights: np.ndarray  # (n, d)
     hidden_weights: np.ndarray  # (n, n)
     output_weights: np.ndarray  # (n,)
+    degree = 3
 
     def __post_init__(self):
         # Trainable arrays are copied: every GD step updates them in place.

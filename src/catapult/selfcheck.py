@@ -2,10 +2,11 @@
 
 Each check trains a small instance and measures the residual of an identity
 that holds exactly (up to roundoff) when the implementation is correct: the
-weight-norm update identity for every homogeneity-weight-two family, the
-frozen complement of the ReLU sign split, the quadratic update recursions
-against recomputation, kernel freezing at zero coupling, and exactness of
-the linearized predictor on a linear model, the lower edge of every
+exact per-step change of the squared weight norm for every family, on
+several points and non-zero labels where the family takes them, the frozen
+complement of the ReLU sign split, the quadratic update recursions against
+recomputation, kernel freezing at zero coupling, and exactness of the
+linearized predictor on a linear model, the lower edge of every
 single-datapoint window against the kernel measured at the datapoint it
 was given (unit, scaled and negative), and the contraction eigenvalue of
 the omega window against the dense matrix and the single-datapoint
@@ -37,11 +38,13 @@ from catapult.datasets import (
     MetaFeatureSpec,
     assemble_quadratic,
     build_meta_features,
+    make_random,
     make_toy,
     make_toy_relu,
     zeta_for,
 )
 from catapult.models import (
+    DeepReluNet,
     HomogenousNet,
     QuadraticModel,
     linear_net_with_bias_embedding,
@@ -49,14 +52,13 @@ from catapult.models import (
     scale_invariant_deriv,
 )
 from catapult.numerics import Rng, lambda_max_symmetric
-from catapult.training import (
-    TrainConfig,
-    quad_update_consistency,
-    train,
-    weight_norm_identity_residuals,
-)
+from catapult.training import quad_update_consistency, weight_norm_identity_residuals
 
 IDENTITY_TOL = 1e-9
+IDENTITY_RATES = (1.0, 3.0, 5.0)  # eta * lambda_max(H_0)
+# the loss peaks, or the run diverges, within 20 steps in 719 of the 720
+# catapult and divergent runs of seeds 0-59
+IDENTITY_STEPS = 20
 OVERLAP_TOL = 1e-8
 FREEZE_TOL = 1e-12
 NEGATIVE_CONTROL_MIN = 1e-6
@@ -75,50 +77,53 @@ class CheckResult:
         return dataclasses.asdict(self)
 
 
-def _identity_config(eta: float, max_steps: int = 5000) -> TrainConfig:
-    return TrainConfig(
-        eta=eta, max_steps=max_steps, ntk_eval_interval=1, record_outputs=True
-    )
+def _quadratic(dataset: Dataset, n_phi: int, map_rng: Rng, theta_rng: Rng) -> QuadraticModel:
+    """24 meta-features on the dataset: pure with eigenvalues U[1, 2) and
+    zeta = 2/n, or with n_phi features, pm_one eigenvalues and zeta = 1/n_psi."""
+    scheme = EigenScheme("pm_one") if n_phi else EigenScheme("uniform", 1.0, 2.0)
+    spec = MetaFeatureSpec(n_psi=24, n_phi=n_phi, d=dataset.dim, eigen_scheme=scheme)
+    zeta = zeta_for("1_over_n_psi" if n_phi else "2_over_n", 24)
+    return assemble_quadratic(build_meta_features(spec, map_rng), dataset, zeta, theta_rng)
 
 
-def _pure_toy_model(n: int, seed: int) -> QuadraticModel:
+def identity_families(seed: int = 0) -> dict:
+    """Each family with the dataset its weight-norm identity is checked on:
+    8 random 2-d points with non-zero labels, the toy and (4, 2) datapoints,
+    and 16 points in d = 10 for the three-layer net (degree 3)."""
     rng = Rng(seed)
-    feature_map = build_meta_features(
-        MetaFeatureSpec(n_psi=n, n_phi=0, d=1, eigen_scheme=EigenScheme("uniform", 1.0, 2.0)),
-        rng.child(1),
-    )
-    return assemble_quadratic(feature_map, make_toy(), zeta_for("2_over_n", n), rng.child(2))
+    points = make_random(2, 8, 0.5, rng.child(33))
+    deep_points = make_random(10, 16, 0.5, rng.child(39))
+    return {
+        "pure_quadratic": (_quadratic(points, 0, rng.child(34), rng.child(35)), points),
+        "quadratic_with_bias": (_quadratic(points, 6, rng.child(36), rng.child(37)), points),
+        "linear_net_with_bias": (linear_net_with_bias_embedding(32, rng.child(6)), make_toy()),
+        "homogenous": (HomogenousNet.init_random(64, rng.child(3), 0.5, 1.0, 2), points),
+        "relu": (HomogenousNet.init_random(96, rng.child(4), 0.0, 1.0), make_toy_relu()),
+        "deep_relu": (DeepReluNet.init_random(32, 10, rng.child(38)), deep_points),
+    }
 
 
-def _norm_identity_check(name: str, model, h_shift: float = 0.0) -> CheckResult:
-    """Train on the toy datapoint at eta = 3/H_0 and take the worst residual
-    of the norm update identity on the model's monotone norm."""
-    dataset = make_toy()
-    eta = 3.0 / float(model.ntk(dataset.inputs)[0, 0])
-    traj = train(model, dataset, _identity_config(eta))
-    residual = float(weight_norm_identity_residuals(traj, h_shift).max())
+def check_weight_norm_identity(seed: int = 0) -> CheckResult:
+    """The exact change of the squared weight norm per GD step, for every
+    family at eta * lambda_0 in ``IDENTITY_RATES``, up to ``IDENTITY_STEPS``
+    steps or the last finite one."""
+    worst, worst_case = 0.0, ""
+    for family, (model, dataset) in identity_families(seed).items():
+        lambda0 = lambda_max_symmetric(model.ntk(dataset.inputs))
+        for rate in IDENTITY_RATES:
+            residuals = weight_norm_identity_residuals(
+                model, dataset, rate / lambda0, IDENTITY_STEPS
+            )
+            residual = float(residuals.max(initial=0.0))
+            if residual >= worst:
+                worst, worst_case = residual, f"{family} at eta*lambda0={rate:g}"
     return CheckResult(
-        name=name,
-        passed=residual < IDENTITY_TOL,
-        residual=residual,
+        name="weight_norm_identity",
+        passed=worst < IDENTITY_TOL,
+        residual=worst,
         threshold=IDENTITY_TOL,
-        detail=f"termination={traj.termination} steps={traj.steps_taken}",
+        detail=f"worst: {worst_case}",
     )
-
-
-def check_pure_quadratic_identity(seed: int = 0) -> CheckResult:
-    model = _pure_toy_model(48, seed)
-    return _norm_identity_check("weight_norm_identity_pure_quadratic", model)
-
-
-def check_homogenous_identity(seed: int = 0) -> CheckResult:
-    net = HomogenousNet.init_random(96, Rng(seed).child(3), a_minus=0.5, a_plus=1.0)
-    return _norm_identity_check("weight_norm_identity_homogenous", net)
-
-
-def check_relu_reduced_identity(seed: int = 0) -> CheckResult:
-    net = HomogenousNet.init_random(96, Rng(seed).child(4), a_minus=0.0, a_plus=1.0)
-    return _norm_identity_check("weight_norm_identity_relu_reduced", net)
 
 
 def check_relu_frozen_complement(seed: int = 0) -> CheckResult:
@@ -146,23 +151,13 @@ def check_relu_frozen_complement(seed: int = 0) -> CheckResult:
     )
 
 
-def check_bias_combined_identity(seed: int = 0) -> CheckResult:
-    model = linear_net_with_bias_embedding(32, Rng(seed).child(6), bias0=0.0)
-    phi = model.features[0]
-    return _norm_identity_check("weight_norm_identity_bias_combined", model, float(phi @ phi))
-
-
 def check_update_recursions_pure(seed: int = 0) -> CheckResult:
     rng = Rng(seed)
-    feature_map = build_meta_features(
-        MetaFeatureSpec(n_psi=24, n_phi=0, d=2, eigen_scheme=EigenScheme("uniform", 1.0, 2.0)),
-        rng.child(7),
-    )
     dataset = Dataset(
         inputs=rng.child(8).uniform(-0.5, 0.5, (4, 2)),
         labels=rng.child(9).uniform(-0.5, 0.5, 4),
     )
-    model = assemble_quadratic(feature_map, dataset, zeta_for("2_over_n", 24), rng.child(10))
+    model = _quadratic(dataset, 0, rng.child(7), rng.child(10))
     eta = 2.5 / lambda_max_symmetric(model.ntk())
     report = quad_update_consistency(model, dataset, eta, steps=50)
     residual = report.max_deviation
@@ -176,15 +171,11 @@ def check_update_recursions_pure(seed: int = 0) -> CheckResult:
 
 def check_update_recursions_with_bias(seed: int = 0) -> CheckResult:
     rng = Rng(seed)
-    feature_map = build_meta_features(
-        MetaFeatureSpec(n_psi=24, n_phi=6, d=2, eigen_scheme=EigenScheme("pm_one")),
-        rng.child(11),
-    )
     dataset = Dataset(
         inputs=rng.child(12).uniform(-0.5, 0.5, (4, 2)),
         labels=rng.child(13).uniform(-0.5, 0.5, 4),
     )
-    model = assemble_quadratic(feature_map, dataset, zeta_for("1_over_n_psi", 24), rng.child(14))
+    model = _quadratic(dataset, 6, rng.child(11), rng.child(14))
     eta = 2.5 / lambda_max_symmetric(model.ntk())
     report = quad_update_consistency(model, dataset, eta, steps=50)
     recursions = max(report.max_error_deviation, report.max_ntk_deviation)
@@ -329,7 +320,7 @@ def check_omega_dual(seed: int = 0) -> CheckResult:
         labels=rng.child(30).uniform(-0.5, 0.5, 3),
     )
     multi = assemble_quadratic(feature_map, dataset, zeta_for("2_over_n", 8), rng.child(31))
-    single = _pure_toy_model(24, seed)
+    single = _quadratic(make_toy(), 0, Rng(seed).child(1), Rng(seed).child(2))
     cases = (
         ("3 datapoints", multi, lambda_max_symmetric(omega_dense(multi))),
         (
@@ -368,12 +359,13 @@ class _CorruptedZeroSlopeNet(HomogenousNet):
 
 def check_negative_control_corrupted_slope(seed: int = 0) -> CheckResult:
     """Corrupt the gradient's slope convention at exactly-zero preactivations
-    and demand the norm identity, on the ReLU net's reduced norm, notices.
-    The net is built with one exact zero in the first layer (on the active
-    side) so the corrupted branch is exercised.  The
-    corrupted gradient scales with the output, so every active unit gets a
-    positive output weight: z0 is a sum of positive terms, of order one, and
-    no draw can hide the corruption behind a near-zero output."""
+    and demand the weight-norm identity, which reads the step's size off the
+    kernel, notices within three steps.  The net is built with one exact
+    zero in the first layer (on the active side) so the corrupted branch is
+    exercised.  The corrupted gradient scales with the output, so every
+    active unit gets a positive output weight: z0 is a sum of positive
+    terms, of order one, and no draw can hide the corruption behind a
+    near-zero output."""
     rng = Rng(seed).child(21)
     u = rng.normal(32)
     v = np.abs(rng.normal(32))
@@ -382,9 +374,7 @@ def check_negative_control_corrupted_slope(seed: int = 0) -> CheckResult:
     net = _CorruptedZeroSlopeNet(u=u, v=v, a_minus=0.0, a_plus=1.0)
     dataset = make_toy()
     eta = 3.0 / float(net.ntk(dataset.inputs)[0, 0])
-    traj = train(net, dataset, _identity_config(eta, max_steps=50))
-    steps = min(traj.steps_taken, 3) or 1
-    residual = float(weight_norm_identity_residuals(traj)[:steps].max())
+    residual = float(weight_norm_identity_residuals(net, dataset, eta, 3).max(initial=0.0))
     return CheckResult(
         name="negative_control_corrupted_zero_slope",
         passed=residual > NEGATIVE_CONTROL_MIN,
@@ -396,11 +386,8 @@ def check_negative_control_corrupted_slope(seed: int = 0) -> CheckResult:
 
 def run_default_suite(seed: int = 0) -> list[CheckResult]:
     checks = [
-        check_pure_quadratic_identity,
-        check_homogenous_identity,
-        check_relu_reduced_identity,
+        check_weight_norm_identity,
         check_relu_frozen_complement,
-        check_bias_combined_identity,
         check_update_recursions_pure,
         check_update_recursions_with_bias,
         check_zero_coupling_kernel_frozen,

@@ -8,10 +8,10 @@ norm where its window is proved on a norm other than the weight norm.
 Termination is one of ``converged`` (per-step loss change below tolerance),
 ``diverged`` (loss above threshold or non-finite state) or ``step_limit``.
 
-The module also carries the closed-form update recursions for quadratic
-models.  They are a test-time consistency oracle: the recursion advances the
-errors and the kernel algebraically, recomputation from the simulated
-weights is the source of truth, and the two must agree to roundoff.
+The module also carries two test-time oracles, each stepping a clone of a
+model against closed forms: the weight-norm identity, for every family on
+any dataset, and the update recursions of quadratic models.  The
+simulated weights are the source of truth; the two must agree to roundoff.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ class TrainConfig:
     convergence_tol: float = 1e-8
     divergence_threshold: float = 1e10
     ntk_eval_interval: int = 1
-    record_outputs: bool = False
 
     def __post_init__(self):
         if not self.eta > 0.0:
@@ -77,7 +76,6 @@ class Trajectory:
     certified_norms: Optional[np.ndarray]
     ntk_steps: np.ndarray
     eta_lambda_max: np.ndarray
-    outputs: Optional[np.ndarray]
     termination: str
     steps_taken: int
 
@@ -122,7 +120,6 @@ def train(model, dataset: Dataset, config: TrainConfig) -> Trajectory:
     certified: list[float] = []
     ntk_steps: list[int] = []
     eta_lambda: list[float] = []
-    outputs: list[np.ndarray] = []
 
     termination = None
     t = 0
@@ -141,8 +138,6 @@ def train(model, dataset: Dataset, config: TrainConfig) -> Trajectory:
         weight_norms.append(model.weight_norm() if finite else float("inf"))
         if track_certified:
             certified.append(model.certified_norm(x))
-        if config.record_outputs:
-            outputs.append(np.array(z, dtype=np.float64))
 
         if not finite or loss > config.divergence_threshold:
             termination = TERMINATION_DIVERGED
@@ -175,42 +170,51 @@ def train(model, dataset: Dataset, config: TrainConfig) -> Trajectory:
         certified_norms=np.array(certified) if track_certified else None,
         ntk_steps=np.array(ntk_steps, dtype=np.int64),
         eta_lambda_max=np.array(eta_lambda),
-        outputs=np.array(outputs) if config.record_outputs else None,
         termination=termination,
         steps_taken=t,
     )
 
 
-def weight_norm_identity_residuals(trajectory: Trajectory, h_shift: float = 0.0) -> np.ndarray:
-    """Per-step residuals of the norm update identity on a single-datapoint run.
+def _euler_terms(model, outputs: np.ndarray) -> np.ndarray:
+    """``theta . grad z_a`` on each datapoint.  Euler's relation gives
+    ``k z_a`` for outputs homogeneous of degree k in the weights; a quadratic
+    model's feature term has degree one, which takes ``phi_a . theta`` off."""
+    terms = model.degree * outputs
+    if isinstance(model, QuadraticModel):
+        terms = terms - model.features @ model.theta
+    return terms
 
-    For homogeneity-weight-two models trained on one datapoint with label
-    zero, such as the toy (x, y) = (1, 0), the exact identity is
-    ``N_{t+1} - N_t == eta * z_t**2 * (eta * (H_t + h_shift) - 4)`` where N
-    is the trajectory's ``monotone_norms`` (the weight norm, the reduced norm
-    of a zero-negative-slope net, or the with-bias combined quantity, which
-    takes ``h_shift = phi**2``).
-    Requires a trajectory recorded with outputs and kernel evaluations at
-    every step.  Residuals are normalized by the larger of the norm scale and
-    the update magnitude so they are comparable across the run.
+
+def weight_norm_identity_residuals(model, dataset: Dataset, eta: float, steps: int) -> np.ndarray:
+    """Per-step residuals of the exact weight-norm identity, stepping a clone
+    of the model on the dataset at rate eta for at most ``steps`` steps.
+
+    With e = z - y and ``T_a = theta . grad z_a``, a GD step changes the
+    squared weight norm by ``(eta/D) (eta e.H.e - 2 e.T)``; at D = 1, y = 0,
+    k = 2 that is ``eta z**2 (eta H - 4)``.  e.H.e is read from ``ntk`` and
+    T from the outputs, never from the step's own gradient.  Residuals are
+    normalized by the larger of the norm and the predicted change.  Stepping
+    stops at the last finite step, so divergent rates can be checked too.
     """
-    if trajectory.outputs is None:
-        raise TrainingError("trajectory must be recorded with record_outputs=True")
-    if trajectory.outputs.shape[1] != 1:
-        raise TrainingError("the norm update identity applies to single-datapoint runs")
-    steps = trajectory.steps_taken
-    if not np.array_equal(trajectory.ntk_steps[: steps + 1], np.arange(steps + 1)):
-        raise TrainingError("trajectory must record the kernel at every step")
-
-    norms = trajectory.monotone_norms
-    eta = trajectory.eta
-    z = trajectory.outputs[:steps, 0]
-    eta_h = trajectory.eta_lambda_max[:steps] + eta * h_shift
-    predicted = eta * z**2 * (eta_h - 4.0)
-    actual = np.diff(norms[: steps + 1])
-    scale = np.maximum(np.abs(norms[:steps]), np.abs(predicted))
-    scale = np.maximum(scale, 1e-300)
-    return np.abs(actual - predicted) / scale
+    x, y = dataset.inputs, dataset.labels
+    work = model.clone()
+    norm = work.weight_norm()
+    residuals = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(steps):
+            z = work.outputs(x)
+            e = z - y
+            predicted = (eta / e.size) * (
+                eta * (e @ work.ntk(x) @ e) - 2.0 * (e @ _euler_terms(work, z))
+            )
+            work.apply_gd_step(x, e, eta)
+            after = work.weight_norm()
+            if not (np.isfinite(predicted) and np.isfinite(after)):
+                break
+            scale = max(abs(norm), abs(predicted), 1e-300)
+            residuals.append(abs(after - norm - predicted) / scale)
+            norm = after
+    return np.array(residuals)
 
 
 @dataclass(frozen=True)

@@ -68,6 +68,17 @@ def finite_difference_gradient(model, dataset: Dataset, h: float = 1e-4) -> np.n
     return grad
 
 
+def output_series(model, dataset: Dataset, eta: float, steps: int) -> np.ndarray:
+    """Outputs of a clone of the model at each of ``steps`` GD steps at rate
+    eta and after the last one, one row per step, as ``train`` steps it."""
+    work = model.clone()
+    rows = [work.outputs(dataset.inputs)]
+    for _ in range(steps):
+        work.apply_gd_step(dataset.inputs, rows[-1] - dataset.labels, eta)
+        rows.append(work.outputs(dataset.inputs))
+    return np.array(rows)
+
+
 # ---------------------------------------------------------------------------
 # Standard model builders
 # ---------------------------------------------------------------------------

@@ -42,7 +42,13 @@ from catapult.datasets import (
 from catapult.models import HomogenousNet, QuadraticModel
 from catapult.numerics import Rng, lambda_max_symmetric
 from catapult.training import TrainConfig, train, weight_norm_identity_residuals
-from conftest import pure_toy_quadratic, random_quadratic, with_bias_toy_quadratic
+from catapult.selfcheck import IDENTITY_RATES, identity_families
+from conftest import (
+    output_series,
+    pure_toy_quadratic,
+    random_quadratic,
+    with_bias_toy_quadratic,
+)
 
 FAST = dict(ntk_eval_interval=10**9)
 
@@ -57,22 +63,28 @@ def interior_rates(lower: float, upper: float, count: int) -> list[float]:
 
 
 def test_criterion_01_weight_norm_identity_suite():
+    # the toy runs at label 0 (each converges within 40 steps), then every
+    # family of the self-check at non-zero labels, on several points, and
+    # the degree-3 net
     started = time.time()
-    worst = 0.0
     toy = make_toy()
+    runs = []
     for seed in range(20):
-        runs = [
-            pure_toy_quadratic(48, seed=seed),
-            HomogenousNet.init_random(64, Rng(seed).child(1), 0.5, 1.0),
-            HomogenousNet.init_random(64, Rng(seed).child(2), 0.0, 1.0),
+        runs += [
+            (pure_toy_quadratic(48, seed=seed), toy, (3.0,)),
+            (HomogenousNet.init_random(64, Rng(seed).child(1), 0.5, 1.0), toy, (3.0,)),
+            (HomogenousNet.init_random(64, Rng(seed).child(2), 0.0, 1.0), toy, (3.0,)),
         ]
-        for model in runs:
-            h0 = float(model.ntk(toy.inputs)[0, 0])
-            cfg = TrainConfig(eta=3.0 / h0, ntk_eval_interval=1, record_outputs=True)
-            trajectory = train(model, toy, cfg)
-            worst = max(worst, float(weight_norm_identity_residuals(trajectory).max()))
+    for seed in range(5):
+        runs += [(*case, IDENTITY_RATES) for case in identity_families(seed).values()]
+    worst = 0.0
+    for model, dataset, rates in runs:
+        lambda0 = lambda_max_symmetric(model.ntk(dataset.inputs))
+        for rate in rates:
+            residuals = weight_norm_identity_residuals(model, dataset, rate / lambda0, 40)
+            worst = max(worst, float(residuals.max()))
     elapsed = time.time() - started
-    assert worst < 1e-9
+    assert worst <= 1e-12
     assert elapsed < 10.0
     verdict(1, "weight-norm identity suite", f"max residual {worst:.2e}, {elapsed:.1f}s")
 
@@ -262,12 +274,10 @@ def test_criterion_07_linearized_predictor():
     model = model_for(seed)
     h0 = float(model.ntk()[0, 0])
     eta = 3.0 / h0
-    trajectory = train(
-        model.clone(), dataset, TrainConfig(eta=eta, record_outputs=True, **FAST)
-    )
+    trajectory = train(model.clone(), dataset, TrainConfig(eta=eta, **FAST))
     prediction = linearized_predict(
         model, dataset, eta, horizon=trajectory.steps_taken,
-        true_outputs=trajectory.outputs,
+        true_outputs=output_series(model, dataset, eta, trajectory.steps_taken),
     )
     horizon = prediction.validity_horizon
     assert horizon is not None and horizon >= 1

@@ -15,7 +15,7 @@ from catapult.datasets import Dataset, make_toy
 from catapult.models import DeepReluNet, HomogenousNet, QuadraticModel
 from catapult.numerics import Rng, lambda_max_symmetric
 from catapult.training import TrainConfig, mse_loss, train
-from conftest import pure_toy_quadratic
+from conftest import output_series, pure_toy_quadratic
 
 FAST = dict(ntk_eval_interval=10**9)
 
@@ -197,14 +197,13 @@ class TestLinearizedPrediction:
     def test_validity_horizon_from_true_outputs(self):
         m = pure_toy_quadratic(64, seed=9)
         h0 = float(m.ntk()[0, 0])
-        cfg = TrainConfig(eta=3.0 / h0, record_outputs=True, **FAST)
-        traj = train(m.clone(), make_toy(), cfg)
+        traj = train(m.clone(), make_toy(), TrainConfig(eta=3.0 / h0, **FAST))
+        outputs = output_series(m, make_toy(), 3.0 / h0, traj.steps_taken)
         prediction = linearized_predict(
-            m, make_toy(), 3.0 / h0, horizon=traj.steps_taken,
-            true_outputs=traj.outputs,
+            m, make_toy(), 3.0 / h0, horizon=traj.steps_taken, true_outputs=outputs
         )
         scale = output_breakdown_scale(m)
-        norms = np.linalg.norm(traj.outputs, axis=1)
+        norms = np.linalg.norm(outputs, axis=1)
         expected = int(np.nonzero(norms >= 0.01 * scale)[0][0])
         assert prediction.validity_horizon == expected
 
@@ -245,10 +244,13 @@ class TestLinearizedPrediction:
         m = model_for(seed)
         h0 = float(m.ntk()[0, 0])
         eta = 3.0 / h0
-        cfg = TrainConfig(eta=eta, record_outputs=True, **FAST)
-        traj = train(m.clone(), make_toy(), cfg)
+        traj = train(m.clone(), make_toy(), TrainConfig(eta=eta, **FAST))
         prediction = linearized_predict(
-            m, make_toy(), eta, horizon=traj.steps_taken, true_outputs=traj.outputs
+            m,
+            make_toy(),
+            eta,
+            horizon=traj.steps_taken,
+            true_outputs=output_series(m, make_toy(), eta, traj.steps_taken),
         )
         horizon = prediction.validity_horizon
         assert horizon is not None and horizon >= 1

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import catapult
+import catapult.training as training
 from catapult.cli import (
     ConfigError,
     config_digest,
@@ -15,6 +16,7 @@ from catapult.cli import (
     normalize_config,
 )
 from catapult.datasets import EigenScheme, TeacherStudentSpec
+from catapult.models import DeepReluNet
 
 
 def write_config(tmp_path: Path, payload: dict, name="config.json") -> str:
@@ -646,7 +648,8 @@ class TestCheckCommand:
         doc = json.loads((out / "check.json").read_text())
         assert doc["all_passed"] is True
         names = {r["name"] for r in doc["results"]}
-        assert "weight_norm_identity_pure_quadratic" in names
+        assert "weight_norm_identity" in names
+        assert len(names) == 9
         assert "negative_control_corrupted_zero_slope" in names
         assert "single_datapoint_window_at_datapoint" in names
         assert "omega_dual_matches_dense" in names
@@ -706,6 +709,29 @@ class TestCheckCommand:
         assert not result.passed
         assert result.residual == pytest.approx(15.0, rel=1e-12)
         assert "on toy_relu" in result.detail
+
+    @pytest.mark.parametrize(
+        "family, mutate",
+        [
+            # Euler's relation with degree 2 for the three-layer net
+            ("deep_relu", lambda monkeypatch: monkeypatch.setattr(DeepReluNet, "degree", 2)),
+            # theta.grad z without the feature term of a quadratic model
+            (
+                "quadratic_with_bias",
+                lambda monkeypatch: monkeypatch.setattr(
+                    training, "_euler_terms", lambda model, z: model.degree * z
+                ),
+            ),
+        ],
+    )
+    def test_identity_check_catches_a_wrong_euler_term(self, monkeypatch, family, mutate):
+        import catapult.selfcheck as selfcheck
+
+        mutate(monkeypatch)
+        result = selfcheck.check_weight_norm_identity(0)
+        assert not result.passed
+        assert result.residual > 1e-3
+        assert f"worst: {family} at" in result.detail
 
     def test_omega_check_catches_a_dropped_datapoint_average(self, monkeypatch):
         # omitting the 1/D of the contraction scales lambda_max(Omega) by D;
@@ -1043,8 +1069,8 @@ class TestExitCodes:
             ),
             ("train", small_teacher_student_config(size=10), [], "dataset.size: unknown field"),
             ("train", {**quad_toy_config(), "output": 5}, [], "output: must be an object"),
-            # a field no writer reads, and a check config key other than seed
-            ("train", quad_toy_config(record_outputs=True), [], "training.record_outputs: unknown field"),
+            # a training field no record has, and a check config key other than seed
+            ("train", quad_toy_config(momentum=0.9), [], "training.momentum: unknown field"),
             ("check", {"sed": 3}, [], "sed: unknown field"),
             (
                 "sweep",

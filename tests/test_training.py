@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from catapult.datasets import Dataset, make_random, make_toy
+from catapult.datasets import Dataset, make_random, make_toy, make_toy_relu
 from catapult.models import (
     DeepReluNet,
     HomogenousNet,
@@ -26,10 +26,6 @@ EXCHANGE_MODEL = dict(
     zeta=1.0,
     variant="pure",
 )
-
-
-def identity_config(eta, **kwargs):
-    return TrainConfig(eta=eta, ntk_eval_interval=1, record_outputs=True, **kwargs)
 
 
 class TestMseLoss:
@@ -65,6 +61,8 @@ class TestGdStep:
         z0 = m.outputs()[0]
         h0 = float(m.ntk()[0, 0])
         before = m.weight_norm()
+        # the general identity at D = 1, y = 0, k = 2 is the toy formula
+        assert weight_norm_identity_residuals(m, make_toy(), 1.0, 1)[0] == 0.0
         m.apply_gd_step(None, m.outputs() - make_toy().labels, 1.0)
         assert m.weight_norm() - before == pytest.approx(1.0 * z0**2 * (1.0 * h0 - 4.0))
 
@@ -97,10 +95,10 @@ class TestTrain:
     def test_series_lengths_match_steps(self):
         m = pure_toy_quadratic(32, seed=3)
         eta = 2.5 / float(m.ntk()[0, 0])
-        traj = train(m, make_toy(), identity_config(eta))
+        traj = train(m, make_toy(), TrainConfig(eta=eta))
         assert len(traj.losses) == traj.steps_taken + 1
         assert len(traj.weight_norms) == traj.steps_taken + 1
-        assert traj.outputs.shape == (traj.steps_taken + 1, 1)
+        assert len(traj.eta_lambda_max) == traj.steps_taken + 1
         assert traj.ntk_steps[-1] == traj.steps_taken
 
     def test_step_limit_termination(self):
@@ -114,12 +112,12 @@ class TestTrain:
         def run():
             m = pure_toy_quadratic(48, seed=5)
             eta = 3.0 / float(m.ntk()[0, 0])
-            return train(m, make_toy(), identity_config(eta))
+            return train(m, make_toy(), TrainConfig(eta=eta))
 
         a, b = run(), run()
         assert np.array_equal(a.losses, b.losses)
         assert np.array_equal(a.weight_norms, b.weight_norms)
-        assert np.array_equal(a.outputs, b.outputs)
+        assert np.array_equal(a.eta_lambda_max, b.eta_lambda_max)
 
     def test_sparse_kernel_recording_keeps_gaps_explicit(self):
         m = pure_toy_quadratic(32, seed=6)
@@ -130,41 +128,56 @@ class TestTrain:
         assert traj.ntk_steps[-1] == traj.steps_taken
 
 
+def identity_cases(seed):
+    """Every family on a dataset with non-zero labels, on several points
+    wherever the family takes them."""
+    rng = Rng(seed)
+    points = make_random(2, 8, 0.5, rng.child(1))
+    return {
+        "pure_quadratic": random_quadratic(24, 0, 2, 6, seed=seed),
+        "quadratic_with_bias": random_quadratic(24, 6, 2, 4, seed=seed, scheme=None),
+        "linear_net_with_bias": (
+            linear_net_with_bias_embedding(24, rng.child(2), bias0=0.3),
+            Dataset(inputs=[[1.0]], labels=[0.5]),
+        ),
+        "homogenous": (HomogenousNet.init_random(64, rng.child(3), 0.5, 1.0, 2), points),
+        "relu_points": (HomogenousNet.init_random(64, rng.child(4), 0.0, 1.0, 2), points),
+        "relu_datapoint": (
+            HomogenousNet.init_random(64, rng.child(5), 0.0, 1.0),
+            make_toy_relu(),
+        ),
+        "deep_relu": (
+            DeepReluNet.init_random(32, 10, rng.child(6)),
+            make_random(10, 16, 0.5, rng.child(7)),
+        ),
+    }
+
+
 class TestWeightNormIdentity:
-    """The per-step norm update identity on the toy datapoint, for every
-    homogeneity-weight-two family."""
+    """One GD step changes the squared weight norm by
+    (eta/D) (eta e.H.e - 2 e.T), for every family, dataset and label."""
 
-    @pytest.mark.parametrize("seed", range(5))
-    def test_pure_quadratic(self, seed):
-        m = pure_toy_quadratic(48, seed=seed)
-        eta = 3.0 / float(m.ntk()[0, 0])
-        traj = train(m, make_toy(), identity_config(eta))
-        assert weight_norm_identity_residuals(traj).max() < 1e-9
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("family", list(identity_cases(0)))
+    def test_every_family_at_non_zero_labels(self, family, seed):
+        model, dataset = identity_cases(seed)[family]
+        assert np.any(dataset.labels != 0.0)
+        lambda0 = lambda_max_symmetric(model.ntk(dataset.inputs))
+        for rate in (1.0, 3.0, 5.0):
+            residuals = weight_norm_identity_residuals(model, dataset, rate / lambda0, 40)
+            assert residuals.size > 0
+            assert residuals.max() <= 1e-12
 
-    @pytest.mark.parametrize("seed", range(5))
-    def test_homogenous_net(self, seed):
-        net = HomogenousNet.init_random(64, Rng(seed).child(1), 0.5, 1.0)
-        eta = 3.0 / float(net.ntk([[1.0]])[0, 0])
-        traj = train(net, make_toy(), identity_config(eta))
-        assert weight_norm_identity_residuals(traj).max() < 1e-9
+    def test_steps_a_clone_up_to_the_last_finite_step(self):
+        from catapult.bounds import bound_pure_quadratic
 
-    @pytest.mark.parametrize("seed", range(5))
-    def test_relu_reduced_norm(self, seed):
-        net = HomogenousNet.init_random(64, Rng(seed).child(2), 0.0, 1.0)
-        eta = 3.0 / float(net.ntk([[1.0]])[0, 0])
-        traj = train(net, make_toy(), identity_config(eta))
-        assert traj.certified_norms is not None
-        assert weight_norm_identity_residuals(traj).max() < 1e-9
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_with_bias_combined_quantity(self, seed):
-        m = linear_net_with_bias_embedding(24, Rng(seed).child(3), bias0=0.0)
-        phi_sq = float(m.features[0] @ m.features[0])
-        eta = 3.0 / float(m.ntk()[0, 0])
-        traj = train(m, make_toy(), identity_config(eta))
-        assert traj.certified_norms is not None
-        residuals = weight_norm_identity_residuals(traj, h_shift=phi_sq)
-        assert residuals.max() < 1e-9
+        m = pure_toy_quadratic(32, seed=2)
+        before = m.theta.copy()
+        eta = 1.5 * bound_pure_quadratic(m).divergence_lower
+        residuals = weight_norm_identity_residuals(m, make_toy(), eta, 10**4)
+        assert np.array_equal(m.theta, before)
+        assert 0 < residuals.size < 10**4
+        assert residuals.max() <= 1e-12
 
 
 class TestReluFrozenComplement:
@@ -207,12 +220,13 @@ class TestReluReducedNormOnTheDatapoint:
         net, dataset = self.setup(-0.5, 0.0)
         report = bound_relu(net, dataset)
         eta = 0.5 * (report.catapult_lower + report.sufficient_upper)
-        traj = train(net.clone(), dataset, identity_config(eta))
+        traj = train(net.clone(), dataset, TrainConfig(eta=eta))
         assert traj.termination == "converged"
         norms = traj.certified_norms
         assert norms[-1] < norms[0]
         assert np.all(np.diff(norms) <= 1e-10 * norms[0])
-        assert weight_norm_identity_residuals(traj).max() < 1e-9
+        residuals = weight_norm_identity_residuals(net, dataset, eta, traj.steps_taken)
+        assert residuals.max() <= 1e-12
 
     @pytest.mark.parametrize("label", [0.0, 2.0])
     def test_norm_falls_at_every_step_only_at_label_zero(self, label):
@@ -235,6 +249,36 @@ class TestReluReducedNormOnTheDatapoint:
             assert max(rises) <= 1e-12
         else:
             assert max(rises) > 0.01
+
+    def test_norm_never_rises_where_the_step_condition_holds(self):
+        # at y != 0 the norm still falls at exactly the steps where
+        # eta H_t < 4 z_t / e_t, and rises at many of the others
+        held = rises_where_held = rises_elsewhere = 0
+        for seed in range(10):
+            net, dataset = self.setup(4.0, 2.0, seed)
+            x, y = dataset.inputs, dataset.labels
+            h0 = float(net.ntk(x)[0, 0])
+            for rate in (2.4, 2.8, 3.2, 3.6):
+                eta = rate / h0
+                work = net.clone()
+                previous_loss = None
+                while True:
+                    z = work.outputs(x)
+                    e = z - y
+                    loss = mse_loss(z, y)
+                    if previous_loss is not None and abs(loss - previous_loss) < 1e-8:
+                        break
+                    previous_loss = loss
+                    condition = eta * work.ntk(x)[0, 0] < 4.0 * z[0] / e[0]
+                    before = work.certified_norm(x)
+                    work.apply_gd_step(x, e, eta)
+                    rose = work.certified_norm(x) > before
+                    held += condition
+                    rises_where_held += condition and rose
+                    rises_elsewhere += rose and not condition
+        assert held > 400
+        assert rises_where_held == 0
+        assert rises_elsewhere > 400
 
     def test_several_points_record_no_reduced_norm(self):
         # with several points no window certifies the reduced norm, so the
@@ -286,7 +330,6 @@ class TestCertifiedNorm:
                 certified_norms=series[:2],
                 ntk_steps=np.arange(3),
                 eta_lambda_max=series,
-                outputs=None,
                 termination="converged",
                 steps_taken=2,
             )

@@ -112,9 +112,11 @@ class BoundReport:
         }
 
 
-def _psi_square_extremes(psi: np.ndarray) -> tuple[float, float, np.ndarray]:
-    evals = np.linalg.eigvalsh(psi)
-    squares = evals**2
+def _psi_square_extremes(model: QuadraticModel) -> tuple[float, float, np.ndarray]:
+    """Largest and smallest squared eigenvalue of a one-datapoint model's
+    meta-feature matrix, and all the squares, read off the model's cached
+    spectrum."""
+    squares = model.psi_spectrum**2
     return float(squares.max()), float(squares.min()), squares
 
 
@@ -147,7 +149,7 @@ def bound_pure_quadratic(model: QuadraticModel) -> BoundReport:
     if model.zeta <= 0.0:
         raise BoundsError("the pure-model window requires a positive coupling")
     psi = model.meta_features[0]
-    lam_max_sq, lam_min_sq, squares = _psi_square_extremes(psi)
+    lam_max_sq, lam_min_sq, squares = _psi_square_extremes(model)
     theta_sq = model.weight_norm()
     meta_theta = psi @ model.theta
     h0 = model.zeta**2 * float(meta_theta @ meta_theta)
@@ -179,9 +181,12 @@ def bound_pure_quadratic(model: QuadraticModel) -> BoundReport:
 def bound_quadratic_with_bias(model: QuadraticModel) -> BoundReport:
     """Window for the with-bias quadratic model on one datapoint.
 
-    The monotone quantity is the weight norm plus the squared
-    feature-aligned component, which obeys the same update identity with the
-    kernel shifted by the squared feature norm; bounding it yields
+    The monotone quantity is the combined norm
+    ``C = theta**2 + (phi.theta)**2 / phi**2`` (the model's
+    ``certified_norm``).  With e = z - y, a step moves it by exactly
+    ``eta e (eta e (H + phi**2) - 4 z)``: the weight-norm identity with the
+    kernel shifted by the squared feature norm, at any label.  Bounding the
+    kernel by C yields
     ``4 / (2 phi**2 + zeta**2 lambda_max(psi**2) (theta0**2 + (phi.theta0)**2/phi**2))``.
     """
     if model.variant != "with_bias":
@@ -193,7 +198,7 @@ def bound_quadratic_with_bias(model: QuadraticModel) -> BoundReport:
     if phi_sq == 0.0:
         raise BoundsError("feature vector vanishes; use the pure-model window")
     psi = model.meta_features[0]
-    lam_max_sq, _, _ = _psi_square_extremes(psi)
+    lam_max_sq, _, _ = _psi_square_extremes(model)
     theta_sq = model.weight_norm()
     overlap_sq = float(phi @ model.theta) ** 2
     meta_theta = psi @ model.theta
@@ -339,7 +344,10 @@ def bound_multi_omega(model: QuadraticModel) -> BoundReport:
     Every ``psi_a`` is symmetric, so ``Omega = (zeta**2 / D) P P^T`` with
     ``P = psi.reshape(D * n, n)``; its nonzero spectrum is that of the n x n
     Gram ``P^T P = sum_a psi_a**2``, which gives ``lambda_max(Omega)``
-    exactly from one eigenvalues-only solve.
+    exactly from one eigenvalues-only solve.  On one datapoint
+    ``Omega = zeta**2 psi**2``, so its top eigenvalue is ``zeta**2`` times
+    the largest squared eigenvalue of psi, read off the model's cached
+    spectrum: the single-datapoint formula, from the same solve.
     """
     if model.variant != "pure":
         raise BoundsError("the contraction window applies to the pure variant")
@@ -348,9 +356,13 @@ def bound_multi_omega(model: QuadraticModel) -> BoundReport:
     theta_sq = model.weight_norm()
     psi = model.meta_features
     d_pts, n, _ = psi.shape
-    push = psi.reshape(d_pts * n, n)
-    # ``a.T @ a`` runs as one symmetric rank-k update, stored exactly symmetric
-    lam_omega = model.zeta**2 / d_pts * lambda_max_symmetric(push.T @ push)
+    if d_pts == 1:
+        lam_max_sq, _, _ = _psi_square_extremes(model)
+        lam_omega = model.zeta**2 * lam_max_sq
+    else:
+        push = psi.reshape(d_pts * n, n)
+        # ``a.T @ a`` runs as one symmetric rank-k update, stored exactly symmetric
+        lam_omega = model.zeta**2 / d_pts * lambda_max_symmetric(push.T @ push)
     if lam_omega <= 0.0:
         raise BoundsError("contraction operator has zero top eigenvalue")
     lam0 = lambda_max_symmetric(model.ntk())
@@ -380,7 +392,9 @@ def _pool_along_top_eigenvector(model: QuadraticModel):
     """``(lam0, top, lam_eff_sq, degenerate, notes)``: the kernel's top
     eigenvalue and eigenvector at initialization, the top squared eigenvalue
     of the meta-features pooled along that eigenvector, whether the top
-    eigenspace is degenerate, and the notes every pooled report carries."""
+    eigenspace is degenerate, and the notes every pooled report carries.
+    On one datapoint the pooled matrix is +-psi, whose squared spectrum the
+    model caches, so no pooled matrix is built."""
     h0 = model.ntk()
     evals, evecs = sym_eigen(h0)
     top = evecs[:, 0]
@@ -388,10 +402,14 @@ def _pool_along_top_eigenvector(model: QuadraticModel):
         h0.shape[0] > 1
         and evals[0] - evals[1] <= DEGENERACY_RTOL * max(abs(evals[0]), 1.0)
     )
-    pooled = np.einsum("a,aij->ij", top, model.meta_features) / np.sqrt(
-        model.num_points
-    )
-    eff = (pooled + pooled.T) / 2.0
+    if model.num_points == 1:
+        lam_eff_sq, _, _ = _psi_square_extremes(model)
+    else:
+        pooled = np.einsum("a,aij->ij", top, model.meta_features) / np.sqrt(
+            model.num_points
+        )
+        eff = (pooled + pooled.T) / 2.0
+        lam_eff_sq = float((np.linalg.eigvalsh(eff) ** 2).max())
     notes = [
         "heuristic: assumes the kernel's top eigenvector stays frozen while "
         "the loss grows",
@@ -402,7 +420,6 @@ def _pool_along_top_eigenvector(model: QuadraticModel):
             "top kernel eigenspace is degenerate; deterministically tie-broken "
             "to the first eigenvector of the sorted eigendecomposition"
         )
-    lam_eff_sq = float((np.linalg.eigvalsh(eff) ** 2).max())
     return lambda_max_symmetric(h0), top, lam_eff_sq, degenerate, notes
 
 
@@ -413,7 +430,8 @@ def bound_multi_psi_eff(model: QuadraticModel) -> BoundReport:
     initialization and applies the single-datapoint formula to the pooled
     matrix.  The pooling direction is assumed frozen during the growth
     phase, which is an approximation, so the report is flagged heuristic.
-    Reduces to the single-datapoint formula at one datapoint.
+    At one datapoint the pooled matrix is +-psi: the report reads the
+    model's cached spectrum and reduces to the single-datapoint formula.
     """
     if model.variant != "pure":
         raise BoundsError("the effective-feature window applies to the pure variant")

@@ -28,6 +28,7 @@ mutates one model.
 from __future__ import annotations
 
 import copy
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -210,6 +211,18 @@ class QuadraticModel:
 
     def weight_norm(self) -> float:
         return _squared_norm(self.weights())
+
+    @functools.cached_property
+    def psi_spectrum(self) -> np.ndarray:
+        """Eigenvalues of the one meta-feature matrix, ascending, from one
+        eigenvalues-only solve.  Defined on one datapoint only.  Meta-features
+        are static, so the solve runs once per model and every bound reads
+        it; a clone made after the first read shares it."""
+        if self.num_points != 1:
+            raise ModelError("the meta-feature spectrum is kept for one datapoint only")
+        spectrum = np.linalg.eigvalsh(self.meta_features[0])
+        spectrum.flags.writeable = False
+        return spectrum
 
     def certified_norm(self, inputs=None) -> float | None:
         """Squared weight norm plus the squared feature-aligned component.

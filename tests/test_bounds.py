@@ -30,7 +30,12 @@ from catapult.datasets import (
     make_toy_relu,
     zeta_for,
 )
-from catapult.models import HomogenousNet, QuadraticModel, linear_net_with_bias_embedding
+from catapult.models import (
+    HomogenousNet,
+    ModelError,
+    QuadraticModel,
+    linear_net_with_bias_embedding,
+)
 from catapult.numerics import Rng, lambda_max_symmetric
 from conftest import pure_toy_quadratic, random_quadratic, with_bias_toy_quadratic
 
@@ -244,10 +249,15 @@ class TestSingleDatapointScale:
 
 class TestOmegaBound:
     def test_single_point_reduction_matches_direct_formula(self):
+        # on one datapoint the window reads psi's cached spectrum; the dense
+        # contraction zeta**2 psi psi is solved on its own
         m = pure_toy_quadratic(32, seed=12)
         table = bound_pure_quadratic(m)
         multi = bound_multi_omega(m)
-        assert multi.sufficient_upper == pytest.approx(table.sufficient_upper, rel=1e-10)
+        lam_dense = lambda_max_symmetric(omega_dense(m))
+        assert multi.inputs_digest["lambda_max_omega"] == pytest.approx(lam_dense, rel=1e-12)
+        expected = 4.0 / (lam_dense * m.weight_norm())
+        assert multi.sufficient_upper == pytest.approx(expected, rel=1e-12)
         assert multi.catapult_lower == pytest.approx(table.catapult_lower, rel=1e-10)
 
     def test_duplicated_meta_features(self):
@@ -297,7 +307,11 @@ class TestOmegaBound:
             next(r for r in reports if r.method == method)
             for method in ("single_datapoint", "omega")
         )
-        exact = model.zeta**2 * single.inputs_digest["lambda_max_psi_sq"]
+        psi = model.meta_features[0]
+        exact = model.zeta**2 * lambda_max_symmetric(psi @ psi)
+        assert single.inputs_digest["lambda_max_psi_sq"] * model.zeta**2 == pytest.approx(
+            exact, rel=1e-12
+        )
         digest = omega.inputs_digest
         assert digest["power_tol"] <= 1e-12
         assert abs(digest["lambda_max_omega"] - exact) <= digest["power_tol"] * exact
@@ -307,9 +321,15 @@ class TestOmegaBound:
 
 class TestPsiEffBound:
     def test_single_point_reduction(self):
+        # the pooled matrix is +-psi: its top square is that of psi psi,
+        # solved here on its own
         m = pure_toy_quadratic(32, seed=14)
         table = bound_pure_quadratic(m)
         multi = bound_multi_psi_eff(m)
+        psi = m.meta_features[0]
+        assert multi.inputs_digest["lambda_max_psi_eff_sq"] == pytest.approx(
+            lambda_max_symmetric(psi @ psi), rel=1e-12
+        )
         assert multi.sufficient_upper == pytest.approx(table.sufficient_upper, rel=1e-10)
         assert not multi.proven
 
@@ -457,6 +477,60 @@ class TestSufficiencyCertification:
             eta = 1.05 * report.divergence_lower
             traj = train(net.clone(), make_toy(), TrainConfig(eta=eta, ntk_eval_interval=10**9))
             assert traj.termination == "diverged"
+
+
+class TestOneSpectrumPerReport:
+    """On one datapoint every quadratic-model bound reads the model's one
+    cached solve of psi's spectrum."""
+
+    BUILDS = {
+        "pure_quadratic": lambda: pure_toy_quadratic(64, seed=40),
+        "quadratic_with_bias": lambda: with_bias_toy_quadratic(56, 8, seed=41),
+    }
+
+    @pytest.mark.parametrize("family", BUILDS)
+    def test_collect_runs_one_n_by_n_eigenvalue_solve(self, monkeypatch, family):
+        model = self.BUILDS[family]()
+        solves = []
+        for name in ("eigvalsh", "eigh"):
+            solver = getattr(np.linalg, name)
+
+            def counted(a, *args, _solver=solver, **kwargs):
+                if np.shape(a)[-1] == model.n:
+                    solves.append(np.shape(a))
+                return _solver(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        reports, skipped = collect_bound_reports(model, make_toy())
+        assert skipped == []
+        assert len(reports) == (3 if family == "pure_quadratic" else 2)
+        assert solves == [(model.n, model.n)]
+
+    @pytest.mark.parametrize("family", BUILDS)
+    def test_each_bound_alone_gives_the_collected_report(self, family):
+        reports, _ = collect_bound_reports(self.BUILDS[family](), make_toy())
+        bounds = {
+            "single_datapoint": (
+                bound_pure_quadratic if family == "pure_quadratic" else bound_quadratic_with_bias
+            ),
+            "omega": bound_multi_omega,
+            "psi_eff": bound_multi_psi_eff,
+            "bias_eff": bound_multi_bias_eff,
+        }
+        for report in reports:
+            alone = bounds[report.method](self.BUILDS[family]())
+            assert alone.to_dict() == report.to_dict()
+
+    def test_clones_share_the_solve(self):
+        model = pure_toy_quadratic(16, seed=42)
+        spectrum = model.psi_spectrum
+        assert model.clone().psi_spectrum is spectrum
+        assert not spectrum.flags.writeable
+
+    def test_several_datapoints_have_no_cached_spectrum(self):
+        model, _ = random_quadratic(8, 0, 2, 3, seed=43)
+        with pytest.raises(ModelError, match="one datapoint"):
+            model.psi_spectrum
 
 
 class TestCollectBoundReports:

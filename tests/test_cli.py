@@ -751,6 +751,41 @@ class TestCheckCommand:
         assert result.residual == pytest.approx(2.0, rel=1e-12)
         assert "3 datapoints" in result.detail
 
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            # zeta instead of zeta**2
+            ("model.zeta**2 * lam_max_sq", "model.zeta * lam_max_sq"),
+            # the smallest square instead of the largest
+            (
+                "lam_max_sq, _, _ = _psi_square_extremes(model)",
+                "_, lam_max_sq, _ = _psi_square_extremes(model)",
+            ),
+        ],
+        ids=["zeta", "smallest_square"],
+    )
+    def test_omega_check_catches_a_wrong_single_datapoint_branch(
+        self, monkeypatch, capsys, old, new
+    ):
+        # the one-datapoint branch reads psi's cached spectrum; the check
+        # solves the dense contraction on its own, so a mutant cannot agree
+        import inspect
+
+        import catapult.bounds as bounds
+        import catapult.selfcheck as selfcheck
+
+        source = inspect.getsource(bounds.bound_multi_omega)
+        assert source.count(old) == 1
+        namespace = dict(vars(bounds))
+        exec(compile(source.replace(old, new), bounds.__file__, "exec"), namespace)
+        monkeypatch.setattr(selfcheck, "bound_multi_omega", namespace["bound_multi_omega"])
+        result = selfcheck.check_omega_dual(0)
+        assert not result.passed
+        assert result.residual > 1e-2
+        assert "1 datapoint" in result.detail
+        assert main(["check"]) == 2
+        assert "FAIL  omega_dual_matches_dense" in capsys.readouterr().out
+
     def test_exit_code_two_on_invariant_failure(self, monkeypatch, capsys):
         import catapult.cli as cli
         from catapult.selfcheck import CheckResult

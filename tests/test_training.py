@@ -306,6 +306,32 @@ class TestCertifiedNorm:
         assert traj.certified_norms[0] == expected
         assert traj.monotone_norms is traj.certified_norms
 
+    @pytest.mark.parametrize("label", [0.0, 0.7, -1.3])
+    def test_combined_norm_moves_by_the_shifted_kernel_identity(self, label):
+        # with e = z - y a step moves C = theta**2 + (phi.theta)**2/phi**2
+        # by eta e (eta e (H + phi**2) - 4 z), at any label
+        dataset = Dataset(inputs=[[1.0]], labels=[label])
+        worst = 0.0
+        for seed in range(20):
+            model = linear_net_with_bias_embedding(16, Rng(seed).child(1))
+            phi_sq = float(model.features[0] @ model.features[0])
+            h0 = float(model.ntk()[0, 0])
+            for rate in (1.0, 3.0):
+                eta = rate / h0
+                work = model.clone()
+                norm = work.certified_norm()
+                for _ in range(15):
+                    z = float(work.outputs()[0])
+                    e = z - label
+                    kernel = float(work.ntk()[0, 0])
+                    predicted = eta * e * (eta * e * (kernel + phi_sq) - 4.0 * z)
+                    work.apply_gd_step(None, [e], eta)
+                    after = work.certified_norm()
+                    scale = max(abs(norm), abs(predicted))
+                    worst = max(worst, abs(after - norm - predicted) / scale)
+                    norm = after
+        assert worst <= 1e-12
+
     @pytest.mark.parametrize(
         "build",
         [

@@ -35,6 +35,20 @@ class DataFormatError(ValueError):
     """A binary data file violated its declared format."""
 
 
+def _split(inputs, labels, prefix: str) -> tuple[np.ndarray, np.ndarray]:
+    """One split's inputs as a (D, d) array and labels as a (D,) array;
+    the counts must agree and be positive, and the labels finite."""
+    inputs = np.asarray(inputs, dtype=np.float64)
+    if inputs.ndim == 1:
+        inputs = inputs[:, None]
+    labels = np.asarray(labels, dtype=np.float64).reshape(-1)
+    if inputs.shape[0] != labels.shape[0] or labels.size < 1:
+        raise ValueError(f"{prefix}inputs and labels must agree on a positive count")
+    if not np.isfinite(labels).all():
+        raise ValueError(f"{prefix}labels must be finite")
+    return inputs, labels
+
+
 @dataclass
 class Dataset:
     inputs: np.ndarray  # (D, d)
@@ -43,21 +57,18 @@ class Dataset:
     test_labels: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        self.inputs = np.asarray(self.inputs, dtype=np.float64)
-        if self.inputs.ndim == 1:
-            self.inputs = self.inputs[:, None]
-        self.labels = np.asarray(self.labels, dtype=np.float64).reshape(-1)
-        if self.inputs.shape[0] != self.labels.shape[0] or self.labels.size < 1:
-            raise ValueError("inputs and labels must agree on a positive count")
-        if not np.isfinite(self.labels).all():
-            raise ValueError("labels must be finite")
+        self.inputs, self.labels = _split(self.inputs, self.labels, "")
         if (self.test_inputs is None) != (self.test_labels is None):
             raise ValueError("test inputs and labels must be supplied together")
         if self.test_inputs is not None:
-            self.test_inputs = np.asarray(self.test_inputs, dtype=np.float64)
-            if self.test_inputs.ndim == 1:
-                self.test_inputs = self.test_inputs[:, None]
-            self.test_labels = np.asarray(self.test_labels, dtype=np.float64).reshape(-1)
+            self.test_inputs, self.test_labels = _split(
+                self.test_inputs, self.test_labels, "test "
+            )
+            if self.test_inputs.shape[1] != self.dim:
+                raise ValueError(
+                    f"test inputs have dimension {self.test_inputs.shape[1]}, "
+                    f"train inputs {self.dim}"
+                )
 
     @property
     def size(self) -> int:

@@ -10,8 +10,9 @@ Termination is one of ``converged`` (per-step loss change below tolerance),
 
 The module also carries two test-time oracles, each stepping a clone of a
 model against closed forms: the weight-norm identity, for every family on
-any dataset, and the update recursions of quadratic models.  The
-simulated weights are the source of truth; the two must agree to roundoff.
+any dataset, and the one-step update recursions of the errors, kernel and
+feature overlap of quadratic models, in rank form.  The simulated weights
+are the source of truth; the two must agree to roundoff.
 """
 
 from __future__ import annotations
@@ -219,109 +220,76 @@ def weight_norm_identity_residuals(model, dataset: Dataset, eta: float, steps: i
 
 @dataclass(frozen=True)
 class ConsistencyReport:
-    """Worst-case relative deviations between recursion and recomputation."""
+    """Worst-case relative one-step deviations between the update recursions
+    and recomputation."""
 
     max_error_deviation: float
     max_ntk_deviation: float
-    max_feature_overlap_deviation: Optional[float]
+    max_feature_overlap_deviation: float
 
     @property
     def max_deviation(self) -> float:
-        worst = max(self.max_error_deviation, self.max_ntk_deviation)
-        if self.max_feature_overlap_deviation is not None:
-            worst = max(worst, self.max_feature_overlap_deviation)
-        return worst
+        return max(
+            self.max_error_deviation,
+            self.max_ntk_deviation,
+            self.max_feature_overlap_deviation,
+        )
 
 
 def quad_update_consistency(
     model: QuadraticModel, dataset: Dataset, eta: float, steps: int
 ) -> ConsistencyReport:
-    """Advance the error/kernel update recursions alongside the simulation.
+    """Predict each GD step of a pure or with-bias quadratic model from the
+    exact one-step update recursions, and compare with the simulation.
 
-    The recursions (including the cubic and quartic meta-feature terms) are
-    algebraically exact for pure and with-bias quadratic models, so their
-    deviation from the values recomputed off the simulated weights measures
-    accumulated roundoff only.  For the with-bias variant the closed-form
-    accumulation of the feature overlaps ``features @ theta`` is checked as
-    well.  Deviations are normalized by the largest magnitude each series
-    reaches over the run.  On a diverging trajectory the comparison stops
-    before the first step where either the recursion or the recomputed
-    values overflow: the recursion's cubic and quartic terms can overflow
-    while the simulated weights are still finite, and the reverse.
+    With M = psi theta (row a is ``psi_a theta``), s = M^T e and P = psi s
+    (row a is ``psi_a s``), the meta-features annihilate the features, so a
+    step at rate eta gives exactly
+
+        e'  = e - eta H e + (eta^2 zeta^3 / 2 D^2) P s
+        H'  = H - (eta zeta^3 / D^2) (P M^T + M P^T) + (eta^2 zeta^4 / D^3) P P^T
+        Phi theta' = Phi theta - (eta / D) Phi Phi^T e
+
+    (the feature overlap is exactly 0 for the pure model).  Each step starts
+    from the errors, kernel and overlap recomputed off the simulated weights,
+    so a deviation is one step's roundoff, never an accumulated one.
+    Outputs are read from psi and theta, never from the step's gradient.
+    Deviations are normalized by the largest magnitude each series reaches
+    over the run.  The comparison stops at the first non-finite step.
     """
     if model.variant not in ("pure", "with_bias"):
         raise TrainingError("the update recursions require a pure or with-bias model")
     work = model.clone()
     y = dataset.labels
     d_pts = work.num_points
-    psi = work.meta_features
-    zeta = work.zeta
+    psi, phi, zeta = work.meta_features, work.features, work.zeta
+    phi_gram = phi @ phi.T
 
-    eps_rec = work.outputs() - y
-    ntk_rec = work.ntk()
-
-    track_overlap = model.variant == "with_bias"
-    if track_overlap:
-        phi = work.features
-        phi_gram = phi @ phi.T
-        overlap0 = phi @ work.theta
-        cumulative_errors = np.zeros(d_pts)
-
-    err_dev = ntk_dev = overlap_dev = 0.0
-    err_scale = float(np.abs(eps_rec).max())
-    ntk_scale = float(np.abs(ntk_rec).max())
-    overlap_scale = float(np.abs(overlap0).max()) if track_overlap else 0.0
-
+    eps, ntk, overlap = work.outputs() - y, work.ntk(), phi @ work.theta
+    deviations = np.zeros(3)
+    scales = np.array([np.abs(a).max() for a in (eps, ntk, overlap)])
     for _ in range(steps):
-        theta = work.theta
-
         with np.errstate(over="ignore", invalid="ignore"):
-            # Recursion step, evaluated at the pre-update weights.
-            meta_theta = psi @ theta  # (D, n)
-            contracted = np.einsum("aij,bj->abi", psi, meta_theta)  # psi_a psi_b theta
-            # t3[x, y, z] = theta @ psi_x psi_y psi_z @ theta
-            t3 = np.einsum("xi,yzi->xyz", meta_theta, contracted)
-            eps_next = (
-                eps_rec
-                - eta * (ntk_rec @ eps_rec)
-                + (eta**2 * zeta**3 / (2.0 * d_pts**2))
-                * np.einsum("b,g,byg->y", eps_rec, eps_rec, t3)
-            )
-            cross = np.einsum("g,gab->ab", eps_rec, t3)
-            quartic = np.einsum(
-                "g,r,agi,bri->ab", eps_rec, eps_rec, contracted, contracted
-            )
-            ntk_next = (
-                ntk_rec
+            meta_theta = psi @ work.theta  # M, (D, n)
+            s = meta_theta.T @ eps
+            p = psi @ s  # P, (D, n)
+            cross = p @ meta_theta.T
+            predicted = (
+                eps - eta * (ntk @ eps) + (eta**2 * zeta**3 / (2.0 * d_pts**2)) * (p @ s),
+                ntk
                 - (eta * zeta**3 / d_pts**2) * (cross + cross.T)
-                + (eta**2 * zeta**4 / d_pts**3) * quartic
+                + (eta**2 * zeta**4 / d_pts**3) * (p @ p.T),
+                overlap - (eta / d_pts) * (phi_gram @ eps),
             )
-
-            work.apply_gd_step(None, work.outputs() - y, eta)
-            eps_true = work.outputs() - y
-            ntk_true = work.ntk()
-        if not all(np.isfinite(a).all() for a in (eps_next, ntk_next, eps_true, ntk_true)):
+            work.apply_gd_step(None, eps, eta)
+            eps, ntk, overlap = work.outputs() - y, work.ntk(), phi @ work.theta
+        recomputed = (eps, ntk, overlap)
+        if not all(np.isfinite(a).all() for a in (*predicted, *recomputed)):
             break
-        if track_overlap:
-            cumulative_errors = cumulative_errors + eps_rec
-        eps_rec, ntk_rec = eps_next, ntk_next
+        scales = np.maximum(scales, [np.abs(a).max() for a in recomputed])
+        deviations = np.maximum(
+            deviations, [np.abs(pred - a).max() for pred, a in zip(predicted, recomputed)]
+        )
 
-        err_scale = max(err_scale, float(np.abs(eps_true).max()))
-        ntk_scale = max(ntk_scale, float(np.abs(ntk_true).max()))
-        err_dev = max(err_dev, float(np.abs(eps_rec - eps_true).max()))
-        ntk_dev = max(ntk_dev, float(np.abs(ntk_rec - ntk_true).max()))
-        if track_overlap:
-            overlap_pred = overlap0 - (eta / d_pts) * (phi_gram @ cumulative_errors)
-            overlap_true = phi @ work.theta
-            overlap_scale = max(overlap_scale, float(np.abs(overlap_true).max()))
-            overlap_dev = max(
-                overlap_dev, float(np.abs(overlap_pred - overlap_true).max())
-            )
-
-    return ConsistencyReport(
-        max_error_deviation=err_dev / max(err_scale, 1e-300),
-        max_ntk_deviation=ntk_dev / max(ntk_scale, 1e-300),
-        max_feature_overlap_deviation=(
-            overlap_dev / max(overlap_scale, 1e-300) if track_overlap else None
-        ),
-    )
+    relative = deviations / np.maximum(scales, 1e-300)
+    return ConsistencyReport(*(float(r) for r in relative))

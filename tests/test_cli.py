@@ -649,7 +649,9 @@ class TestCheckCommand:
         assert doc["all_passed"] is True
         names = {r["name"] for r in doc["results"]}
         assert "weight_norm_identity" in names
-        assert len(names) == 9
+        assert len(names) == 7
+        assert "update_recursions" in names
+        assert "zero_coupling_linear" in names
         assert "negative_control_corrupted_zero_slope" in names
         assert "single_datapoint_window_at_datapoint" in names
         assert "omega_dual_matches_dense" in names
@@ -667,10 +669,14 @@ class TestCheckCommand:
         [
             # on a diverging run the recursion's cubic terms overflow while
             # the recomputed values are still finite
-            ("check_update_recursions_with_bias", 113),
+            ("check_update_recursions", 113),
+            # a recursion accumulated over a run that catapults and then
+            # diverges amplified roundoff past the threshold
+            ("check_update_recursions", 2108009810),
+            ("check_update_recursions", 12569078),
             # a well-conditioned kernel drives the loss to 7e-16 in 20 steps
-            ("check_linearized_exact_for_linear_model", 156),
-            ("check_linearized_exact_for_linear_model", 192643646),
+            ("check_zero_coupling_linear", 156),
+            ("check_zero_coupling_linear", 192643646),
             # the draw's initial output was below 1e-2 and hid the corruption
             ("check_negative_control_corrupted_slope", 282266799),
         ],
@@ -684,10 +690,20 @@ class TestCheckCommand:
     def test_default_suite_passes_at_many_seeds(self):
         # the benchmark runs `catapult check` at a random seed; the large
         # seeds are those where a check was once flawed (the linearized
-        # predictor at 192643646, the negative control at the other four)
+        # predictor at 192643646, the update recursions at 2108009810 and
+        # 12569078, the negative control at the other four)
         from catapult.selfcheck import run_default_suite
 
-        seeds = [*range(50), 192643646, 282266799, 525027446, 1186112100, 1966312124]
+        seeds = [
+            *range(50),
+            192643646,
+            282266799,
+            525027446,
+            1186112100,
+            1966312124,
+            2108009810,
+            12569078,
+        ]
         failed = [
             (seed, result.name, result.residual)
             for seed in seeds
@@ -785,6 +801,39 @@ class TestCheckCommand:
         assert "1 datapoint" in result.detail
         assert main(["check"]) == 2
         assert "FAIL  omega_dual_matches_dense" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            # zeta**2 for zeta**3 in the cubic error term
+            (
+                "(eta**2 * zeta**3 / (2.0 * d_pts**2)) * (p @ s)",
+                "(eta**2 * zeta**2 / (2.0 * d_pts**2)) * (p @ s)",
+            ),
+            # the quartic P P^T term of the kernel dropped
+            ("+ (eta**2 * zeta**4 / d_pts**3) * (p @ p.T)", ""),
+        ],
+        ids=["zeta_squared_cubic", "no_quartic"],
+    )
+    def test_recursion_check_catches_a_wrong_term(self, monkeypatch, capsys, old, new):
+        # each step is predicted from the recomputed state, so one wrong
+        # term shows in one step without any accumulation
+        import inspect
+
+        import catapult.selfcheck as selfcheck
+
+        source = inspect.getsource(training.quad_update_consistency)
+        assert source.count(old) == 1
+        namespace = dict(vars(training))
+        exec(compile(source.replace(old, new), training.__file__, "exec"), namespace)
+        monkeypatch.setattr(
+            selfcheck, "quad_update_consistency", namespace["quad_update_consistency"]
+        )
+        result = selfcheck.check_update_recursions(0)
+        assert not result.passed
+        assert result.residual > 1e-2
+        assert main(["check"]) == 2
+        assert "FAIL  update_recursions" in capsys.readouterr().out
 
     def test_exit_code_two_on_invariant_failure(self, monkeypatch, capsys):
         import catapult.cli as cli

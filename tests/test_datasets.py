@@ -336,3 +336,23 @@ class TestDatasetValidation:
     def test_test_split_must_be_complete(self):
         with pytest.raises(ValueError):
             Dataset(inputs=np.zeros((1, 1)), labels=[0.0], test_inputs=np.zeros((1, 1)))
+
+    @pytest.mark.parametrize(
+        "test_inputs, test_labels, match",
+        [
+            (np.zeros((5, 1)), np.zeros(3), "test inputs and labels must agree"),
+            (np.zeros((0, 1)), np.zeros(0), "test inputs and labels must agree"),
+            (np.zeros((3, 2)), np.zeros(3), "test inputs have dimension 2, train inputs 1"),
+            (np.zeros((3, 1)), [0.0, np.nan, 1.0], "test labels must be finite"),
+            (np.zeros((3, 1)), [0.0, np.inf, 1.0], "test labels must be finite"),
+        ],
+        ids=["count_mismatch", "empty", "input_dimension", "nan_label", "inf_label"],
+    )
+    def test_test_split_is_checked_as_the_train_split(self, test_inputs, test_labels, match):
+        with pytest.raises(ValueError, match=match):
+            Dataset(
+                inputs=np.zeros((2, 1)),
+                labels=[0.0, 1.0],
+                test_inputs=test_inputs,
+                test_labels=test_labels,
+            )

@@ -421,6 +421,8 @@ class TestUpdateRecursions:
         eta = 2.5 / lambda_max_symmetric(model.ntk())
         report = quad_update_consistency(model, dataset, eta, steps=50)
         assert report.max_deviation < 1e-9
+        # the pure model has no features, so its overlap is exactly 0
+        assert report.max_feature_overlap_deviation == 0.0
 
     def test_zero_coupling_kernel_constant(self):
         rng = Rng(7)
@@ -444,8 +446,16 @@ class TestUpdateRecursions:
         model, dataset = random_quadratic(24, 6, 2, 4, seed=seed, scheme=None)
         eta = 2.5 / lambda_max_symmetric(model.ntk())
         report = quad_update_consistency(model, dataset, eta, steps=50)
-        assert report.max_feature_overlap_deviation < 1e-8
+        assert report.max_feature_overlap_deviation < 1e-9
         assert max(report.max_error_deviation, report.max_ntk_deviation) < 1e-9
+
+    def test_stops_at_the_first_non_finite_step(self):
+        # far past the divergence edge the run overflows within 50 steps;
+        # every step compared before that is still exact to roundoff
+        model, dataset = random_quadratic(24, 6, 2, 4, seed=0, scheme=None)
+        eta = 40.0 / lambda_max_symmetric(model.ntk())
+        report = quad_update_consistency(model, dataset, eta, steps=50)
+        assert report.max_deviation < 1e-9
 
     def test_rejects_generic_variant(self):
         rng = Rng(9)

@@ -83,9 +83,14 @@ def generalization_report(
     """Test MSE, its gap over the caller's train loss, and sign-agreement
     accuracy on the test split.  The train loss comes from the caller (a
     sweep takes the trajectory's final loss), so the train split is not
-    evaluated again and the gap is exactly ``test_loss - train_loss``."""
+    evaluated again and the gap is exactly ``test_loss - train_loss``.
+
+    A quadratic model's outputs are fixed to the points its features were
+    built for, so it needs ``evaluate_outputs`` to score the test split."""
     if not dataset.has_test_split:
         raise AnalysisError("dataset has no test split")
+    if evaluate_outputs is None and isinstance(model, QuadraticModel):
+        raise AnalysisError("a quadratic model needs evaluate_outputs to score the test split")
     evaluate = evaluate_outputs or (lambda m, x: m.outputs(x))
     z_test = evaluate(model, dataset.test_inputs)
     test_loss = mse_loss(z_test, dataset.test_labels)

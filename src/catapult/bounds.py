@@ -26,13 +26,11 @@ from typing import Optional
 import numpy as np
 
 from catapult.datasets import Dataset
-from catapult.models import HomogenousNet, QuadraticModel
-from catapult.numerics import (
-    lambda_max_symmetric,
-    # unused here, but perfbench/tracing.py patches the name in this module
-    power_iteration_lambda_max,  # noqa: F401
-    sym_eigen,
-)
+from catapult.models import HomogenousNet, QuadraticModel, _symmetrize
+from catapult.numerics import lambda_max_symmetric, sym_eigen
+
+# perfbench/tracing.py wraps this name; nothing calls it.
+power_iteration_lambda_max = None
 
 # Relative accuracy the contraction's top eigenvalue is tested to, against
 # the dense oracle and the single-datapoint closed form; recorded in every
@@ -408,7 +406,7 @@ def _pool_along_top_eigenvector(model: QuadraticModel):
         pooled = np.einsum("a,aij->ij", top, model.meta_features) / np.sqrt(
             model.num_points
         )
-        eff = (pooled + pooled.T) / 2.0
+        eff = _symmetrize(pooled)
         lam_eff_sq = float((np.linalg.eigvalsh(eff) ** 2).max())
     notes = [
         "heuristic: assumes the kernel's top eigenvector stays frozen while "
@@ -519,7 +517,7 @@ def bound_mlp_multi(net: HomogenousNet, dataset: Dataset) -> BoundReport:
         raise BoundsError("requires a positive negative slope")
     x = dataset.inputs
     gram = x @ x.T
-    lam_gram = lambda_max_symmetric((gram + gram.T) / 2.0)
+    lam_gram = lambda_max_symmetric(_symmetrize(gram))
     if lam_gram <= 0.0:
         raise BoundsError("sample Gram matrix vanishes")
     theta_sq = net.weight_norm()

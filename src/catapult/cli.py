@@ -292,6 +292,16 @@ def _normalize_model(raw: dict, dataset_cfg: dict) -> dict:
     return out
 
 
+def _existing_file(base_dir: Path, key: str, value: str) -> str:
+    """A dataset file's path: absolute as given, relative against the
+    config's directory; the file must exist."""
+    path = Path(value)
+    resolved = path if path.is_absolute() else (base_dir / path).resolve()
+    if not resolved.exists():
+        raise ConfigError(f"dataset.{key}: file does not exist: {resolved}")
+    return str(resolved)
+
+
 def _normalize_dataset(raw: dict, base_dir: Path) -> dict:
     section = _section(raw, "dataset")
     kind = _field(section, "dataset", "kind", str, allowed=set(DATASET_KINDS))
@@ -320,24 +330,14 @@ def _normalize_dataset(raw: dict, base_dir: Path) -> dict:
         if fmt == "idx":
             keys = ("train_images", "train_labels", "test_images", "test_labels")
             for key in keys:
-                value = _field(section, "dataset", key, str)
-                resolved = (base_dir / value).resolve() if not Path(value).is_absolute() else Path(value)
-                if not resolved.exists():
-                    raise ConfigError(f"dataset.{key}: file does not exist: {resolved}")
-                out[key] = str(resolved)
+                out[key] = _existing_file(base_dir, key, _field(section, "dataset", key, str))
         else:
             for key in ("train_files", "test_files"):
                 value = section.get(key)
                 paths = isinstance(value, list) and all(isinstance(item, str) for item in value)
                 if not paths or not value:
                     raise ConfigError(f"dataset.{key}: expected a non-empty list of paths")
-                resolved_list = []
-                for item in value:
-                    resolved = (base_dir / item).resolve() if not Path(item).is_absolute() else Path(item)
-                    if not resolved.exists():
-                        raise ConfigError(f"dataset.{key}: file does not exist: {resolved}")
-                    resolved_list.append(str(resolved))
-                out[key] = resolved_list
+                out[key] = [_existing_file(base_dir, key, item) for item in value]
     _reject_unknown(section, "dataset", out)
     return out
 

@@ -8,9 +8,7 @@ one symmetric eigendecomposition.  All computation is in 64-bit floats.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -85,76 +83,6 @@ def lambda_max_symmetric(matrix) -> float:
     if a.shape[0] == 1:
         return float(a[0, 0])
     return float(np.linalg.eigvalsh(a)[-1])
-
-
-# Nothing in the package calls the power iteration below; it stays while
-# perfbench/tracing.py patches ``catapult.bounds.power_iteration_lambda_max``.
-@dataclass(frozen=True)
-class LinearOperator:
-    """A symmetric matrix-vector product contract; no materialized matrix.
-
-    ``matvec`` must be linear and, for the power-iteration routine below,
-    symmetric positive semi-definite as an operator.
-    """
-
-    dim: int
-    matvec: Callable[[np.ndarray], np.ndarray]
-
-    @staticmethod
-    def from_dense(matrix) -> "LinearOperator":
-        a = np.asarray(matrix, dtype=np.float64)
-        _require_square(a, "LinearOperator.from_dense")
-        return LinearOperator(dim=a.shape[0], matvec=lambda v: a @ v)
-
-
-@dataclass(frozen=True)
-class PowerIterationResult:
-    value: float
-    converged: bool
-    iterations: int
-
-
-def power_iteration_lambda_max(
-    op: LinearOperator,
-    rng: Rng | None = None,
-    tol: float = 1e-6,
-    max_iters: int = 10_000,
-) -> PowerIterationResult:
-    """Top eigenvalue of a PSD operator by power iteration.
-
-    Deterministic given the rng seed (default ``Rng(0)``).  Convergence is
-    declared on the eigen-residual: ``|op(v) - value * v| <= tol * |value|``
-    for the unit iterate v, which for a symmetric operator places an exact
-    eigenvalue within ``tol * |value|`` of the estimate; since the iteration
-    drifts toward the top of the spectrum this brackets the top eigenvalue to
-    the requested relative tolerance whenever there is a spectral gap.  If
-    the budget runs out the last Rayleigh quotient is returned with
-    ``converged=False``.
-    """
-    if op.dim < 1:
-        raise NumericsError("power_iteration_lambda_max: operator dimension must be >= 1")
-    rng = rng if rng is not None else Rng(0)
-    v = rng.normal(op.dim)
-    nv = np.linalg.norm(v)
-    if nv == 0.0:
-        v = np.ones(op.dim)
-        nv = math.sqrt(op.dim)
-    v = v / nv
-
-    lam = 0.0
-    for it in range(1, max_iters + 1):
-        w = op.matvec(v)
-        lam = float(v @ w)
-        residual = float(np.linalg.norm(w - lam * v))
-        if residual <= tol * max(abs(lam), 1e-300):
-            return PowerIterationResult(value=lam, converged=True, iterations=it)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            # The operator annihilates the iterate; for a PSD operator the
-            # top eigenvalue along the explored subspace is 0.
-            return PowerIterationResult(value=0.0, converged=True, iterations=it)
-        v = w / nw
-    return PowerIterationResult(value=lam, converged=False, iterations=max_iters)
 
 
 def expm_antisymmetric(b) -> np.ndarray:

@@ -109,7 +109,8 @@ def mse_loss(outputs, labels) -> float:
 def train(model, dataset: Dataset, config: TrainConfig) -> Trajectory:
     """Run full-batch gradient descent until convergence, divergence or the
     step limit, recording the loss/weight-norm series every step and the
-    kernel top eigenvalue at the configured interval plus first/last step."""
+    kernel top eigenvalue at the configured interval and at the final step,
+    unless the run diverged."""
     x = dataset.inputs
     y = dataset.labels
     eta = config.eta
@@ -140,29 +141,24 @@ def train(model, dataset: Dataset, config: TrainConfig) -> Trajectory:
         if track_certified:
             certified.append(model.certified_norm(x))
 
+        # a diverged state is never measured: its weights mean nothing
         if not finite or loss > config.divergence_threshold:
             termination = TERMINATION_DIVERGED
             break
-        if t % config.ntk_eval_interval == 0:
-            ntk_steps.append(t)
-            eta_lambda.append(eta * lambda_max_symmetric(model.ntk(x)))
         if prev_loss is not None and abs(loss - prev_loss) < config.convergence_tol:
             termination = TERMINATION_CONVERGED
-            break
-        if t == config.max_steps:
+        elif t == config.max_steps:
             termination = TERMINATION_STEP_LIMIT
+        if termination is not None or t % config.ntk_eval_interval == 0:
+            ntk_steps.append(t)
+            eta_lambda.append(eta * lambda_max_symmetric(model.ntk(x)))
+        if termination is not None:
             break
 
         with np.errstate(over="ignore", invalid="ignore"):
             model.apply_gd_step(x, z - y, eta)
         prev_loss = loss
         t += 1
-
-    # Always measure the kernel at the final state, except after divergence
-    # where the weights are no longer meaningful.
-    if termination != TERMINATION_DIVERGED and (not ntk_steps or ntk_steps[-1] != t):
-        ntk_steps.append(t)
-        eta_lambda.append(eta * lambda_max_symmetric(model.ntk(x)))
 
     return Trajectory(
         eta=eta,

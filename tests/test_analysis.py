@@ -15,7 +15,7 @@ from catapult.datasets import Dataset, make_toy
 from catapult.models import DeepReluNet, HomogenousNet, QuadraticModel
 from catapult.numerics import Rng, lambda_max_symmetric
 from catapult.training import TrainConfig, mse_loss, train
-from conftest import output_series, pure_toy_quadratic
+from conftest import output_series, pure_toy_quadratic, random_quadratic
 
 FAST = dict(ntk_eval_interval=10**9)
 
@@ -299,3 +299,22 @@ class TestGeneralizationReport:
         assert report.test_loss == 0.0
         assert report.gap == -0.5
         assert report.accuracy == 1.0
+
+    def test_quadratic_model_needs_an_evaluator(self):
+        # the outputs of a quadratic model are its training outputs whatever
+        # inputs it is handed, so a same-sized test split would score as
+        # the train split with a zero gap
+        model, train_split = random_quadratic(8, 0, 1, 2, seed=21)
+        dataset = Dataset(
+            inputs=train_split.inputs,
+            labels=train_split.labels,
+            test_inputs=Rng(22).uniform(-0.5, 0.5, (2, 1)),
+            test_labels=Rng(23).uniform(-0.5, 0.5, 2),
+        )
+        with pytest.raises(AnalysisError, match="evaluate_outputs"):
+            generalization_report(model, dataset, 0.0)
+        record, trajectory = run_sweep_point(
+            model.clone, dataset, 0.01, TrainConfig(eta=0.01, max_steps=2, **FAST), 1.0
+        )
+        assert record.status == "failed" and trajectory is None
+        assert record.message.startswith("AnalysisError: ")

@@ -136,6 +136,32 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="does not exist"):
             normalize_config(bad, tmp_path)
 
+    def test_cifar_files_resolve_against_the_config_directory(self, tmp_path):
+        (tmp_path / "data").mkdir()
+        train_file, test_file = tmp_path / "data" / "train.bin", tmp_path / "test.bin"
+        train_file.touch()
+        test_file.touch()
+
+        def config(*train_files):
+            dataset = {
+                "kind": "image_two_class",
+                "format": "cifar_binary",
+                "class_a": 0,
+                "class_b": 1,
+                "train_files": list(train_files),
+                "test_files": [str(test_file)],
+            }
+            model = {"family": "deep_relu", "width": 8}
+            return {"model": model, "dataset": dataset, "training": {"eta": 0.1}}
+
+        dataset = normalize_config(config("data/train.bin"), tmp_path)["dataset"]
+        assert dataset["train_files"] == [str(train_file.resolve())]
+        assert dataset["test_files"] == [str(test_file)]
+        missing = (tmp_path / "data" / "missing.bin").resolve()
+        with pytest.raises(ConfigError) as raised:
+            normalize_config(config("data/train.bin", "data/missing.bin"), tmp_path)
+        assert str(raised.value) == f"dataset.train_files: file does not exist: {missing}"
+
     def test_quadratic_on_images_rejected(self, tmp_path, synthetic_idx_paths):
         bad = {
             "model": {"family": "pure_quadratic", "n_psi": 8, "zeta_rule": "2_over_n"},

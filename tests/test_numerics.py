@@ -6,12 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from catapult.numerics import (
-    LinearOperator,
     NumericsError,
     Rng,
     expm_antisymmetric,
     lambda_max_symmetric,
-    power_iteration_lambda_max,
     random_antisymmetric,
     random_orthogonal,
     sym_eigen,
@@ -100,58 +98,6 @@ class TestSymEigen:
         lam = lambda_max_symmetric((square + square.T) / 2.0)
         expected = float(np.abs(w).max()) ** 2
         assert abs(lam - expected) <= 1e-8 * max(expected, 1.0)
-
-
-class TestPowerIteration:
-    def test_diagonal(self):
-        op = LinearOperator.from_dense(np.diag([5.0, 1.0, 1.0]))
-        result = power_iteration_lambda_max(op, tol=1e-10)
-        assert result.converged
-        assert abs(result.value - 5.0) < 1e-6 * 5.0
-
-    def test_scalar_operator_is_exact(self):
-        # a 1x1 PSD operator, the kernel of a single-datapoint linear model
-        phi = Rng(8).normal(12)
-        h0 = float(phi @ phi)  # D = 1 so the 1/D factor is trivial
-        op = LinearOperator(dim=1, matvec=lambda v: h0 * v)
-        result = power_iteration_lambda_max(op)
-        assert result.value == pytest.approx(h0, rel=1e-12)
-
-    def test_matches_dense_eigensolver(self):
-        a = Rng(9).normal((64, 64))
-        psd = a @ a.T
-        psd = (psd + psd.T) / 2.0
-        dense = lambda_max_symmetric(psd)
-        result = power_iteration_lambda_max(
-            LinearOperator.from_dense(psd), tol=1e-9, max_iters=50_000
-        )
-        assert result.converged
-        assert abs(result.value - dense) < 1e-6 * dense
-
-    def test_determinism(self):
-        a = Rng(10).normal((16, 16))
-        psd = a @ a.T
-        psd = (psd + psd.T) / 2.0
-        op = LinearOperator.from_dense((psd + psd.T) / 2.0)
-        r1 = power_iteration_lambda_max(op, rng=Rng(1))
-        r2 = power_iteration_lambda_max(op, rng=Rng(1))
-        assert r1 == r2
-
-    def test_non_convergence_flag(self):
-        # slow spectral ratio and a budget of two steps
-        op = LinearOperator.from_dense(np.diag([1.0, 0.999]))
-        result = power_iteration_lambda_max(op, tol=1e-15, max_iters=2)
-        assert not result.converged
-        assert result.iterations == 2
-
-    def test_linear_operator_is_linear(self):
-        a = Rng(12).normal((10, 10))
-        op = LinearOperator.from_dense((a + a.T) / 2.0)
-        u = Rng(13).normal(10)
-        v = Rng(14).normal(10)
-        lhs = op.matvec(2.0 * u + 3.0 * v)
-        rhs = 2.0 * op.matvec(u) + 3.0 * op.matvec(v)
-        assert np.abs(lhs - rhs).max() < 1e-10 * max(1.0, np.abs(rhs).max())
 
 
 class TestExpmAntisymmetric:

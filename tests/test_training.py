@@ -127,6 +127,42 @@ class TestTrain:
         assert np.all(inner % 7 == 0)
         assert traj.ntk_steps[-1] == traj.steps_taken
 
+    @pytest.mark.parametrize(
+        "n, seed, rate, overrides, termination, ntk_steps",
+        [
+            # the final step (13, 10) is off the interval and measured once
+            (32, 6, 2.5, dict(ntk_eval_interval=7), "converged", [0, 7, 13]),
+            (32, 6, 2.5, dict(ntk_eval_interval=4, max_steps=10), "step_limit", [0, 4, 8, 10]),
+            # a final step on the interval is measured once, not twice
+            (32, 6, 2.5, dict(ntk_eval_interval=13), "converged", [0, 13]),
+            # the diverged state at step 4 is on the interval but never measured;
+            # no rate means 1.05 times the certified divergence threshold
+            (64, 2, None, dict(ntk_eval_interval=2), "diverged", [0, 2]),
+        ],
+    )
+    def test_kernel_measured_on_interval_and_final_step(
+        self, monkeypatch, n, seed, rate, overrides, termination, ntk_steps
+    ):
+        from catapult import training
+        from catapult.bounds import bound_pure_quadratic
+
+        m = pure_toy_quadratic(n, seed=seed)
+        if rate is None:
+            eta = 1.05 * bound_pure_quadratic(m).divergence_lower
+        else:
+            eta = rate / float(m.ntk()[0, 0])
+        solves = []
+
+        def counted(matrix):
+            solves.append(matrix)
+            return lambda_max_symmetric(matrix)
+
+        monkeypatch.setattr(training, "lambda_max_symmetric", counted)
+        traj = train(m, make_toy(), TrainConfig(eta=eta, **overrides))
+        assert traj.termination == termination
+        assert traj.ntk_steps.tolist() == ntk_steps
+        assert len(solves) == len(traj.eta_lambda_max) == len(ntk_steps)
+
 
 def identity_cases(seed):
     """Every family on a dataset with non-zero labels, on several points

@@ -23,6 +23,17 @@ kernel (``tangent_kernel``) and the step (``loss_gradients``) are written
 once over those factors, so both always come from the same gradients.
 Models are value-like records over numpy arrays; a single trainer owns and
 mutates one model.
+
+Each model keeps the forward pass of its current weights.  ``outputs(x)``
+always runs the pass afresh and keeps it together with the object ``x``;
+``ntk(x)`` and ``apply_gd_step(x, ...)`` build their factors from the kept
+pass when they are handed that same object (``is``), and run their own pass
+otherwise.  The kept pass is valid from ``outputs(x)`` until the model's next
+update, so the inputs must not be written in between.  Weights change only
+through ``apply_gd_step``, whose one in-place update drops the kept pass and
+writes each gradient into a buffer the model keeps; code that writes the
+arrays of ``weights()`` itself must call ``outputs`` again before ``ntk`` or a
+step.  ``clone()`` and pickling carry neither the pass nor the buffers.
 """
 
 from __future__ import annotations
@@ -84,25 +95,63 @@ def tangent_kernel(factors, scale: float) -> np.ndarray:
     return _symmetrize(gram) * (scale**2 / factors[0][0].shape[0])
 
 
-def loss_gradients(factors, errors, scale: float) -> list[np.ndarray]:
+def loss_gradients(factors, errors, scale: float, out=None) -> list[np.ndarray]:
     """Gradient of the 1/(2D) squared loss for per-datapoint errors z - y,
     one array per factor pair: ``scale/D * sum_a errors[a] * outer(left[a],
-    right[a])``."""
+    right[a])``.  Each gradient is built by one product, into its array of
+    ``out`` when given, and scaled there."""
     errors = np.asarray(errors, dtype=np.float64)
     step = scale / errors.shape[0]
-    return [
-        step * (left.T @ errors) if right is None else step * ((left * errors[:, None]).T @ right)
-        for left, right in factors
+    gradients = [
+        np.matmul(left.T, errors, out=g)
+        if right is None
+        else np.matmul((left * errors[:, None]).T, right, out=g)
+        for (left, right), g in zip(factors, out or [None] * len(factors))
     ]
-
-
-def _descend(weights: list[np.ndarray], gradients: list[np.ndarray], eta: float) -> None:
-    for w, g in zip(weights, gradients):
-        w -= eta * g
+    for g in gradients:
+        g *= step
+    return gradients
 
 
 def _squared_norm(weights: list[np.ndarray]) -> float:
     return sum(float(w @ w) if w.ndim == 1 else float((w**2).sum()) for w in weights)
+
+
+class _KeptPass:
+    """The forward pass of the current weights, kept with the inputs object
+    it was run on (see the module docstring), and the one in-place update.
+    A family supplies ``_forward(inputs)`` and ``weights()``."""
+
+    _kept = None  # (inputs, forward pass), or None once the weights moved
+    _gradients = None  # one buffer per array of weights(), made at the first step
+
+    def _keep(self, inputs, forward):
+        self._kept = (inputs, forward)
+        return forward
+
+    def _pass(self, inputs):
+        """The kept pass when ``inputs`` is the object it was run on, else a
+        fresh one."""
+        kept = self._kept
+        if kept is not None and kept[0] is inputs:
+            return kept[1]
+        return self._forward(inputs)
+
+    def _update(self, factors, errors, eta: float, scale: float) -> None:
+        """One gradient-descent step in place, ``w -= eta * g`` per array,
+        with each gradient built and scaled in its kept buffer."""
+        self._kept = None
+        if self._gradients is None:
+            self._gradients = [np.empty_like(w) for w in self.weights()]
+        for w, g in zip(self.weights(), loss_gradients(factors, errors, scale, self._gradients)):
+            g *= eta
+            w -= g
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        state.pop("_kept", None)
+        state.pop("_gradients", None)
+        return state
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +160,7 @@ def _squared_norm(weights: list[np.ndarray]) -> float:
 
 
 @dataclass
-class QuadraticModel:
+class QuadraticModel(_KeptPass):
     """Quadratic-in-the-weights model with static (meta-)feature data.
 
     The output on datapoint ``a`` is
@@ -181,33 +230,38 @@ class QuadraticModel:
                 f"got {len(inputs)} inputs"
             )
 
+    def _forward(self, inputs) -> np.ndarray:
+        """The psi pass ``meta_features @ theta``, (D, n); the features are
+        static, so the inputs only name the datapoints."""
+        return self.meta_features @ self.theta
+
     def outputs(self, inputs=None) -> np.ndarray:
         """Model outputs on the datapoints the features were built for."""
         self._check_inputs(inputs)
-        meta_theta = self.meta_features @ self.theta  # (D, n)
+        meta_theta = self._keep(inputs, self._forward(inputs))
         return self.features @ self.theta + 0.5 * self.zeta * (meta_theta @ self.theta)
 
     def effective_features(self) -> np.ndarray:
         """Theta-dependent features: row a is the output gradient on
         datapoint a."""
-        return self.features + self.zeta * (self.meta_features @ self.theta)
+        return self.features + self.zeta * self._forward(None)
 
     def weights(self) -> list[np.ndarray]:
         return [self.theta]
 
-    def _factors(self) -> list:
-        return [(self.effective_features(), None)]
+    def _factors(self, inputs) -> list:
+        return [(self.features + self.zeta * self._pass(inputs), None)]
 
     def ntk(self, inputs=None) -> np.ndarray:
         self._check_inputs(inputs)
-        return tangent_kernel(self._factors(), 1.0)
+        return tangent_kernel(self._factors(inputs), 1.0)
 
     def grad_theta(self, errors: np.ndarray) -> np.ndarray:
         """Loss gradient for supplied per-datapoint errors z - y."""
-        return loss_gradients(self._factors(), errors, 1.0)[0]
+        return loss_gradients(self._factors(None), errors, 1.0)[0]
 
     def apply_gd_step(self, inputs, errors: np.ndarray, eta: float) -> None:
-        _descend(self.weights(), loss_gradients(self._factors(), errors, 1.0), eta)
+        self._update(self._factors(inputs), errors, eta, 1.0)
 
     def weight_norm(self) -> float:
         return _squared_norm(self.weights())
@@ -241,7 +295,8 @@ class QuadraticModel:
 
     def clone(self) -> "QuadraticModel":
         # The clone shares the features this model's __post_init__ already
-        # checked, so it copies theta and does not check them again.
+        # checked, so it copies theta and does not check them again; the copy
+        # goes through __getstate__, so the kept pass and buffers stay behind.
         twin = copy.copy(self)
         twin.theta = self.theta.copy()
         return twin
@@ -284,7 +339,7 @@ def linear_net_with_bias_embedding(
 
 
 @dataclass
-class HomogenousNet:
+class HomogenousNet(_KeptPass):
     """Two-layer net with a scale-invariant activation.
 
     Output on input x is ``v @ sigma(u @ x) / sqrt(n)`` where sigma has
@@ -357,21 +412,20 @@ class HomogenousNet:
 
     def _factors(self, inputs) -> list:
         """Factors of ``weights()``."""
-        x, pre, act = self._forward(inputs)
+        x, pre, act = self._pass(inputs)
         return [(act, None), (scale_invariant_deriv(pre, self.a_minus, self.a_plus) * self.v, x)]
 
     def activations(self, inputs) -> list[np.ndarray]:
         return [self._forward(inputs)[2]]
 
     def outputs(self, inputs) -> np.ndarray:
-        return self._forward(inputs)[2] @ self.v / math.sqrt(self.width)
+        return self._keep(inputs, self._forward(inputs))[2] @ self.v / math.sqrt(self.width)
 
     def ntk(self, inputs) -> np.ndarray:
         return tangent_kernel(self._factors(inputs), self.output_scale)
 
     def apply_gd_step(self, inputs, errors: np.ndarray, eta: float) -> None:
-        factors = self._factors(inputs)
-        _descend(self.weights(), loss_gradients(factors, errors, self.output_scale), eta)
+        self._update(self._factors(inputs), errors, eta, self.output_scale)
 
     def weight_norm(self) -> float:
         return _squared_norm(self.weights())
@@ -410,7 +464,7 @@ class HomogenousNet:
 
 
 @dataclass
-class DeepReluNet:
+class DeepReluNet(_KeptPass):
     """Bias-free three-layer ReLU net: one square hidden matrix.
 
     Output on input x is ``v @ relu(W relu(U x)) / width``, of degree 3 in
@@ -464,7 +518,7 @@ class DeepReluNet:
         return x, [pre_in, pre_hidden], [act_in, scale_invariant(pre_hidden, 0.0, 1.0)]
 
     def outputs(self, inputs) -> np.ndarray:
-        _, _, acts = self._forward(inputs)
+        _, _, acts = self._keep(inputs, self._forward(inputs))
         return self.output_scale * (acts[-1] @ self.output_weights)
 
     def activations(self, inputs) -> list[np.ndarray]:
@@ -474,7 +528,7 @@ class DeepReluNet:
     def _factors(self, inputs) -> list:
         """Factors of ``weights()``: each layer's backpropagated gates times
         the activations feeding it."""
-        x, (pre_in, pre_hidden), (act_in, act_hidden) = self._forward(inputs)
+        x, (pre_in, pre_hidden), (act_in, act_hidden) = self._pass(inputs)
         back_hidden = self.output_weights[None, :] * scale_invariant_deriv(pre_hidden, 0.0, 1.0)
         back_in = (back_hidden @ self.hidden_weights) * scale_invariant_deriv(pre_in, 0.0, 1.0)
         return [(back_in, x), (act_hidden, None), (back_hidden, act_in)]
@@ -483,10 +537,7 @@ class DeepReluNet:
         return tangent_kernel(self._factors(inputs), self.output_scale)
 
     def apply_gd_step(self, inputs, errors: np.ndarray, eta: float) -> None:
-        # Holding the factors until the update keeps the heap from being
-        # trimmed each step, which cost the next forward pass page faults.
-        factors = self._factors(inputs)
-        _descend(self.weights(), loss_gradients(factors, errors, self.output_scale), eta)
+        self._update(self._factors(inputs), errors, eta, self.output_scale)
 
     def weight_norm(self) -> float:
         return _squared_norm(self.weights())

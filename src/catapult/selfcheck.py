@@ -48,7 +48,6 @@ from catapult.models import (
     HomogenousNet,
     QuadraticModel,
     linear_net_with_bias_embedding,
-    loss_gradients,
     scale_invariant_deriv,
 )
 from catapult.numerics import Rng, lambda_max_symmetric
@@ -313,9 +312,7 @@ class _CorruptedZeroSlopeNet(HomogenousNet):
         x, pre, act = self._forward(inputs)
         slopes = scale_invariant_deriv(pre, self.a_minus, self.a_plus)
         slopes[pre == 0.0] = 1.0
-        factors = [(act, None), (slopes * self.v, x)]
-        for w, g in zip(self.weights(), loss_gradients(factors, errors, self.output_scale)):
-            w -= eta * g
+        self._update([(act, None), (slopes * self.v, x)], errors, eta, self.output_scale)
 
 
 def check_negative_control_corrupted_slope(seed: int = 0) -> CheckResult:

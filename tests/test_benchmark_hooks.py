@@ -162,11 +162,13 @@ def _traced_family(family):
 # Calls of each traced model method in one 20-step run with a kernel
 # evaluation every step, and the benchmark's per-step pass counts.  The
 # quadratic model's psi passes are pinned as their total, the quantity
-# psi_passes_per_step reads.
+# psi_passes_per_step reads: one per outputs call, since ntk and the step
+# read the pass outputs kept.  The deep ReLU count reads method calls, not
+# the passes they run.
 TRACED_20_STEP_CALLS = {
     "QuadraticModel": (
         {"outputs": 21, "apply_gd_step": 20, "ntk": 21},
-        {"models.QuadraticModel.psi_passes_per_step": 3.1},
+        {"models.QuadraticModel.psi_passes_per_step": 1.05},
     ),
     "HomogenousNet": (
         {"outputs": 21, "apply_gd_step": 20, "ntk": 21, "activations": 1},

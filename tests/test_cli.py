@@ -357,10 +357,31 @@ class TestSweepCommand:
         for name in names:
             assert (first / name).read_bytes() == (other / name).read_bytes(), name
 
-    def test_parallel_matches_serial(self, tmp_path):
+    @staticmethod
+    def deep_relu_sweep_config(idx_paths):
+        return {
+            "model": {"family": "deep_relu", "width": 32, "depth": 1, "init_seed": 4},
+            "dataset": {
+                "kind": "image_two_class",
+                "format": "idx",
+                "class_a": 0,
+                "class_b": 1,
+                "train_size": 32,
+                **idx_paths,
+            },
+            "training": {
+                "eta_lambda0_grid": [1.0, 3.0, 5.0],
+                "max_steps": 300,
+                "ntk_eval_interval": 25,
+            },
+        }
+
+    def test_parallel_matches_serial(self, tmp_path, synthetic_idx_paths):
+        # --jobs pickles the experiment's model into each worker
         for family, cfg in (
             ("pure_quadratic", self.sweep_config()),
             ("homogenous", self.homogenous_sweep_config()),
+            ("deep_relu", self.deep_relu_sweep_config(synthetic_idx_paths)),
         ):
             cfg["output"] = {"per_eta_trajectories": True}
             path = write_config(tmp_path, cfg, name=f"{family}.json")

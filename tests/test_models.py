@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -12,7 +13,10 @@ from catapult.models import (
     QuadraticModel,
     linear_net_with_bias_embedding,
 )
-from catapult.numerics import Rng
+from catapult.datasets import Dataset
+from catapult.numerics import Rng, lambda_max_symmetric
+from catapult.selfcheck import _CorruptedZeroSlopeNet, check_negative_control_corrupted_slope
+from catapult.training import TrainConfig, train
 from conftest import (
     analytic_gradient,
     finite_difference_gradient,
@@ -436,6 +440,122 @@ def test_training_leaves_the_callers_arrays_alone(family):
     assert not np.array_equal(params_vector(model), start)
     for key, value in arrays.items():
         assert np.array_equal(np.asarray(value), before[key]), key
+
+
+# ---------------------------------------------------------------------------
+# The kept forward pass: outputs(x) runs it, ntk(x) and the step reuse it
+# ---------------------------------------------------------------------------
+
+KEPT_PASS_FAMILIES = ["quadratic_with_bias", "leaky_homogenous", "deep_relu"]
+
+
+def kept_pass_case(family: str):
+    """A model, its inputs and labels, and an eta * lambda0 at which its loss
+    spikes within 30 steps and then falls (a catapult)."""
+    if family == "quadratic_with_bias":
+        model, dataset = random_quadratic(12, 4, 2, 5, seed=62)
+        return model, dataset, 3.0
+    rng = Rng(61)
+    if family == "leaky_homogenous":
+        model = HomogenousNet.init_random(16, rng, a_minus=0.5, a_plus=1.0, input_dim=2)
+        dataset = Dataset(inputs=rng.child(1).normal((5, 2)), labels=rng.child(2).normal(5))
+        return model, dataset, 3.0
+    model = DeepReluNet.init_random(32, 3, rng.child(3))
+    dataset = Dataset(inputs=rng.child(4).normal((5, 3)), labels=rng.child(5).normal(5))
+    return model, dataset, 4.0
+
+
+class TestKeptForwardPass:
+    @pytest.mark.parametrize("family", KEPT_PASS_FAMILIES)
+    @pytest.mark.parametrize("regime", ["lazy", "catapult"])
+    def test_reusing_the_pass_moves_no_bit(self, family, regime):
+        # the twin gets a fresh copy of the inputs at every call, so it never
+        # reuses a pass; outputs, kernels and weights must agree bit for bit
+        model, dataset, catapult_rate = kept_pass_case(family)
+        x, y = dataset.inputs, dataset.labels
+        rate = 1.0 if regime == "lazy" else catapult_rate
+        eta = rate / lambda_max_symmetric(model.ntk(x))
+        reused, fresh = model.clone(), model.clone()
+        losses = []
+        for _ in range(30):
+            z, z_fresh = reused.outputs(x), fresh.outputs(x.copy())
+            assert z.tobytes() == z_fresh.tobytes()
+            assert reused.ntk(x).tobytes() == fresh.ntk(x.copy()).tobytes()
+            reused.apply_gd_step(x, z - y, eta)
+            fresh.apply_gd_step(x.copy(), z_fresh - y, eta)
+            losses.append(float((z - y) @ (z - y)))
+        assert params_vector(reused).tobytes() == params_vector(fresh).tobytes()
+        assert np.isfinite(losses).all() and losses[-1] < losses[0]
+        assert (max(losses) > losses[0]) == (regime == "catapult")
+
+    @pytest.mark.parametrize("family", KEPT_PASS_FAMILIES)
+    def test_train_runs_one_forward_pass_per_step(self, family, monkeypatch):
+        model, dataset, _ = kept_pass_case(family)
+        eta = 1.0 / lambda_max_symmetric(model.ntk(dataset.inputs))
+        forward = type(model)._forward
+        passes = []
+
+        def counted(self, inputs):
+            passes.append(inputs)
+            return forward(self, inputs)
+
+        monkeypatch.setattr(type(model), "_forward", counted)
+        config = TrainConfig(eta=eta, max_steps=20, convergence_tol=1e-300)
+        assert train(model.clone(), dataset, config).steps_taken == 20
+        # the outputs of the 21 states; the 21 kernels and 20 steps reuse them
+        assert len(passes) == 21
+
+    @pytest.mark.parametrize("family", KEPT_PASS_FAMILIES)
+    def test_kernel_after_a_step_is_the_new_weights_kernel(self, family):
+        model, dataset, _ = kept_pass_case(family)
+        x, y = dataset.inputs, dataset.labels
+        before = model.ntk(x)
+        model.apply_gd_step(x, model.outputs(x) - y, 1.0 / lambda_max_symmetric(before))
+        after = model.ntk(x)
+        assert after.tobytes() == model.clone().ntk(x).tobytes()
+        assert not np.array_equal(after, before)
+
+    @pytest.mark.parametrize("family", ["leaky_homogenous", "deep_relu"])
+    def test_other_inputs_get_their_own_pass(self, family):
+        # a net's pass depends on its inputs; only the very object outputs
+        # ran on may reuse it, whatever the values
+        model, dataset, _ = kept_pass_case(family)
+        x = dataset.inputs
+        other = x[::-1].copy()
+        model.outputs(x)
+        kernel = model.ntk(other)
+        assert kernel.tobytes() == model.clone().ntk(other).tobytes()
+        assert not np.array_equal(kernel, model.ntk(x))
+
+    @pytest.mark.parametrize("family", KEPT_PASS_FAMILIES)
+    def test_clone_and_pickle_carry_no_pass_or_buffers(self, family):
+        model, dataset, _ = kept_pass_case(family)
+        x, y = dataset.inputs, dataset.labels
+        model.apply_gd_step(x, model.outputs(x) - y, 0.01)
+        z = model.outputs(x)
+        assert {"_kept", "_gradients"} <= set(vars(model))
+        for twin in (model.clone(), pickle.loads(pickle.dumps(model))):
+            assert not {"_kept", "_gradients"} & set(vars(twin))
+            assert twin.outputs(x).tobytes() == z.tobytes()
+            twin.apply_gd_step(x, z - y, 0.01)
+            assert twin.outputs(x).tobytes() != z.tobytes()
+        # stepping the twins left the original's weights alone
+        assert model.outputs(x).tobytes() == z.tobytes()
+
+    def test_corrupted_slope_control_drops_the_pass_and_still_fails(self):
+        # its step builds its own factors but updates through the shared
+        # in-place path, so no kernel can read the pass of the old weights
+        net = _CorruptedZeroSlopeNet(u=[0.0, 1.0, -0.5], v=[2.0, 1.0, 1.0], a_minus=0.0, a_plus=1.0)
+        x, y = np.array([[1.0]]), np.array([0.5])
+        before = net.ntk(x)
+        net.apply_gd_step(x, net.outputs(x) - y, 0.1)
+        after = net.ntk(x)
+        assert after.tobytes() == net.clone().ntk(x).tobytes()
+        assert not np.array_equal(after, before)
+        # and the weight-norm identity still catches it within three steps
+        for seed in (0, 1, 2):
+            result = check_negative_control_corrupted_slope(seed)
+            assert result.passed and result.residual > result.threshold, seed
 
 
 class TestLinearNetWithBiasEmbedding:

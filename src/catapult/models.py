@@ -24,16 +24,16 @@ once over those factors, so both always come from the same gradients.
 Models are value-like records over numpy arrays; a single trainer owns and
 mutates one model.
 
-Each model keeps the forward pass of its current weights.  ``outputs(x)``
-always runs the pass afresh and keeps it together with the object ``x``;
-``ntk(x)`` and ``apply_gd_step(x, ...)`` build their factors from the kept
-pass when they are handed that same object (``is``), and run their own pass
-otherwise.  The kept pass is valid from ``outputs(x)`` until the model's next
-update, so the inputs must not be written in between.  Weights change only
-through ``apply_gd_step``, whose one in-place update drops the kept pass and
-writes each gradient into a buffer the model keeps; code that writes the
-arrays of ``weights()`` itself must call ``outputs`` again before ``ntk`` or a
-step.  ``clone()`` and pickling carry neither the pass nor the buffers.
+Each model keeps the forward pass of its current weights; a net's holds one
+slope array per layer, which its kernel and update read.  ``outputs(x)``
+always runs the pass and keeps it with the object ``x``; ``ntk(x)`` and
+``apply_gd_step(x, ...)`` build their factors from it when handed that same
+object (``is``), and run their own pass otherwise.  The pass stays valid
+until the next update; the inputs must not be written meanwhile.  Weights
+change only through ``apply_gd_step``, whose one in-place update drops the
+kept pass and writes each gradient into a buffer the model keeps; code that
+writes the arrays of ``weights()`` itself must call ``outputs`` again before
+``ntk`` or a step.  ``clone()`` and pickling carry neither pass nor buffers.
 """
 
 from __future__ import annotations
@@ -56,18 +56,25 @@ class ModelError(ValueError):
     """A model was constructed or used outside its documented contract."""
 
 
-def scale_invariant(x: np.ndarray, a_minus: float, a_plus: float) -> np.ndarray:
-    """Piecewise-linear activation: a_plus*x for x >= 0, a_minus*x for x < 0."""
-    x = np.asarray(x, dtype=np.float64)
-    return np.where(x >= 0.0, a_plus * x, a_minus * x)
+def scale_invariant_slope(x: np.ndarray, a_minus: float, a_plus: float) -> np.ndarray:
+    """Slope of the scale-invariant activation: a_plus where x > 0, a_minus
+    where x < 0, the midpoint (a_plus + a_minus)/2 at +0 and -0, and 0 at
+    NaN, which no state that training steps holds.  ``slope * x`` is the
+    activation, a_plus*x for x >= 0 and a_minus*x below, sign bits included."""
+    slope = (x > 0.0).astype(np.float64)
+    slope *= a_plus
+    below = (x < 0.0).astype(np.float64)
+    below *= a_minus
+    slope += below
+    slope[x == 0.0] = 0.5 * (a_plus + a_minus)
+    return slope
 
 
-def scale_invariant_deriv(x: np.ndarray, a_minus: float, a_plus: float) -> np.ndarray:
-    """Slope of the scale-invariant activation; (a_plus+a_minus)/2 at exactly 0."""
-    x = np.asarray(x, dtype=np.float64)
-    return np.where(
-        x > 0.0, a_plus, np.where(x < 0.0, a_minus, 0.5 * (a_plus + a_minus))
-    )
+def _layer(inputs: np.ndarray, weights: np.ndarray, a_minus: float, a_plus: float):
+    """A layer's slopes and its activations, written over ``inputs @ weights.T``."""
+    pre = inputs @ weights.T
+    slope = scale_invariant_slope(pre, a_minus, a_plus)
+    return slope, np.multiply(slope, pre, out=pre)
 
 
 def _symmetrize(m: np.ndarray) -> np.ndarray:
@@ -118,9 +125,9 @@ def _squared_norm(weights: list[np.ndarray]) -> float:
 
 
 class _KeptPass:
-    """The forward pass of the current weights, kept with the inputs object
-    it was run on (see the module docstring), and the one in-place update.
-    A family supplies ``_forward(inputs)`` and ``weights()``."""
+    """The forward pass of the current weights, kept with its inputs object
+    (module docstring), and the one in-place update; a family supplies
+    ``_forward(inputs)`` and ``weights()``."""
 
     _kept = None  # (inputs, forward pass), or None once the weights moved
     _gradients = None  # one buffer per array of weights(), made at the first step
@@ -130,8 +137,7 @@ class _KeptPass:
         return forward
 
     def _pass(self, inputs):
-        """The kept pass when ``inputs`` is the object it was run on, else a
-        fresh one."""
+        """The kept pass if it was run on the object ``inputs``, else a fresh one."""
         kept = self._kept
         if kept is not None and kept[0] is inputs:
             return kept[1]
@@ -148,10 +154,7 @@ class _KeptPass:
             w -= g
 
     def __getstate__(self):
-        state = self.__dict__.copy()
-        state.pop("_kept", None)
-        state.pop("_gradients", None)
-        return state
+        return {k: v for k, v in self.__dict__.items() if k not in ("_kept", "_gradients")}
 
 
 # ---------------------------------------------------------------------------
@@ -294,9 +297,8 @@ class QuadraticModel(_KeptPass):
         return self.weight_norm() + float(phi @ self.theta) ** 2 / phi_sq
 
     def clone(self) -> "QuadraticModel":
-        # The clone shares the features this model's __post_init__ already
-        # checked, so it copies theta and does not check them again; the copy
-        # goes through __getstate__, so the kept pass and buffers stay behind.
+        # The clone shares the features __post_init__ checked and copies only
+        # theta; copy.copy goes through __getstate__, so no pass or buffer.
         twin = copy.copy(self)
         twin.theta = self.theta.copy()
         return twin
@@ -407,13 +409,12 @@ class HomogenousNet(_KeptPass):
 
     def _forward(self, inputs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         x = _as_inputs(inputs)
-        pre = x @ self.u.T  # (D, n)
-        return x, pre, scale_invariant(pre, self.a_minus, self.a_plus)
+        return x, *_layer(x, self.u, self.a_minus, self.a_plus)  # slopes, activations: (D, n)
 
     def _factors(self, inputs) -> list:
         """Factors of ``weights()``."""
-        x, pre, act = self._pass(inputs)
-        return [(act, None), (scale_invariant_deriv(pre, self.a_minus, self.a_plus) * self.v, x)]
+        x, slope, act = self._pass(inputs)
+        return [(act, None), (slope * self.v, x)]
 
     def activations(self, inputs) -> list[np.ndarray]:
         return [self._forward(inputs)[2]]
@@ -512,10 +513,9 @@ class DeepReluNet(_KeptPass):
 
     def _forward(self, inputs) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
         x = _as_inputs(inputs)
-        pre_in = x @ self.input_weights.T
-        act_in = scale_invariant(pre_in, 0.0, 1.0)
-        pre_hidden = act_in @ self.hidden_weights.T
-        return x, [pre_in, pre_hidden], [act_in, scale_invariant(pre_hidden, 0.0, 1.0)]
+        slope_in, act_in = _layer(x, self.input_weights, 0.0, 1.0)
+        slope_hidden, act_hidden = _layer(act_in, self.hidden_weights, 0.0, 1.0)
+        return x, [slope_in, slope_hidden], [act_in, act_hidden]
 
     def outputs(self, inputs) -> np.ndarray:
         _, _, acts = self._keep(inputs, self._forward(inputs))
@@ -528,9 +528,9 @@ class DeepReluNet(_KeptPass):
     def _factors(self, inputs) -> list:
         """Factors of ``weights()``: each layer's backpropagated gates times
         the activations feeding it."""
-        x, (pre_in, pre_hidden), (act_in, act_hidden) = self._pass(inputs)
-        back_hidden = self.output_weights[None, :] * scale_invariant_deriv(pre_hidden, 0.0, 1.0)
-        back_in = (back_hidden @ self.hidden_weights) * scale_invariant_deriv(pre_in, 0.0, 1.0)
+        x, (slope_in, slope_hidden), (act_in, act_hidden) = self._pass(inputs)
+        back_hidden = self.output_weights[None, :] * slope_hidden
+        back_in = (back_hidden @ self.hidden_weights) * slope_in
         return [(back_in, x), (act_hidden, None), (back_hidden, act_in)]
 
     def ntk(self, inputs) -> np.ndarray:

@@ -48,7 +48,7 @@ from catapult.models import (
     HomogenousNet,
     QuadraticModel,
     linear_net_with_bias_embedding,
-    scale_invariant_deriv,
+    scale_invariant_slope,
 )
 from catapult.numerics import Rng, lambda_max_symmetric
 from catapult.training import quad_update_consistency, weight_norm_identity_residuals
@@ -309,8 +309,9 @@ class _CorruptedZeroSlopeNet(HomogenousNet):
     while its kernel keeps the documented (a_plus+a_minus)/2 convention."""
 
     def apply_gd_step(self, inputs, errors: np.ndarray, eta: float) -> None:
-        x, pre, act = self._forward(inputs)
-        slopes = scale_invariant_deriv(pre, self.a_minus, self.a_plus)
+        x, _, act = self._forward(inputs)
+        pre = x @ self.u.T
+        slopes = scale_invariant_slope(pre, self.a_minus, self.a_plus)
         slopes[pre == 0.0] = 1.0
         self._update([(act, None), (slopes * self.v, x)], errors, eta, self.output_scale)
 

@@ -17,6 +17,7 @@ are the source of truth; the two must agree to roundoff.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -131,13 +132,16 @@ def train(model, dataset: Dataset, config: TrainConfig) -> Trajectory:
         # steps; the resulting infs are what the divergence check looks for.
         with np.errstate(over="ignore", invalid="ignore"):
             z = model.outputs(x)
-        finite = bool(np.isfinite(z).all()) and all(
-            np.isfinite(w).all() for w in model.weights()
+            norm = model.weight_norm()
+        # a finite norm proves every weight finite; finite weights whose
+        # squares overflow keep their inf norm and are not a divergence
+        finite = bool(np.isfinite(z).all()) and (
+            math.isfinite(norm) or all(np.isfinite(w).all() for w in model.weights())
         )
         loss = mse_loss(z, y) if finite else float("inf")
 
         losses.append(loss)
-        weight_norms.append(model.weight_norm() if finite else float("inf"))
+        weight_norms.append(norm if finite else float("inf"))
         if track_certified:
             certified.append(model.certified_norm(x))
 

@@ -12,6 +12,9 @@ from catapult.models import (
     ModelError,
     QuadraticModel,
     linear_net_with_bias_embedding,
+    loss_gradients,
+    scale_invariant_slope,
+    tangent_kernel,
 )
 from catapult.datasets import Dataset
 from catapult.numerics import Rng, lambda_max_symmetric
@@ -556,6 +559,148 @@ class TestKeptForwardPass:
         for seed in (0, 1, 2):
             result = check_negative_control_corrupted_slope(seed)
             assert result.passed and result.residual > result.threshold, seed
+
+
+def where_activation(x, a_minus, a_plus):
+    """The activation as two np.where passes once computed it: the oracle."""
+    return np.where(x >= 0.0, a_plus * x, a_minus * x)
+
+
+def where_slope(x, a_minus, a_plus):
+    return np.where(x > 0.0, a_plus, np.where(x < 0.0, a_minus, 0.5 * (a_plus + a_minus)))
+
+
+def where_homogenous(net, x):
+    """Outputs, activations and factors of a two-layer net from the oracle."""
+    pre = x @ net.u.T
+    act = where_activation(pre, net.a_minus, net.a_plus)
+    factors = [(act, None), (where_slope(pre, net.a_minus, net.a_plus) * net.v, x)]
+    return act @ net.v / math.sqrt(net.width), [act], factors
+
+
+def where_deep(net, x):
+    """Outputs, activations and factors of the three-layer net from the oracle."""
+    pre_in = x @ net.input_weights.T
+    act_in = where_activation(pre_in, 0.0, 1.0)
+    pre_hidden = act_in @ net.hidden_weights.T
+    act_hidden = where_activation(pre_hidden, 0.0, 1.0)
+    back_hidden = net.output_weights[None, :] * where_slope(pre_hidden, 0.0, 1.0)
+    back_in = (back_hidden @ net.hidden_weights) * where_slope(pre_in, 0.0, 1.0)
+    factors = [(back_in, x), (act_hidden, None), (back_hidden, act_in)]
+    return net.output_scale * (act_hidden @ net.output_weights), [act_in, act_hidden], factors
+
+
+SLOPES = [(0.0, 1.0), (0.5, 1.0), (1.0, 1.0)]
+
+
+def bits(a) -> bytes:
+    return np.ascontiguousarray(a, dtype=np.float64).tobytes()
+
+
+class TestSlopeAgainstWherePair:
+    """One slope array per layer reproduces the two np.where helpers it
+    replaced: the activation bit for bit, sign bits of zeros included, and the
+    slope everywhere but at NaN."""
+
+    EDGES = np.array(
+        [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e308, -1e308, 2.5, -2.5]
+    )
+
+    @pytest.mark.parametrize("a_minus, a_plus", SLOPES + [(0.1, 0.7)])
+    def test_helper(self, a_minus, a_plus):
+        x = np.concatenate([self.EDGES, Rng(70).normal(199)]).reshape(-1, 7)
+        slope = scale_invariant_slope(x, a_minus, a_plus)
+        nan = np.isnan(x)
+        assert bits(slope[~nan]) == bits(where_slope(x, a_minus, a_plus)[~nan])
+        assert np.all(slope[nan] == 0.0)
+        with np.errstate(invalid="ignore"):
+            act = slope * x
+            assert bits(act) == bits(where_activation(x, a_minus, a_plus))
+        assert np.signbit(act[x == 0.0]).tolist() == np.signbit(x[x == 0.0]).tolist()
+
+    @staticmethod
+    def homogenous_case(a_minus, a_plus, infinite):
+        # x = (1, 1) meets two neurons of u with opposite entries at exact
+        # +0, where the midpoint slope moves the kernel and the step; the
+        # rows (+-inf, 1) give +-inf preactivations and leave nothing finite
+        # after a step.  u has no zero entry, so no preactivation is NaN, the
+        # one state where the slopes may differ.
+        net = HomogenousNet(
+            u=[[1.5, 0.5], [-0.5, 0.5], [2.0, -1.0], [-1.0, 0.25], [0.25, -0.25]],
+            v=[0.3, -1.2, 0.7, 2.0, -0.4],
+            a_minus=a_minus,
+            a_plus=a_plus,
+        )
+        rows = [[1.0, 1.0], [0.0, 0.0], [-2.0, 1.0], [0.5, 2.0]]
+        x = np.array(rows + [[np.inf, 1.0], [-np.inf, 1.0]] * infinite)
+        return net, x, where_homogenous
+
+    @staticmethod
+    def deep_case(infinite):
+        # the row (1, 1, 0.5) meets the first input neuron (1, -1, 0) at +0,
+        # and the zero first hidden row gives +0 on every datapoint; 1e308
+        # hidden rows of one sign overflow to +-inf without an inf - inf
+        rng = Rng(71)
+        net = DeepReluNet(
+            input_weights=rng.normal((4, 3)),
+            hidden_weights=rng.child(3).normal((4, 4)),
+            output_weights=rng.normal(4),
+        )
+        net.input_weights[0] = [1.0, -1.0, 0.0]
+        net.hidden_weights[0] = 0.0
+        if infinite:
+            net.hidden_weights[1:, :3] = np.outer([-1.0, 1.5, -1.5], np.ones(3)) * 1e308
+        x = np.vstack(
+            [[1.0, 1.0, 0.5], 10.0 * np.abs(rng.child(1).normal((3, 3))), -np.abs(rng.child(2).normal(3))]
+        )
+        return net, x, where_deep
+
+    CASES = [("homogenous", slopes) for slopes in SLOPES] + [("deep_relu", None)]
+
+    def case(self, family, slopes, infinite):
+        if family == "deep_relu":
+            return self.deep_case(infinite)
+        return self.homogenous_case(*slopes, infinite)
+
+    def test_cases_reach_the_edges(self):
+        net, x, _ = self.homogenous_case(0.0, 1.0, True)
+        pre = x @ net.u.T
+        net, x, _ = self.deep_case(True)
+        with np.errstate(over="ignore", invalid="ignore"):
+            pre_in = x @ net.input_weights.T
+            hidden = np.maximum(pre_in, 0.0) @ net.hidden_weights.T
+        for values in (pre, pre_in, hidden):
+            assert np.any((values == 0.0) & ~np.signbit(values))
+            assert not np.isnan(values).any()
+        for values in (pre, hidden):
+            assert np.any(values == np.inf) and np.any(values == -np.inf)
+        # the finite cases step to finite weights, so the step is compared
+        # on numbers and not only on NaN patterns
+        for family, slopes in self.CASES:
+            net, x, _ = self.case(family, slopes, False)
+            net.apply_gd_step(x, net.outputs(x), 0.3)
+            assert all(np.isfinite(w).all() for w in net.weights())
+
+    @pytest.mark.parametrize("infinite", [False, True])
+    @pytest.mark.parametrize("family, slopes", CASES)
+    def test_model_matches_the_oracle_bitwise(self, family, slopes, infinite):
+        net, x, oracle = self.case(family, slopes, infinite)
+        y = np.linspace(-0.5, 0.5, len(x))
+        with np.errstate(over="ignore", invalid="ignore"):
+            outputs, activations, factors = oracle(net, x)
+            assert bits(net.outputs(x)) == bits(outputs)
+            got = net.activations(x)
+            assert len(got) == len(activations)
+            for a, b in zip(got, activations):
+                assert bits(a) == bits(b)
+            assert bits(net.ntk(x)) == bits(tangent_kernel(factors, net.output_scale))
+            expected = [w.copy() for w in net.weights()]
+            for w, g in zip(expected, loss_gradients(factors, outputs - y, net.output_scale)):
+                g *= 0.3
+                w -= g
+            net.apply_gd_step(x, net.outputs(x) - y, 0.3)
+        for w, e in zip(net.weights(), expected):
+            assert bits(w) == bits(e)
 
 
 class TestLinearNetWithBiasEmbedding:

@@ -119,6 +119,29 @@ class TestTrain:
         assert np.array_equal(a.weight_norms, b.weight_norms)
         assert np.array_equal(a.eta_lambda_max, b.eta_lambda_max)
 
+    def test_finite_weights_whose_squares_overflow_are_not_a_divergence(self):
+        # neuron 0 is dead on x = 1, so its 1e200 output weight moves no
+        # output, kernel or gradient: the run is its twin's with an
+        # overflowing weight norm, recorded as inf at every step
+        def net(v0):
+            return HomogenousNet(u=[-1.0, 0.8, 1.2], v=[v0, 0.5, -0.3], a_minus=0.0, a_plus=1.0)
+
+        dataset = Dataset(inputs=np.array([[1.0]]), labels=np.array([0.4]))
+        big, twin = net(1e200), net(0.0)
+        assert np.isfinite(big.outputs(dataset.inputs)).all()
+        with np.errstate(over="ignore"):
+            assert big.weight_norm() == np.inf
+        config = TrainConfig(eta=2.5 / float(twin.ntk(dataset.inputs)[0, 0]))
+        got, expected = train(big, dataset, config), train(twin, dataset, config)
+        assert got.termination == expected.termination == "converged"
+        assert got.steps_taken == expected.steps_taken
+        assert got.losses.tobytes() == expected.losses.tobytes()
+        assert got.eta_lambda_max.tobytes() == expected.eta_lambda_max.tobytes()
+        assert got.certified_norms.tobytes() == expected.certified_norms.tobytes()
+        assert np.all(got.weight_norms == np.inf)
+        assert np.all(np.isfinite(expected.weight_norms))
+        assert big.v[0] == 1e200
+
     def test_sparse_kernel_recording_keeps_gaps_explicit(self):
         m = pure_toy_quadratic(32, seed=6)
         eta = 2.5 / float(m.ntk()[0, 0])

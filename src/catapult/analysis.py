@@ -23,7 +23,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from catapult.datasets import Dataset
-from catapult.models import DeepReluNet, HomogenousNet, QuadraticModel
+from catapult.models import QuadraticModel
 from catapult.numerics import sym_eigen
 from catapult.training import (
     TERMINATION_CONVERGED,
@@ -104,7 +104,7 @@ def sparsity(net, inputs) -> list[float]:
     """Per-layer fraction of post-activation units that are exactly zero,
     averaged over all inputs.  A pre-activation of exactly zero maps to a
     zero output and therefore counts."""
-    if not isinstance(net, (HomogenousNet, DeepReluNet)):
+    if not net.activation_layers:
         raise AnalysisError("sparsity is defined for the net families")
     return [float((act == 0.0).mean()) for act in net.activations(inputs)]
 
@@ -171,7 +171,7 @@ def run_sweep_point(
             record.test_loss_final = report.test_loss
             record.generalization_gap = report.gap
             record.accuracy = report.accuracy
-        if isinstance(model, (HomogenousNet, DeepReluNet)):
+        if model.activation_layers:
             record.sparsity = tuple(sparsity(model, dataset.inputs))
         return record, trajectory
     except Exception as exc:  # noqa: BLE001 - per-rate isolation is the contract
@@ -201,12 +201,8 @@ class LinearizedPrediction:
     trajectory never crosses it).
     """
 
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    initial_coefficients: np.ndarray
     predicted_errors: np.ndarray  # (horizon + 1, D)
     predicted_losses: np.ndarray  # (horizon + 1,)
-    breakdown_scale: float
     validity_horizon: Optional[int]
 
 
@@ -215,7 +211,7 @@ def output_breakdown_scale(model) -> float:
     the inverse coupling for quadratic models, sqrt(width) for nets."""
     if isinstance(model, QuadraticModel):
         return float("inf") if model.zeta == 0.0 else 1.0 / model.zeta
-    if isinstance(model, (HomogenousNet, DeepReluNet)):
+    if model.activation_layers:
         return float(np.sqrt(model.width))
     raise AnalysisError(f"no breakdown scale for {type(model).__name__}")
 
@@ -251,11 +247,5 @@ def linearized_predict(
         if crossed.size:
             horizon_idx = int(crossed[0])
     return LinearizedPrediction(
-        eigenvalues=evals,
-        eigenvectors=evecs,
-        initial_coefficients=coeffs,
-        predicted_errors=errors,
-        predicted_losses=losses,
-        breakdown_scale=scale,
-        validity_horizon=horizon_idx,
+        predicted_errors=errors, predicted_losses=losses, validity_horizon=horizon_idx
     )

@@ -276,11 +276,14 @@ def bound_relu(net: HomogenousNet, dataset: Dataset) -> BoundReport:
     """Window for a two-layer net with slopes (0, a_plus), such as ReLU, on
     one 1d datapoint x.
 
-    Only the neurons active at initialization (``u_i x > 0``) ever move, so
+    Only the neurons active at initialization (``u_i x >= 0``) ever move, so
     the argument runs on the reduced weight norm over them (the net's
-    ``certified_norm``), and the kernel at initialization is
-    ``H_0 = a_plus**2 * x**2 * reduced / n``.  That makes the certified
-    window exactly ``(2/H_0, 4/H_0)``.
+    ``certified_norm``), and the kernel is at most
+    ``a_plus**2 * x**2 * reduced / n``.  At initialization it equals that
+    ceiling, which makes the certified window exactly ``(2/H_0, 4/H_0)``,
+    unless a first-layer weight is exactly zero: such a neuron sits at the
+    kink, moves at the midpoint slope a_plus/2 and through u only, so
+    ``H_0`` counts its ``v_i**2`` at ``(a_plus/2)**2`` instead.
 
     A step moves the reduced norm by ``eta e (eta H e - 4 z)``, e = z - y,
     so it falls at step t exactly when ``eta H_t < 4 z_t / e_t``: at label 0
@@ -297,11 +300,19 @@ def bound_relu(net: HomogenousNet, dataset: Dataset) -> BoundReport:
             "no first-layer weight is active on the datapoint at initialization; "
             "the net is frozen and no window exists"
         )
-    h0 = net.a_plus**2 * x * x * reduced / net.width
+    ceiling = net.a_plus**2 * x * x * reduced / net.width
+    h0 = ceiling
+    active = net.active_on(x)
+    at_kink = active & (net.u[:, 0] == 0.0)
+    if at_kink.any():
+        moving = active & ~at_kink
+        u, v, v_kink = net.u[moving, 0], net.v[moving], net.v[at_kink]
+        weighted = net.a_plus**2 * (u @ u + v @ v) + (net.a_plus / 2.0) ** 2 * (v_kink @ v_kink)
+        h0 = x * x * float(weighted) / net.width
     return BoundReport(
         method="single_datapoint",
         h0=h0,
-        ceiling=h0,
+        ceiling=ceiling,
         proven=True,
         inputs_digest={
             "family": "relu",
@@ -310,7 +321,7 @@ def bound_relu(net: HomogenousNet, dataset: Dataset) -> BoundReport:
             "x": x,
             "reduced_theta0_sq": reduced,
             "h0": h0,
-            "active_fraction": float(net.active_on(x).mean()),
+            "active_fraction": float(active.mean()),
         },
         notes=[NOTE_RELU_EMPIRICAL],
     )

@@ -459,7 +459,6 @@ class Experiment:
     dataset: Dataset
     model: object
     evaluate_outputs: Optional[Callable] = None
-    sparsity_layers: int = 0
     lambda0: float = dataclasses.field(init=False)
 
     def __post_init__(self):
@@ -517,7 +516,6 @@ def resolve_experiment(cfg: dict) -> Experiment:
         return Experiment(
             dataset,
             DeepReluNet.init_random(model_cfg["width"], dataset.dim, theta_rng),
-            sparsity_layers=2,
         )
 
     if family in ("homogenous", "deep_relu"):
@@ -529,7 +527,6 @@ def resolve_experiment(cfg: dict) -> Experiment:
             HomogenousNet.init_random(
                 model_cfg["width"], theta_rng, a_minus, a_plus, input_dim=dataset.dim
             ),
-            sparsity_layers=1,
         )
 
     # The quadratic families: a student feature map from a teacher-student
@@ -567,21 +564,21 @@ def _train_config(cfg: dict, eta: float) -> TrainConfig:
     return TrainConfig(eta=eta, **{name: cfg["training"][name] for name in _TRAINING_FIELDS})
 
 
-def resolve_eta_grid(cfg: dict, experiment: Experiment) -> tuple[list[float], float]:
-    """Raw learning rates plus the initial kernel eigenvalue they were
-    resolved against (rates given as eta * lambda0 divide it out)."""
+def resolve_eta_grid(cfg: dict, experiment: Experiment) -> list[float]:
+    """Raw learning rates; rates given as eta * lambda0 divide out the
+    experiment's lambda0."""
     lambda0 = experiment.lambda0
     training = cfg["training"]
     if training["eta"] is not None:
-        return [training["eta"]], lambda0
+        return [training["eta"]]
     if training["eta_grid"] is not None:
-        return list(training["eta_grid"]), lambda0
+        return list(training["eta_grid"])
     if not lambda0 > 0.0:
         raise ConfigError(
             "training.eta_lambda0_grid: the initial kernel vanishes (lambda0 = 0), "
             "so rates cannot be given in units of it; use eta or eta_grid"
         )
-    return [value / lambda0 for value in training["eta_lambda0_grid"]], lambda0
+    return [value / lambda0 for value in training["eta_lambda0_grid"]]
 
 
 # ---------------------------------------------------------------------------
@@ -611,15 +608,16 @@ def write_trajectory_csv(path: Path, trajectory: Trajectory) -> None:
     write_csv(path, header, rows)
 
 
-def _sweep_columns(record: SweepRecord, sparsity_layers: int) -> dict:
+def _sweep_columns(record: SweepRecord, activation_layers: int) -> dict:
     """One sweep.csv row keyed by column: the record's fields in order, with
-    its sparsity tuple spread over sparsity_0.. (blank where it has none)."""
+    its sparsity tuple spread over sparsity_0.., one per activation layer of
+    the model (blank where it has none)."""
     columns = {}
     for item in dataclasses.fields(record):
         value = getattr(record, item.name)
         if item.name == "sparsity":
             layers = value or ()
-            for i in range(sparsity_layers):
+            for i in range(activation_layers):
                 columns[f"sparsity_{i}"] = layers[i] if i < len(layers) else None
         else:
             columns[item.name] = value
@@ -648,7 +646,7 @@ def _write_json(path: Path, payload: dict) -> None:
 
 def cmd_train(cfg: dict, out_dir: Path) -> None:
     experiment = resolve_experiment(cfg)
-    etas, lambda0 = resolve_eta_grid(cfg, experiment)
+    etas = resolve_eta_grid(cfg, experiment)
     if len(etas) != 1:
         raise ConfigError("training.eta: the train command requires a single rate")
     eta = etas[0]
@@ -659,8 +657,8 @@ def cmd_train(cfg: dict, out_dir: Path) -> None:
     meta.update(
         {
             "eta": eta,
-            "lambda0": lambda0,
-            "eta_lambda0": eta * lambda0,
+            "lambda0": experiment.lambda0,
+            "eta_lambda0": eta * experiment.lambda0,
             "termination": trajectory.termination,
             "steps_taken": trajectory.steps_taken,
             "final_loss": float(trajectory.losses[-1]),
@@ -699,7 +697,7 @@ def _run_worker_rate(eta: float) -> tuple:
 def write_sweep(cfg: dict, experiment: Experiment, out_dir: Path, jobs: int) -> None:
     """Train a clone of the experiment's model at every rate of the grid and
     write sweep.csv, sweep.meta.json and, if asked, per-rate trajectories."""
-    etas, lambda0 = resolve_eta_grid(cfg, experiment)
+    etas = resolve_eta_grid(cfg, experiment)
     run_rate = partial(_sweep_rate, experiment, cfg)
     workers = min(jobs, len(etas))
     if workers > 1:
@@ -713,14 +711,14 @@ def write_sweep(cfg: dict, experiment: Experiment, out_dir: Path, jobs: int) -> 
         results = list(map(run_rate, etas))
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    rows = [_sweep_columns(record, experiment.sparsity_layers) for record, _ in results]
+    rows = [_sweep_columns(record, experiment.model.activation_layers) for record, _ in results]
     write_csv(out_dir / "sweep.csv", list(rows[0]), [list(row.values()) for row in rows])
     if cfg["output"]["per_eta_trajectories"]:
         for index, (_, trajectory) in enumerate(results):
             if trajectory is not None:
                 write_trajectory_csv(out_dir / f"trajectory_{index:03d}.csv", trajectory)
     meta = _base_metadata(cfg, "sweep")
-    meta.update({"lambda0": lambda0, "eta_grid": [float(e) for e in etas]})
+    meta.update({"lambda0": experiment.lambda0, "eta_grid": [float(e) for e in etas]})
     _write_json(out_dir / "sweep.meta.json", meta)
 
 

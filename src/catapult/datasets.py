@@ -213,10 +213,6 @@ class QuadraticFeatureMap:
     def n(self) -> int:
         return self.n_psi + self.n_phi
 
-    @property
-    def input_dim(self) -> int:
-        return self.meta_generators.shape[0]
-
     def _activations_at(self, x: np.ndarray) -> np.ndarray:
         """Unprojected meta-feature matrices ``g(sum_i x_i W^i)``, one per
         row of x.  They are exactly symmetric: every generator is, and the

@@ -9,20 +9,25 @@ Three families:
 * a three-layer ReLU net with one square hidden matrix and no biases, used
   for the image experiments.
 
-Every family exposes outputs, the D x D tangent kernel (the 1/D-normalized
-Gram matrix of per-sample output gradients), an exact full-batch
-gradient-descent step, its squared weight norm, its ``degree`` in the
-weights, and the norm its single-datapoint window is proved on
-(``certified_norm``; None where that is the weight norm itself, or where
-no window is proved).  A family states
-its trainable arrays in a fixed order (``weights``) and, from one forward pass,
-one gradient factor pair ``(left, right)`` per array: sample a's output
-gradient with respect to that array is ``scale * outer(left[a], right[a])``,
-or ``scale * left[a]`` when the array is a vector (``right`` is None).  The
-kernel (``tangent_kernel``) and the step (``loss_gradients``) are written
-once over those factors, so both always come from the same gradients.
-Models are value-like records over numpy arrays; a single trainer owns and
-mutates one model.
+A family states only its own facts: the names of its trainable arrays in a
+fixed order (``weights()``) and their validation, its ``output_scale``, its
+``degree`` in the weights, its number of ``activation_layers``, ``outputs``,
+one forward pass (``_forward``) and, from that pass, one gradient factor
+pair ``(left, right)`` per array (``_factors``): sample a's output gradient
+with respect to that array is ``output_scale * outer(left[a], right[a])``,
+or ``output_scale * left[a]`` when the array is a vector (``right`` is
+None).  A family whose single-datapoint window is proved on another norm
+than the squared weight norm states that norm (``certified_norm``).
+
+The base, ``_KeptPass``, writes the rest once: ``weights()``, the squared
+``weight_norm``, ``clone``, ``certified_norm`` (None: the weight norm itself
+is certified, or no window is proved), the D x D tangent kernel (``ntk``,
+the 1/D-normalized Gram matrix of per-sample output gradients) and the
+exact full-batch gradient-descent step (``apply_gd_step``).  The kernel
+(``tangent_kernel``) and the step (``loss_gradients``) are written over the
+same factors, so both always come from the same gradients.  Models are
+value-like records over numpy arrays; a single trainer owns and mutates one
+model.
 
 Each model keeps the forward pass of its current weights; a net's holds one
 slope array per layer, which its kernel and update read.  ``outputs(x)``
@@ -33,7 +38,9 @@ until the next update; the inputs must not be written meanwhile.  Weights
 change only through ``apply_gd_step``, whose one in-place update drops the
 kept pass and writes each gradient into a buffer the model keeps; code that
 writes the arrays of ``weights()`` itself must call ``outputs`` again before
-``ntk`` or a step.  ``clone()`` and pickling carry neither pass nor buffers.
+``ntk`` or a step.  ``clone()`` and pickling carry neither pass nor buffers;
+a clone copies the trainable arrays and shares everything frozen at
+construction.
 """
 
 from __future__ import annotations
@@ -41,7 +48,7 @@ from __future__ import annotations
 import copy
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -126,11 +133,35 @@ def _squared_norm(weights: list[np.ndarray]) -> float:
 
 class _KeptPass:
     """The forward pass of the current weights, kept with its inputs object
-    (module docstring), and the one in-place update; a family supplies
-    ``_forward(inputs)`` and ``weights()``."""
+    (module docstring), and everything a family does not state itself:
+    its weights, their norm, its clone, its kernel and its step.  Each family
+    restates ``ntk`` and ``apply_gd_step`` in its own namespace, where
+    ``perfbench/tracing.py`` times them per class."""
 
+    _weight_names: tuple[str, ...] = ()  # trainable attributes, in weights() order
+    activation_layers = 0  # activation maps per input, one sparsity column each
     _kept = None  # (inputs, forward pass), or None once the weights moved
     _gradients = None  # one buffer per array of weights(), made at the first step
+
+    def weights(self) -> list[np.ndarray]:
+        return [getattr(self, name) for name in self._weight_names]
+
+    def weight_norm(self) -> float:
+        return _squared_norm(self.weights())
+
+    def certified_norm(self, inputs=None) -> float | None:
+        """The norm the single-datapoint window is proved on, where it is
+        not the weight norm; None here."""
+        return None
+
+    def clone(self):
+        """A twin with its own trainable arrays.  ``copy.copy`` goes through
+        ``__getstate__``, so it carries no pass and no buffer; everything
+        frozen at construction is shared, not recomputed."""
+        twin = copy.copy(self)
+        for name in self._weight_names:
+            setattr(twin, name, getattr(self, name).copy())
+        return twin
 
     def _keep(self, inputs, forward):
         self._kept = (inputs, forward)
@@ -143,13 +174,21 @@ class _KeptPass:
             return kept[1]
         return self._forward(inputs)
 
-    def _update(self, factors, errors, eta: float, scale: float) -> None:
+    def ntk(self, inputs=None) -> np.ndarray:
+        """The D x D tangent kernel of the current weights on the inputs."""
+        return tangent_kernel(self._factors(inputs), self.output_scale)
+
+    def apply_gd_step(self, inputs, errors: np.ndarray, eta: float) -> None:
+        self._update(self._factors(inputs), errors, eta)
+
+    def _update(self, factors, errors, eta: float) -> None:
         """One gradient-descent step in place, ``w -= eta * g`` per array,
         with each gradient built and scaled in its kept buffer."""
         self._kept = None
         if self._gradients is None:
             self._gradients = [np.empty_like(w) for w in self.weights()]
-        for w, g in zip(self.weights(), loss_gradients(factors, errors, scale, self._gradients)):
+        gradients = loss_gradients(factors, errors, self.output_scale, self._gradients)
+        for w, g in zip(self.weights(), gradients):
             g *= eta
             w -= g
 
@@ -182,6 +221,8 @@ class QuadraticModel(_KeptPass):
     meta_features: np.ndarray  # (D, n, n), each exactly symmetric
     zeta: float
     variant: str = "generic"
+    _weight_names = ("theta",)
+    output_scale = 1.0
     degree = 2  # of the meta-feature term; the feature term has degree one
 
     def __post_init__(self):
@@ -226,21 +267,18 @@ class QuadraticModel(_KeptPass):
     def num_points(self) -> int:
         return self.features.shape[0]
 
-    def _check_inputs(self, inputs) -> None:
+    def _forward(self, inputs) -> np.ndarray:
+        """The psi pass ``meta_features @ theta``, (D, n); the features are
+        static, so the inputs only name the datapoints."""
         if inputs is not None and len(inputs) != self.num_points:
             raise ModelError(
                 f"model carries features for {self.num_points} datapoints, "
                 f"got {len(inputs)} inputs"
             )
-
-    def _forward(self, inputs) -> np.ndarray:
-        """The psi pass ``meta_features @ theta``, (D, n); the features are
-        static, so the inputs only name the datapoints."""
         return self.meta_features @ self.theta
 
     def outputs(self, inputs=None) -> np.ndarray:
         """Model outputs on the datapoints the features were built for."""
-        self._check_inputs(inputs)
         meta_theta = self._keep(inputs, self._forward(inputs))
         return self.features @ self.theta + 0.5 * self.zeta * (meta_theta @ self.theta)
 
@@ -249,25 +287,14 @@ class QuadraticModel(_KeptPass):
         datapoint a."""
         return self.features + self.zeta * self._forward(None)
 
-    def weights(self) -> list[np.ndarray]:
-        return [self.theta]
-
     def _factors(self, inputs) -> list:
         return [(self.features + self.zeta * self._pass(inputs), None)]
 
-    def ntk(self, inputs=None) -> np.ndarray:
-        self._check_inputs(inputs)
-        return tangent_kernel(self._factors(inputs), 1.0)
+    ntk, apply_gd_step = _KeptPass.ntk, _KeptPass.apply_gd_step
 
     def grad_theta(self, errors: np.ndarray) -> np.ndarray:
         """Loss gradient for supplied per-datapoint errors z - y."""
-        return loss_gradients(self._factors(None), errors, 1.0)[0]
-
-    def apply_gd_step(self, inputs, errors: np.ndarray, eta: float) -> None:
-        self._update(self._factors(inputs), errors, eta, 1.0)
-
-    def weight_norm(self) -> float:
-        return _squared_norm(self.weights())
+        return loss_gradients(self._factors(None), errors, self.output_scale)[0]
 
     @functools.cached_property
     def psi_spectrum(self) -> np.ndarray:
@@ -295,13 +322,6 @@ class QuadraticModel(_KeptPass):
         if phi_sq == 0.0:
             return None
         return self.weight_norm() + float(phi @ self.theta) ** 2 / phi_sq
-
-    def clone(self) -> "QuadraticModel":
-        # The clone shares the features __post_init__ checked and copies only
-        # theta; copy.copy goes through __getstate__, so no pass or buffer.
-        twin = copy.copy(self)
-        twin.theta = self.theta.copy()
-        return twin
 
 
 def linear_net_with_bias_embedding(
@@ -354,10 +374,12 @@ class HomogenousNet(_KeptPass):
     v: np.ndarray  # (n,)
     a_minus: float
     a_plus: float
-    # Sign of the first layer at construction (u >= 0), kept for 1d nets
-    # with a zero negative slope: on one datapoint only the neurons on the
-    # side active at initialization ever move.
-    frozen_plus: np.ndarray | None = field(default=None, init=False, repr=False)
+    # First-layer column at construction, kept for 1d nets with a zero
+    # negative slope: on one datapoint x only the neurons with u x >= 0 at
+    # initialization ever move (u = 0 moves, at the midpoint slope, on both).
+    frozen_u: np.ndarray | None = field(default=None, init=False, repr=False)
+    _weight_names = ("v", "u")
+    activation_layers = 1
     degree = 2
 
     def __post_init__(self):
@@ -373,7 +395,7 @@ class HomogenousNet(_KeptPass):
         if not (0.0 <= self.a_minus <= self.a_plus):
             raise ModelError("slopes must satisfy 0 <= a_minus <= a_plus")
         if self.a_minus == 0.0 and self.input_dim == 1:
-            self.frozen_plus = self.u[:, 0] >= 0.0
+            self.frozen_u = self.u[:, 0].copy()
 
     @classmethod
     def init_random(
@@ -404,9 +426,6 @@ class HomogenousNet(_KeptPass):
     def output_scale(self) -> float:
         return 1.0 / math.sqrt(self.width)
 
-    def weights(self) -> list[np.ndarray]:
-        return [self.v, self.u]
-
     def _forward(self, inputs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         x = _as_inputs(inputs)
         return x, *_layer(x, self.u, self.a_minus, self.a_plus)  # slopes, activations: (D, n)
@@ -422,21 +441,14 @@ class HomogenousNet(_KeptPass):
     def outputs(self, inputs) -> np.ndarray:
         return self._keep(inputs, self._forward(inputs))[2] @ self.v / math.sqrt(self.width)
 
-    def ntk(self, inputs) -> np.ndarray:
-        return tangent_kernel(self._factors(inputs), self.output_scale)
-
-    def apply_gd_step(self, inputs, errors: np.ndarray, eta: float) -> None:
-        self._update(self._factors(inputs), errors, eta, self.output_scale)
-
-    def weight_norm(self) -> float:
-        return _squared_norm(self.weights())
+    ntk, apply_gd_step = _KeptPass.ntk, _KeptPass.apply_gd_step
 
     def active_on(self, x: float) -> np.ndarray:
-        """Mask of the neurons active on the 1d input x at construction
-        (``u x > 0``): the u < 0 side when x < 0, otherwise the u >= 0 side."""
-        if self.frozen_plus is None:
+        """Mask of the neurons that move on the 1d input x: ``u x >= 0`` at
+        construction, so a neuron with u = 0 counts on both sides."""
+        if self.frozen_u is None:
             raise ModelError("the sign split is kept for 1d nets with a_minus == 0 only")
-        return ~self.frozen_plus if x < 0.0 else self.frozen_plus
+        return self.frozen_u * x >= 0.0
 
     def certified_norm(self, inputs) -> float | None:
         """Squared norm over the neurons active on a single 1d datapoint
@@ -445,18 +457,11 @@ class HomogenousNet(_KeptPass):
         for nets with a non-zero negative slope, whose window is proved on
         the weight norm."""
         x = _as_inputs(inputs)
-        if self.frozen_plus is None or x.shape != (1, 1):
+        if self.frozen_u is None or x.shape != (1, 1):
             return None
         mask = self.active_on(float(x[0, 0]))
         u, v = self.u[mask, 0], self.v[mask]
         return float(u @ u + v @ v)
-
-    def clone(self) -> "HomogenousNet":
-        # __post_init__ copies the trainable arrays, once; the sign split
-        # stays the one frozen at construction
-        twin = replace(self)
-        twin.frozen_plus = self.frozen_plus
-        return twin
 
 
 # ---------------------------------------------------------------------------
@@ -475,6 +480,8 @@ class DeepReluNet(_KeptPass):
     input_weights: np.ndarray  # (n, d)
     hidden_weights: np.ndarray  # (n, n)
     output_weights: np.ndarray  # (n,)
+    _weight_names = ("input_weights", "output_weights", "hidden_weights")
+    activation_layers = 2
     degree = 3
 
     def __post_init__(self):
@@ -501,15 +508,8 @@ class DeepReluNet(_KeptPass):
         return self.input_weights.shape[0]
 
     @property
-    def input_dim(self) -> int:
-        return self.input_weights.shape[1]
-
-    @property
     def output_scale(self) -> float:
         return self.width ** -1.0
-
-    def weights(self) -> list[np.ndarray]:
-        return [self.input_weights, self.output_weights, self.hidden_weights]
 
     def _forward(self, inputs) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
         x = _as_inputs(inputs)
@@ -533,20 +533,5 @@ class DeepReluNet(_KeptPass):
         back_in = (back_hidden @ self.hidden_weights) * slope_in
         return [(back_in, x), (act_hidden, None), (back_hidden, act_in)]
 
-    def ntk(self, inputs) -> np.ndarray:
-        return tangent_kernel(self._factors(inputs), self.output_scale)
-
-    def apply_gd_step(self, inputs, errors: np.ndarray, eta: float) -> None:
-        self._update(self._factors(inputs), errors, eta, self.output_scale)
-
-    def weight_norm(self) -> float:
-        return _squared_norm(self.weights())
-
-    def certified_norm(self, inputs) -> None:
-        """No window is proved for the three-layer net."""
-        return None
-
-    def clone(self) -> "DeepReluNet":
-        # __post_init__ copies the trainable arrays, once
-        return replace(self)
+    ntk, apply_gd_step = _KeptPass.ntk, _KeptPass.apply_gd_step
 

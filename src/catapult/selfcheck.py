@@ -127,7 +127,7 @@ def check_weight_norm_identity(seed: int = 0) -> CheckResult:
 def check_relu_frozen_complement(seed: int = 0) -> CheckResult:
     net = HomogenousNet.init_random(64, Rng(seed).child(5), a_minus=0.0, a_plus=1.0)
     dataset = make_toy()
-    inactive = ~net.frozen_plus
+    inactive = ~net.active_on(float(dataset.inputs[0, 0]))
     u_minus_before = net.u[inactive].copy()
     v_minus_before = net.v[inactive].copy()
     eta = 3.0 / float(net.ntk(dataset.inputs)[0, 0])
@@ -313,7 +313,7 @@ class _CorruptedZeroSlopeNet(HomogenousNet):
         pre = x @ self.u.T
         slopes = scale_invariant_slope(pre, self.a_minus, self.a_plus)
         slopes[pre == 0.0] = 1.0
-        self._update([(act, None), (slopes * self.v, x)], errors, eta, self.output_scale)
+        self._update([(act, None), (slopes * self.v, x)], errors, eta)
 
 
 def check_negative_control_corrupted_slope(seed: int = 0) -> CheckResult:

@@ -72,7 +72,6 @@ class Trajectory:
     ``certified_norm`` per step, or None where the model has none.
     """
 
-    eta: float
     losses: np.ndarray
     weight_norms: np.ndarray
     certified_norms: Optional[np.ndarray]
@@ -165,7 +164,6 @@ def train(model, dataset: Dataset, config: TrainConfig) -> Trajectory:
         t += 1
 
     return Trajectory(
-        eta=eta,
         losses=np.array(losses),
         weight_norms=np.array(weight_norms),
         certified_norms=np.array(certified) if track_certified else None,

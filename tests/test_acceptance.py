@@ -3,7 +3,8 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one line per
 criterion.  Criterion 8 needs the real two-class image files (IDX format);
 point CATAPULT_MNIST_DIR at a directory containing the four standard files
-to enable it, otherwise it reports SKIPPED.
+to enable it, otherwise it reports SKIPPED.  Its sparsity trend is also
+checked on the ReLU (4, 2) toy, which needs no files.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from catapult.datasets import (
     build_meta_features,
     load_two_class_images,
     make_toy,
+    make_toy_relu,
     zeta_for,
 )
 from catapult.models import HomogenousNet, QuadraticModel
@@ -395,6 +397,31 @@ def test_criterion_08_two_class_mnist_trends():
         f"median final sharpness {median_sharpness:.2f}, "
         f"sparsity rank corr {correlation:.2f}, {elapsed:.0f}s",
     )
+
+
+def test_relu_toy_sparsity_grows_with_the_rate():
+    # criterion 8's sparsity trend on the ReLU (4, 2) toy, which needs no
+    # image files.  Only catapult runs that fit count: a run into the dead
+    # net also converges after a spike, at loss y**2 / 2.
+    dataset = make_toy_relu()
+    grid = [2.25 + 0.25 * k for k in range(8)]
+    config = TrainConfig(eta=1.0, max_steps=300_000, ntk_eval_interval=1_000_000)
+    worst = 1.0
+    for width in (256, 512, 1024):
+        for seed in range(4):
+            net = HomogenousNet.init_random(width, Rng(seed).child(2, 0), 0.0, 1.0)
+            lambda0 = lambda_max_symmetric(net.ntk(dataset.inputs))
+            records = [
+                run_sweep_point(net.clone, dataset, g / lambda0, config, lambda0)[0]
+                for g in grid
+            ]
+            fit = [r for r in records if r.phase == "catapult" and r.train_loss_final < 1e-6]
+            rates = np.array([r.eta_lambda0 for r in fit])
+            sparsities = np.array([r.sparsity[0] for r in fit])
+            correlation = _rank_correlation(rates, sparsities)
+            assert correlation >= 0.9, (width, seed, correlation)
+            worst = min(worst, correlation)
+    verdict(8, "ReLU toy sparsity trend", f"lowest sparsity rank corr {worst:.3f}")
 
 
 def test_criterion_09_initialization_statistics():

@@ -117,10 +117,10 @@ def test_setup_sequence_resolves_the_sweeps_lambda0(tmp_path):
     # perfbench/worker.py times exactly this sequence as setup_s
     cfg = cli.normalize_config(PURE_QUADRATIC_TOY, tmp_path)
     experiment = cli.resolve_experiment(cfg)
-    etas, lambda0 = cli.resolve_eta_grid(cfg, experiment)
+    etas = cli.resolve_eta_grid(cfg, experiment)
     cli.cmd_sweep(cfg, tmp_path / "sweep")
     meta = json.loads((tmp_path / "sweep" / "sweep.meta.json").read_text())
-    assert meta["lambda0"] == lambda0
+    assert meta["lambda0"] == experiment.lambda0
     assert meta["eta_grid"] == etas
 
 

@@ -202,6 +202,35 @@ class TestReluBound:
         with pytest.raises(BoundsError):
             bound_relu(net, make_toy())
 
+    @pytest.mark.parametrize("x", [0.5, -0.5, 4.0])
+    def test_exact_zero_first_layer_weight(self, x):
+        # u = 0 sits at the kink on either sign of x: it moves at the midpoint
+        # slope, so it belongs to the reduced norm and enters H0 at a_plus/2
+        net = HomogenousNet(
+            u=np.array([0.0, -1.0, -0.3, 0.7, 1.2]),
+            v=np.array([1.0, 0.5, -0.2, 0.3, 0.8]),
+            a_minus=0.0,
+            a_plus=1.0,
+        )
+        dataset = Dataset(inputs=[[x]], labels=[0.5])
+        inputs = dataset.inputs
+        report = bound_relu(net, dataset)
+        h0 = lambda_max_symmetric(net.ntk(inputs))
+        assert report.catapult_lower * h0 == pytest.approx(2.0, abs=1e-12)
+        reduced = net.certified_norm(inputs)
+        ceiling = x * x * reduced / net.width
+        assert report.sufficient_upper == pytest.approx(4.0 / ceiling, rel=1e-14)
+        # one step at eta moves the reduced norm by eta e (eta H e - 4 z)
+        eta = 1.0 / h0
+        for _ in range(5):
+            z = net.outputs(inputs)
+            e = float(z[0] - dataset.labels[0])
+            predicted = eta * e * (eta * float(net.ntk(inputs)[0, 0]) * e - 4.0 * float(z[0]))
+            net.apply_gd_step(inputs, z - dataset.labels, eta)
+            after = net.certified_norm(inputs)
+            assert abs(after - reduced - predicted) <= 1e-12 * max(abs(reduced), abs(predicted))
+            reduced = after
+
 
 class TestSingleDatapointScale:
     """The single-datapoint net windows are certified at the datapoint they

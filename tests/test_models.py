@@ -251,13 +251,13 @@ class TestHomogenousNet:
 
 class TestReluProjector:
     """The sign split a 1d net with a zero negative slope freezes when it is
-    built: ``frozen_plus`` is the mask of u >= 0."""
+    built: ``active_on(x)`` is the mask of u x >= 0 at construction."""
 
     def test_decomposition_of_mixed_signs(self):
         net = HomogenousNet(
             u=np.array([1.0, -2.0, 3.0]), v=np.ones(3), a_minus=0.0, a_plus=1.0
         )
-        assert np.array_equal(net.frozen_plus, [True, False, True])
+        assert np.array_equal(net.frozen_u, [1.0, -2.0, 3.0])
         assert np.array_equal(net.active_on(1.0), [True, False, True])
         assert np.array_equal(net.active_on(-1.0), [False, True, False])
         # the two sides partition the coordinates
@@ -272,23 +272,26 @@ class TestReluProjector:
         assert not np.any(net.active_on(-1.0))
         assert net.certified_norm([[1.0]]) == pytest.approx(net.weight_norm())
 
-    def test_zero_goes_to_plus_side(self):
+    def test_zero_counts_on_both_sides(self):
+        # a neuron with u = 0 sits at the kink on every input and moves at
+        # the midpoint slope, whatever the sign of x
         net = HomogenousNet(
             u=np.array([0.0, -1.0]), v=np.ones(2), a_minus=0.0, a_plus=1.0
         )
-        assert net.frozen_plus[0] and not net.frozen_plus[1]
+        assert np.array_equal(net.active_on(1.0), [True, False])
+        assert np.array_equal(net.active_on(-1.0), [True, True])
 
     def test_sign_fraction_near_half(self):
         n = 100_000
         net = HomogenousNet(
             u=Rng(77).normal(n), v=np.ones(n), a_minus=0.0, a_plus=1.0
         )
-        fraction = net.frozen_plus.mean()
+        fraction = net.active_on(1.0).mean()
         assert abs(fraction - 0.5) < 3.0 * 0.5 / math.sqrt(n)
 
     def test_requires_one_dimensional_inputs(self):
         net = HomogenousNet.init_random(8, Rng(1), 0.0, 1.0, input_dim=2)
-        assert net.frozen_plus is None
+        assert net.frozen_u is None
         assert net.certified_norm([[1.0, 0.5]]) is None
         with pytest.raises(ModelError):
             net.active_on(1.0)
@@ -298,7 +301,7 @@ class TestReluProjector:
             u=np.array([1.0, -2.0]), v=np.ones(2), a_minus=0.0, a_plus=1.0
         )
         net.u[:, 0] = [-1.0, 2.0]
-        assert np.array_equal(net.clone().frozen_plus, [True, False])
+        assert np.array_equal(net.clone().active_on(1.0), [True, False])
 
 
 class TestWeightNorm:

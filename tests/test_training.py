@@ -242,10 +242,10 @@ class TestWeightNormIdentity:
 class TestReluFrozenComplement:
     def test_inactive_coordinates_never_move(self):
         net = HomogenousNet.init_random(64, Rng(11).child(4), 0.0, 1.0)
-        inactive = ~net.frozen_plus
+        dataset = make_toy()
+        inactive = ~net.active_on(float(dataset.inputs[0, 0]))
         u_minus = net.u[inactive].copy()
         v_minus = net.v[inactive].copy()
-        dataset = make_toy()
         eta = 3.0 / float(net.ntk(dataset.inputs)[0, 0])
         for _ in range(300):
             z = net.outputs(dataset.inputs)
@@ -256,7 +256,7 @@ class TestReluFrozenComplement:
 
 class TestReluReducedNormOnTheDatapoint:
     """On one 1d datapoint the recorded reduced norm is taken over the neurons
-    active on it (u x > 0), the same set `bound_relu` certifies."""
+    active on it (u x >= 0), the same set `bound_relu` certifies."""
 
     @staticmethod
     def setup(x, label, seed=0):
@@ -409,7 +409,6 @@ class TestCertifiedNorm:
         series = np.zeros(3)
         with pytest.raises(TrainingError, match="certified_norms has length 2"):
             Trajectory(
-                eta=0.1,
                 losses=series,
                 weight_norms=series,
                 certified_norms=series[:2],

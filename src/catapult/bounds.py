@@ -301,14 +301,9 @@ def bound_relu(net: HomogenousNet, dataset: Dataset) -> BoundReport:
             "the net is frozen and no window exists"
         )
     ceiling = net.a_plus**2 * x * x * reduced / net.width
-    h0 = ceiling
     active = net.active_on(x)
-    at_kink = active & (net.u[:, 0] == 0.0)
-    if at_kink.any():
-        moving = active & ~at_kink
-        u, v, v_kink = net.u[moving, 0], net.v[moving], net.v[at_kink]
-        weighted = net.a_plus**2 * (u @ u + v @ v) + (net.a_plus / 2.0) ** 2 * (v_kink @ v_kink)
-        h0 = x * x * float(weighted) / net.width
+    v_kink = net.v[active & (net.frozen_u == 0.0)]
+    h0 = net.a_plus**2 * x * x * (reduced - 0.75 * float(v_kink @ v_kink)) / net.width
     return BoundReport(
         method="single_datapoint",
         h0=h0,

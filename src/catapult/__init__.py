@@ -6,7 +6,7 @@ in which the catapult phase provably exists, and provides the sweep and
 reporting machinery used to reproduce the phase-transition experiments.
 """
 
-__version__ = "0.13.0"
+__version__ = "0.14.0"
 
 from catapult.numerics import Rng
 from catapult.models import (

@@ -103,7 +103,8 @@ def generalization_report(
 def sparsity(net, inputs) -> list[float]:
     """Per-layer fraction of post-activation units that are exactly zero,
     averaged over all inputs.  A pre-activation of exactly zero maps to a
-    zero output and therefore counts."""
+    zero output and therefore counts.  On the inputs object the net's last
+    ``outputs`` ran on, the maps are that kept pass's."""
     if not net.activation_layers:
         raise AnalysisError("sparsity is defined for the net families")
     return [float((act == 0.0).mean()) for act in net.activations(inputs)]
@@ -164,6 +165,9 @@ def run_sweep_point(
         record.final_eta_lambda_max = float(trajectory.eta_lambda_max[-1])
         record.weight_ratio = float(trajectory.weight_norms[-1] / trajectory.weight_norms[0])
         record.train_loss_final = float(trajectory.losses[-1])
+        # read before the test split's pass replaces the kept final pass
+        if model.activation_layers:
+            record.sparsity = tuple(sparsity(model, dataset.inputs))
         if dataset.has_test_split:
             report = generalization_report(
                 model, dataset, record.train_loss_final, evaluate_outputs
@@ -171,8 +175,6 @@ def run_sweep_point(
             record.test_loss_final = report.test_loss
             record.generalization_gap = report.gap
             record.accuracy = report.accuracy
-        if model.activation_layers:
-            record.sparsity = tuple(sparsity(model, dataset.inputs))
         return record, trajectory
     except Exception as exc:  # noqa: BLE001 - per-rate isolation is the contract
         failed = SweepRecord(

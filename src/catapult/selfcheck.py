@@ -3,7 +3,9 @@
 Each check trains a small instance and measures the residual of an identity
 that holds exactly (up to roundoff) when the implementation is correct: the
 exact per-step change of the squared weight norm for every family, on
-several points and non-zero labels where the family takes them, the frozen
+several points and non-zero labels where the family takes them (and for
+each net family on fewer points than dimensions, where its first layer
+steps in the row space of the inputs), the frozen
 complement of the ReLU sign split, the one-step error, kernel and
 feature-overlap recursions of pure and with-bias quadratic models against
 recomputation, a bit-stable kernel and an exact linearized predictor at
@@ -87,10 +89,13 @@ def _quadratic(dataset: Dataset, n_phi: int, map_rng: Rng, theta_rng: Rng) -> Qu
 def identity_families(seed: int = 0) -> dict:
     """Each family with the dataset its weight-norm identity is checked on:
     8 random 2-d points with non-zero labels, the toy and (4, 2) datapoints,
-    and 16 points in d = 10 for the three-layer net (degree 3)."""
+    and 16 points in d = 10 for the three-layer net (degree 3).  Each net
+    family is checked again on fewer points than dimensions (8 points in
+    d = 24), where its steps keep the first layer in the inputs' row space."""
     rng = Rng(seed)
     points = make_random(2, 8, 0.5, rng.child(33))
     deep_points = make_random(10, 16, 0.5, rng.child(39))
+    wide_points = make_random(24, 8, 0.5, rng.child(40))
     return {
         "pure_quadratic": (_quadratic(points, 0, rng.child(34), rng.child(35)), points),
         "quadratic_with_bias": (_quadratic(points, 6, rng.child(36), rng.child(37)), points),
@@ -98,6 +103,11 @@ def identity_families(seed: int = 0) -> dict:
         "homogenous": (HomogenousNet.init_random(64, rng.child(3), 0.5, 1.0, 2), points),
         "relu": (HomogenousNet.init_random(96, rng.child(4), 0.0, 1.0), make_toy_relu()),
         "deep_relu": (DeepReluNet.init_random(32, 10, rng.child(38)), deep_points),
+        "relu_row_space": (
+            HomogenousNet.init_random(64, rng.child(41), 0.0, 1.0, 24),
+            wide_points,
+        ),
+        "deep_relu_row_space": (DeepReluNet.init_random(32, 24, rng.child(42)), wide_points),
     }
 
 

@@ -533,6 +533,24 @@ class TestKeptForwardPass:
         assert kernel.tobytes() == model.clone().ntk(other).tobytes()
         assert not np.array_equal(kernel, model.ntk(x))
 
+    @pytest.mark.parametrize("family", ["leaky_homogenous", "deep_relu"])
+    def test_activations_read_the_kept_pass(self, family, monkeypatch):
+        # the maps sparsity counts are those of the pass that gave the outputs
+        model, dataset, _ = kept_pass_case(family)
+        x, y = dataset.inputs, dataset.labels
+        model.apply_gd_step(x, model.outputs(x) - y, 0.1)
+        model.outputs(x)
+        forward = type(model)._forward
+        passes = []
+        monkeypatch.setattr(
+            type(model), "_forward", lambda self, inputs: passes.append(1) or forward(self, inputs)
+        )
+        kept = model.activations(x)
+        assert passes == []
+        fresh = model.activations(x.copy())
+        assert len(passes) == 1
+        assert [bits(a) for a in kept] == [bits(a) for a in fresh]
+
     @pytest.mark.parametrize("family", KEPT_PASS_FAMILIES)
     def test_clone_and_pickle_carry_no_pass_or_buffers(self, family):
         model, dataset, _ = kept_pass_case(family)
@@ -704,6 +722,111 @@ class TestSlopeAgainstWherePair:
             net.apply_gd_step(x, net.outputs(x) - y, 0.3)
         for w, e in zip(net.weights(), expected):
             assert bits(w) == bits(e)
+
+
+# ---------------------------------------------------------------------------
+# The first layer in the row space of the training inputs (D < d)
+# ---------------------------------------------------------------------------
+
+# relative deviation from the dense step allowed over 30 steps; the largest
+# seen on these cases is 6.5e-15, through loss spikes of 5 to 9 times
+ROW_SPACE_RTOL = 1e-12
+ROW_SPACE_FAMILIES = ["relu", "leaky_homogenous", "deep_relu"]
+
+
+def row_space_case(family: str, d_pts: int, dim: int):
+    """A net, inputs, labels, the net's dense oracle, and an eta * lambda0 at
+    which its loss spikes within 30 steps and then falls (a catapult)."""
+    rng = Rng(81)
+    x = rng.child(1).normal((d_pts, dim))
+    y = rng.child(2).normal(d_pts)
+    if family == "deep_relu":
+        return DeepReluNet.init_random(32, dim, rng.child(3)), x, y, where_deep, 4.0
+    a_minus = 0.0 if family == "relu" else 0.5
+    net = HomogenousNet.init_random(32, rng.child(3), a_minus, 1.0, dim)
+    return net, x, y, where_homogenous, 3.0
+
+
+def dense_step(net, oracle, x, y, eta: float) -> np.ndarray:
+    """One GD step on a net that never stepped itself, so its first layer is
+    one array: ``w -= eta * g`` with every gradient built from the explicit
+    inputs by the oracle's factors.  Returns the outputs before the step."""
+    outputs, _, factors = oracle(net, x)
+    for w, g in zip(net.weights(), loss_gradients(factors, outputs - y, net.output_scale)):
+        g *= eta
+        w -= g
+    return outputs
+
+
+def relative(a, b) -> float:
+    a, b = np.asarray(a), np.asarray(b)
+    return float(np.abs(a - b).max() / np.abs(b).max())
+
+
+class TestRowSpaceFirstLayer:
+    @pytest.mark.parametrize("family", ROW_SPACE_FAMILIES)
+    @pytest.mark.parametrize("regime", ["lazy", "catapult"])
+    def test_steps_match_the_dense_reference(self, family, regime):
+        # 8 points in d = 32; along the way the net is cloned, pickled, run
+        # on a second input matrix and stepped on a copy of its inputs
+        net, x, y, oracle, catapult_rate = row_space_case(family, 8, 32)
+        x_other = Rng(82).normal((5, 32))
+        rate = 1.0 if regime == "lazy" else catapult_rate
+        eta = rate / lambda_max_symmetric(net.ntk(x))
+        reference = net.clone()
+        losses = []
+        for t in range(30):
+            if t == 8:
+                net = net.clone()
+            if t == 14:
+                net = pickle.loads(pickle.dumps(net))
+            if t == 20:
+                expected = oracle(reference, x_other)[0]
+                assert relative(net.outputs(x_other), expected) < ROW_SPACE_RTOL
+            inputs = x.copy() if t == 25 else x
+            z = net.outputs(inputs)
+            kernel = tangent_kernel(oracle(reference, x)[2], net.output_scale)
+            assert relative(net.ntk(inputs), kernel) < ROW_SPACE_RTOL
+            assert abs(net.weight_norm() / reference.weight_norm() - 1.0) < ROW_SPACE_RTOL
+            net.apply_gd_step(inputs, z - y, eta)
+            expected = dense_step(reference, oracle, x, y, eta)
+            assert relative(z, expected) < ROW_SPACE_RTOL
+            losses.append(float((z - y) @ (z - y)))
+            # the step ran in the row space, on whichever inputs object it got
+            assert net._row_space is not None and net._row_space.inputs is inputs
+        for w, e in zip(net.weights(), reference.weights()):
+            assert relative(w, e) < ROW_SPACE_RTOL
+        assert np.isfinite(losses).all() and losses[-1] < losses[0]
+        assert (max(losses) > losses[0]) == (regime == "catapult")
+
+    @pytest.mark.parametrize("family", ROW_SPACE_FAMILIES)
+    @pytest.mark.parametrize("shape", [(32, 32), (40, 8)])
+    def test_no_fewer_points_than_dimensions_moves_no_bit(self, family, shape):
+        net, x, y, oracle, catapult_rate = row_space_case(family, *shape)
+        eta = catapult_rate / lambda_max_symmetric(net.ntk(x))
+        reference = net.clone()
+        for _ in range(30):
+            z = net.outputs(x)
+            net.apply_gd_step(x, z - y, eta)
+            assert bits(z) == bits(dense_step(reference, oracle, x, y, eta))
+        assert net._row_space is None
+        for w, e in zip(net.weights(), reference.weights()):
+            assert bits(w) == bits(e)
+
+    @pytest.mark.parametrize("family", ROW_SPACE_FAMILIES)
+    def test_reading_the_first_layer_folds_it_back(self, family):
+        # the attribute, weights() and writes through them see one array
+        net, x, y, _, _ = row_space_case(family, 8, 32)
+        name = net._row_space_name
+        net.apply_gd_step(x, net.outputs(x) - y, 0.01)
+        net.apply_gd_step(x, net.outputs(x) - y, 0.01)
+        norm = net.weight_norm()
+        first = getattr(net, name)
+        assert net._row_space is None and first.shape == (32, 32)
+        assert abs(net.weight_norm() / norm - 1.0) < ROW_SPACE_RTOL
+        first[:] = 0.0
+        assert np.array_equal(net.weights()[net._weight_names.index(name)], first)
+        assert np.array_equal(net.activations(x)[0], np.zeros((8, 32)))
 
 
 class TestLinearNetWithBiasEmbedding:

@@ -42,27 +42,15 @@ writes the arrays of ``weights()`` itself must call ``outputs`` again before
 a clone copies the trainable arrays and shares everything frozen at
 construction.
 
-The row-space rule.  When a net steps on inputs with fewer points than
-dimensions (D < d), its first layer (``HomogenousNet.u``,
-``DeepReluNet.input_weights``) moves only in the row space of those inputs:
-its gradient is ``G @ x`` for some (n, D) matrix G.  So the first step on an
-inputs object runs densely and then keeps the layer as ``U = U0 + B Q^T``,
-where ``x^T = Q R`` is one reduced QR and ``P0 = x U0^T`` is computed once.
-From then on a step on that same object (``is``) writes only the (n, D)
-coefficients B, the pass computes the preactivations as ``P0 + R^T B^T``,
-the layer's gradient factor is ``(left, R^T)`` instead of ``(left, x)``, so
-the kernel and the step work on D x D blocks instead of D x d ones, and
-``weight_norm`` reads ``|U0|^2 + 2 <U0 Q, B> + |B|^2``.  Nothing outside this
-module sees B or Q: reading the attribute or ``weights()`` folds the layer
-back into one array (and drops the kept pass), a pass on any other inputs
-object reads it folded, and ``clone()`` and pickling carry the full layer.
-The results agree with the dense arithmetic to roundoff.  With D >= d, on
-every quadratic model and before a net's first step, the dense arithmetic
-runs unchanged, bit for bit.
+The row-space rule.  A net's first layer moves only in the row space of its
+training inputs.  When they have fewer points than dimensions (D < d),
+``train`` steps the net through ``row_space`` on D x D blocks instead of
+D x d ones; the results agree with dense steps to roundoff.
 """
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import functools
 import math
@@ -95,8 +83,9 @@ def scale_invariant_slope(x: np.ndarray, a_minus: float, a_plus: float) -> np.nd
     return slope
 
 
-def _layer(pre: np.ndarray, a_minus: float, a_plus: float):
-    """A layer's slopes and its activations, written over its preactivations."""
+def _layer(inputs: np.ndarray, weights: np.ndarray, a_minus: float, a_plus: float):
+    """A layer's slopes and its activations, written over ``inputs @ weights.T``."""
+    pre = inputs @ weights.T
     slope = scale_invariant_slope(pre, a_minus, a_plus)
     return slope, np.multiply(slope, pre, out=pre)
 
@@ -148,36 +137,6 @@ def _squared_norm(weights: list[np.ndarray]) -> float:
     return sum(float(w @ w) if w.ndim == 1 else float((w**2).sum()) for w in weights)
 
 
-class _RowSpace:
-    """A first layer kept as ``U = u0 + b @ q.T`` on the inputs object it was
-    built on, where ``x.T = q r`` is one reduced QR: ``q`` is (d, D) with
-    orthonormal columns.  Then ``x @ U.T = p0 + r.T @ b.T`` with ``p0 = x @
-    u0.T``, and a step's gradient ``G @ x = (G @ r.T) @ q.T`` moves only the
-    (n, D) coefficients ``b``."""
-
-    def __init__(self, inputs, x: np.ndarray, u0: np.ndarray):
-        self.inputs = inputs
-        self.q, r = np.linalg.qr(x.T)
-        self.rt = np.ascontiguousarray(r.T)  # the first layer's right factor, x @ q
-        self.p0 = x @ u0.T
-        self.u0 = u0
-        self.u0q = u0 @ self.q
-        self.u0_norm = float((u0**2).sum())
-        self.b = np.zeros_like(self.u0q)
-
-    def pre(self) -> np.ndarray:
-        pre = self.rt @ self.b.T
-        pre += self.p0
-        return pre
-
-    def full(self) -> np.ndarray:
-        return self.u0 + self.b @ self.q.T
-
-    def norm_offset(self) -> float:
-        """``|U|^2 - |b|^2 = |u0|^2 + 2 <u0 q, b>``, as q's columns are orthonormal."""
-        return self.u0_norm + 2.0 * float((self.u0q * self.b).sum())
-
-
 class _KeptPass:
     """The forward pass of the current weights, kept with its inputs object
     (module docstring), and everything a family does not state itself:
@@ -186,38 +145,16 @@ class _KeptPass:
     ``perfbench/tracing.py`` times them per class."""
 
     _weight_names: tuple[str, ...] = ()  # trainable attributes, in weights() order
+    _first_layer = None  # a net's first layer, whose right factor is the inputs
     activation_layers = 0  # activation maps per input, one sparsity column each
     _kept = None  # (inputs, forward pass), or None once the weights moved
-    _gradients = None  # one buffer per array a step writes, made at the first step
-    _row_space_name = None  # the first layer, whose right factor is the inputs
-    _row_space = None  # that layer as a _RowSpace while it is kept in one
-
-    def __getattr__(self, name):
-        # reached only when normal lookup fails: the first layer while the
-        # row space holds it, which reading folds back into one array
-        if name != self._row_space_name or self._row_space is None:
-            raise AttributeError(name)
-        self.__dict__[name] = self._row_space.full()
-        self._row_space = self._kept = self._gradients = None
-        return self.__dict__[name]
+    _gradients = None  # one buffer per array of weights(), made at the first step
 
     def weights(self) -> list[np.ndarray]:
         return [getattr(self, name) for name in self._weight_names]
 
-    def _trained(self) -> list[np.ndarray]:
-        """The arrays a step writes: ``weights()``, with the row space's
-        coefficients in place of the first layer while it is kept in one."""
-        rows = self._row_space
-        return [
-            rows.b if rows is not None and name == self._row_space_name else getattr(self, name)
-            for name in self._weight_names
-        ]
-
     def weight_norm(self) -> float:
-        norm = _squared_norm(self._trained())
-        if self._row_space is not None:
-            norm += self._row_space.norm_offset()
-        return norm
+        return _squared_norm(self.weights())
 
     def certified_norm(self, inputs=None) -> float | None:
         """The norm the single-datapoint window is proved on, where it is
@@ -226,11 +163,11 @@ class _KeptPass:
 
     def clone(self):
         """A twin with its own trainable arrays.  ``copy.copy`` goes through
-        ``__getstate__``, so it carries no pass, no buffer and no row space;
-        everything frozen at construction is shared, not recomputed."""
+        ``__getstate__``, so it carries no pass and no buffer; everything
+        frozen at construction is shared, not recomputed."""
         twin = copy.copy(self)
         for name in self._weight_names:
-            setattr(twin, name, getattr(twin, name).copy())
+            setattr(twin, name, getattr(self, name).copy())
         return twin
 
     def _keep(self, inputs, forward):
@@ -244,56 +181,55 @@ class _KeptPass:
             return kept[1]
         return self._forward(inputs)
 
-    def _input_layer(self, inputs) -> tuple[np.ndarray, np.ndarray]:
-        """The first layer's right factor and its (D, n) preactivations:
-        ``r.T`` and ``p0 + r.T @ b.T`` on the row space's own inputs object,
-        else the inputs and ``x @ U.T``."""
-        rows = self._row_space
-        if rows is not None and rows.inputs is inputs:
-            return rows.rt, rows.pre()
-        x = _as_inputs(inputs)
-        return x, x @ getattr(self, self._row_space_name).T
-
     def ntk(self, inputs=None) -> np.ndarray:
         """The D x D tangent kernel of the current weights on the inputs."""
         return tangent_kernel(self._factors(inputs), self.output_scale)
 
     def apply_gd_step(self, inputs, errors: np.ndarray, eta: float) -> None:
         self._update(self._factors(inputs), errors, eta)
-        self._keep_row_space(inputs)
 
     def _update(self, factors, errors, eta: float) -> None:
         """One gradient-descent step in place, ``w -= eta * g`` per array,
         with each gradient built and scaled in its kept buffer."""
         self._kept = None
-        trained = self._trained()
         if self._gradients is None:
-            self._gradients = [np.empty_like(w) for w in trained]
+            self._gradients = [np.empty_like(w) for w in self.weights()]
         gradients = loss_gradients(factors, errors, self.output_scale, self._gradients)
-        for w, g in zip(trained, gradients):
+        for w, g in zip(self.weights(), gradients):
             g *= eta
             w -= g
 
-    def _keep_row_space(self, inputs) -> None:
-        """After a step on inputs with fewer points than dimensions, keep the
-        first layer in their row space (module docstring)."""
-        name = self._row_space_name
-        if name is None or self._row_space is not None:
-            return  # kept on these inputs: a pass on other inputs folds it
-        x = _as_inputs(inputs)
-        if x.shape[0] < x.shape[1]:
-            self._row_space = _RowSpace(inputs, x, self.__dict__.pop(name))
-            self._gradients = None
-
     def __getstate__(self):
-        state = {
-            k: v
-            for k, v in self.__dict__.items()
-            if k not in ("_kept", "_gradients", "_row_space")
-        }
-        if self._row_space is not None:
-            state[self._row_space_name] = self._row_space.full()
-        return state
+        return {k: v for k, v in self.__dict__.items() if k not in ("_kept", "_gradients")}
+
+
+@contextlib.contextmanager
+def row_space(model, inputs):
+    """The model ``train`` steps, the inputs it steps it on, and the squared
+    weight norm that model leaves out.  A net on inputs with fewer points
+    than dimensions, ``x.T = Q R`` (reduced QR), yields a twin that shares
+    every array but the first layer, held as ``C = U0 Q``, and steps on the
+    coordinates ``R.T``: its preactivations ``R.T C.T`` are ``x U.T``.  The
+    norm it leaves out is ``|U0|^2 - |U0 Q|^2``, which no step moves.  On
+    exit, after an exception too, the net's layer becomes ``U0 + (C - U0 Q)
+    Q.T`` in place and its kept pass, stale once the twin moved the shared
+    arrays, is dropped.  Any other model is yielded itself, with 0.0."""
+    name = model._first_layer
+    x = None if name is None else _as_inputs(inputs)
+    if x is None or x.shape[0] >= x.shape[1]:
+        yield model, inputs, 0.0
+        return
+    q, r = np.linalg.qr(x.T)
+    u0 = getattr(model, name)
+    u0q = u0 @ q
+    twin = copy.copy(model)
+    setattr(twin, name, u0q.copy())
+    try:
+        yield twin, np.ascontiguousarray(r.T), float((u0**2).sum()) - float((u0q**2).sum())
+    finally:
+        with np.errstate(over="ignore", invalid="ignore"):
+            u0 += (getattr(twin, name) - u0q) @ q.T
+        model._kept = None
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +415,7 @@ class HomogenousNet(_KeptPass):
     # initialization ever move (u = 0 moves, at the midpoint slope, on both).
     frozen_u: np.ndarray | None = field(default=None, init=False, repr=False)
     _weight_names = ("v", "u")
-    _row_space_name = "u"
+    _first_layer = "u"
     activation_layers = 1
     degree = 2
 
@@ -528,13 +464,13 @@ class HomogenousNet(_KeptPass):
         return 1.0 / math.sqrt(self.width)
 
     def _forward(self, inputs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        right, pre = self._input_layer(inputs)
-        return right, *_layer(pre, self.a_minus, self.a_plus)  # slopes, activations: (D, n)
+        x = _as_inputs(inputs)
+        return x, *_layer(x, self.u, self.a_minus, self.a_plus)  # slopes, activations: (D, n)
 
     def _factors(self, inputs) -> list:
         """Factors of ``weights()``."""
-        right, slope, act = self._pass(inputs)
-        return [(act, None), (slope * self.v, right)]
+        x, slope, act = self._pass(inputs)
+        return [(act, None), (slope * self.v, x)]
 
     def activations(self, inputs) -> list[np.ndarray]:
         """The post-activation map; the kept one on the object ``outputs``
@@ -584,7 +520,7 @@ class DeepReluNet(_KeptPass):
     hidden_weights: np.ndarray  # (n, n)
     output_weights: np.ndarray  # (n,)
     _weight_names = ("input_weights", "output_weights", "hidden_weights")
-    _row_space_name = "input_weights"
+    _first_layer = "input_weights"
     activation_layers = 2
     degree = 3
 
@@ -609,17 +545,17 @@ class DeepReluNet(_KeptPass):
 
     @property
     def width(self) -> int:
-        return self.output_weights.shape[0]
+        return self.input_weights.shape[0]
 
     @property
     def output_scale(self) -> float:
         return self.width ** -1.0
 
     def _forward(self, inputs) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
-        right, pre = self._input_layer(inputs)
-        slope_in, act_in = _layer(pre, 0.0, 1.0)
-        slope_hidden, act_hidden = _layer(act_in @ self.hidden_weights.T, 0.0, 1.0)
-        return right, [slope_in, slope_hidden], [act_in, act_hidden]
+        x = _as_inputs(inputs)
+        slope_in, act_in = _layer(x, self.input_weights, 0.0, 1.0)
+        slope_hidden, act_hidden = _layer(act_in, self.hidden_weights, 0.0, 1.0)
+        return x, [slope_in, slope_hidden], [act_in, act_hidden]
 
     def outputs(self, inputs) -> np.ndarray:
         _, _, acts = self._keep(inputs, self._forward(inputs))
@@ -633,10 +569,10 @@ class DeepReluNet(_KeptPass):
     def _factors(self, inputs) -> list:
         """Factors of ``weights()``: each layer's backpropagated gates times
         the activations feeding it."""
-        right, (slope_in, slope_hidden), (act_in, act_hidden) = self._pass(inputs)
+        x, (slope_in, slope_hidden), (act_in, act_hidden) = self._pass(inputs)
         back_hidden = self.output_weights[None, :] * slope_hidden
         back_in = (back_hidden @ self.hidden_weights) * slope_in
-        return [(back_in, right), (act_hidden, None), (back_hidden, act_in)]
+        return [(back_in, x), (act_hidden, None), (back_hidden, act_in)]
 
     ntk, apply_gd_step = _KeptPass.ntk, _KeptPass.apply_gd_step
 

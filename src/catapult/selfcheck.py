@@ -4,9 +4,10 @@ Each check trains a small instance and measures the residual of an identity
 that holds exactly (up to roundoff) when the implementation is correct: the
 exact per-step change of the squared weight norm for every family, on
 several points and non-zero labels where the family takes them (and for
-each net family on fewer points than dimensions, where its first layer
-steps in the row space of the inputs), the frozen
-complement of the ReLU sign split, the one-step error, kernel and
+each net family on fewer points than dimensions), the same per-step losses,
+norms and final weights from ``train``, which steps a net on fewer points
+than dimensions in the row space of its inputs, as from dense steps, the
+frozen complement of the ReLU sign split, the one-step error, kernel and
 feature-overlap recursions of pure and with-bias quadratic models against
 recomputation, a bit-stable kernel and an exact linearized predictor at
 zero coupling, the lower edge of every single-datapoint window against the
@@ -53,7 +54,13 @@ from catapult.models import (
     scale_invariant_slope,
 )
 from catapult.numerics import Rng, lambda_max_symmetric
-from catapult.training import quad_update_consistency, weight_norm_identity_residuals
+from catapult.training import (
+    TrainConfig,
+    mse_loss,
+    quad_update_consistency,
+    train,
+    weight_norm_identity_residuals,
+)
 
 IDENTITY_TOL = 1e-9
 IDENTITY_RATES = (1.0, 3.0, 5.0)  # eta * lambda_max(H_0)
@@ -89,13 +96,13 @@ def _quadratic(dataset: Dataset, n_phi: int, map_rng: Rng, theta_rng: Rng) -> Qu
 def identity_families(seed: int = 0) -> dict:
     """Each family with the dataset its weight-norm identity is checked on:
     8 random 2-d points with non-zero labels, the toy and (4, 2) datapoints,
-    and 16 points in d = 10 for the three-layer net (degree 3).  Each net
-    family is checked again on fewer points than dimensions (8 points in
-    d = 24), where its steps keep the first layer in the inputs' row space."""
+    and 16 points in d = 10 for the three-layer net (degree 3).  The ReLU and
+    the three-layer net are checked again on fewer points than dimensions
+    (``row_space_nets``)."""
     rng = Rng(seed)
     points = make_random(2, 8, 0.5, rng.child(33))
     deep_points = make_random(10, 16, 0.5, rng.child(39))
-    wide_points = make_random(24, 8, 0.5, rng.child(40))
+    wide_points, wide_nets = row_space_nets(seed)
     return {
         "pure_quadratic": (_quadratic(points, 0, rng.child(34), rng.child(35)), points),
         "quadratic_with_bias": (_quadratic(points, 6, rng.child(36), rng.child(37)), points),
@@ -103,11 +110,19 @@ def identity_families(seed: int = 0) -> dict:
         "homogenous": (HomogenousNet.init_random(64, rng.child(3), 0.5, 1.0, 2), points),
         "relu": (HomogenousNet.init_random(96, rng.child(4), 0.0, 1.0), make_toy_relu()),
         "deep_relu": (DeepReluNet.init_random(32, 10, rng.child(38)), deep_points),
-        "relu_row_space": (
-            HomogenousNet.init_random(64, rng.child(41), 0.0, 1.0, 24),
-            wide_points,
-        ),
-        "deep_relu_row_space": (DeepReluNet.init_random(32, 24, rng.child(42)), wide_points),
+        "relu_row_space": (wide_nets["relu"], wide_points),
+        "deep_relu_row_space": (wide_nets["deep_relu"], wide_points),
+    }
+
+
+def row_space_nets(seed: int = 0) -> tuple[Dataset, dict]:
+    """8 random points in d = 24, fewer points than dimensions, and a ReLU,
+    a leaky (0.5, 1) and a three-layer net on them."""
+    rng = Rng(seed)
+    return make_random(24, 8, 0.5, rng.child(40)), {
+        "relu": HomogenousNet.init_random(64, rng.child(41), 0.0, 1.0, 24),
+        "homogenous": HomogenousNet.init_random(64, rng.child(43), 0.5, 1.0, 24),
+        "deep_relu": DeepReluNet.init_random(32, 24, rng.child(42)),
     }
 
 
@@ -127,6 +142,44 @@ def check_weight_norm_identity(seed: int = 0) -> CheckResult:
                 worst, worst_case = residual, f"{family} at eta*lambda0={rate:g}"
     return CheckResult(
         name="weight_norm_identity",
+        passed=worst < IDENTITY_TOL,
+        residual=worst,
+        threshold=IDENTITY_TOL,
+        detail=f"worst: {worst_case}",
+    )
+
+
+def check_row_space_matches_dense(seed: int = 0) -> CheckResult:
+    """``train`` steps each net of ``row_space_nets`` in the row space of its
+    inputs; a clone stepped densely by ``apply_gd_step`` beside it must give
+    the same loss and weight norm at every step and the same final weights,
+    at eta * lambda_0 in ``IDENTITY_RATES`` over ``IDENTITY_STEPS`` steps."""
+    dataset, nets = row_space_nets(seed)
+    x, y = dataset.inputs, dataset.labels
+    worst, worst_case = 0.0, ""
+    for family, net in nets.items():
+        lambda0 = lambda_max_symmetric(net.ntk(x))
+        for rate in IDENTITY_RATES:
+            config = TrainConfig(rate / lambda0, max_steps=IDENTITY_STEPS, convergence_tol=1e-300)
+            trained, dense = net.clone(), net.clone()
+            trajectory = train(trained, dataset, config)
+            series = []
+            for t in range(trajectory.steps_taken + 1):
+                if t:
+                    dense.apply_gd_step(x, z - y, config.eta)
+                z = dense.outputs(x)
+                series.append((mse_loss(z, y), dense.weight_norm()))
+            losses, norms = np.array(series).T
+            pairs = [(trajectory.losses, losses), (trajectory.weight_norms, norms)]
+            gaps = [
+                np.abs(got - expected).max() / np.abs(expected).max()
+                for got, expected in pairs + list(zip(trained.weights(), dense.weights()))
+            ]
+            gap = float(np.nan_to_num(np.max(gaps), nan=np.inf))  # NaN fails
+            if gap >= worst:
+                worst, worst_case = gap, f"{family} at eta*lambda0={rate:g}"
+    return CheckResult(
+        name="row_space_matches_dense",
         passed=worst < IDENTITY_TOL,
         residual=worst,
         threshold=IDENTITY_TOL,
@@ -356,6 +409,7 @@ def check_negative_control_corrupted_slope(seed: int = 0) -> CheckResult:
 def run_default_suite(seed: int = 0) -> list[CheckResult]:
     checks = [
         check_weight_norm_identity,
+        check_row_space_matches_dense,
         check_relu_frozen_complement,
         check_update_recursions,
         check_zero_coupling_linear,

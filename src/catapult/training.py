@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from catapult.datasets import Dataset
-from catapult.models import QuadraticModel
+from catapult.models import QuadraticModel, row_space
 from catapult.numerics import lambda_max_symmetric
 
 TERMINATION_CONVERGED = "converged"
@@ -110,12 +110,13 @@ def train(model, dataset: Dataset, config: TrainConfig) -> Trajectory:
     """Run full-batch gradient descent until convergence, divergence or the
     step limit, recording the loss/weight-norm series every step and the
     kernel top eigenvalue at the configured interval and at the final step,
-    unless the run diverged."""
-    x = dataset.inputs
+    unless the run diverged.  A net on fewer points than dimensions steps
+    through ``row_space``, on a twin in the row space of its inputs; the net
+    gets its stepped first layer back when the run ends or raises."""
     y = dataset.labels
     eta = config.eta
 
-    track_certified = model.certified_norm(x) is not None
+    track_certified = model.certified_norm(dataset.inputs) is not None
 
     losses: list[float] = []
     weight_norms: list[float] = []
@@ -126,42 +127,43 @@ def train(model, dataset: Dataset, config: TrainConfig) -> Trajectory:
     termination = None
     t = 0
     prev_loss = None
-    while True:
-        # Divergent runs legitimately overflow on their last couple of
-        # steps; the resulting infs are what the divergence check looks for.
-        with np.errstate(over="ignore", invalid="ignore"):
-            z = model.outputs(x)
-            norm = model.weight_norm()
-        # a finite norm proves every weight finite; finite weights whose
-        # squares overflow keep their inf norm and are not a divergence
-        finite = bool(np.isfinite(z).all()) and (
-            math.isfinite(norm) or all(np.isfinite(w).all() for w in model.weights())
-        )
-        loss = mse_loss(z, y) if finite else float("inf")
+    with row_space(model, dataset.inputs) as (net, x, left_out):
+        while True:
+            # Divergent runs legitimately overflow on their last couple of
+            # steps; the resulting infs are what the divergence check looks for.
+            with np.errstate(over="ignore", invalid="ignore"):
+                z = net.outputs(x)
+                norm = net.weight_norm() + left_out
+            # a finite norm proves every weight finite; finite weights whose
+            # squares overflow keep their inf norm and are not a divergence
+            finite = bool(np.isfinite(z).all()) and (
+                math.isfinite(norm) or all(np.isfinite(w).all() for w in net.weights())
+            )
+            loss = mse_loss(z, y) if finite else float("inf")
 
-        losses.append(loss)
-        weight_norms.append(norm if finite else float("inf"))
-        if track_certified:
-            certified.append(model.certified_norm(x))
+            losses.append(loss)
+            weight_norms.append(norm if finite else float("inf"))
+            if track_certified:
+                certified.append(net.certified_norm(x))
 
-        # a diverged state is never measured: its weights mean nothing
-        if not finite or loss > config.divergence_threshold:
-            termination = TERMINATION_DIVERGED
-            break
-        if prev_loss is not None and abs(loss - prev_loss) < config.convergence_tol:
-            termination = TERMINATION_CONVERGED
-        elif t == config.max_steps:
-            termination = TERMINATION_STEP_LIMIT
-        if termination is not None or t % config.ntk_eval_interval == 0:
-            ntk_steps.append(t)
-            eta_lambda.append(eta * lambda_max_symmetric(model.ntk(x)))
-        if termination is not None:
-            break
+            # a diverged state is never measured: its weights mean nothing
+            if not finite or loss > config.divergence_threshold:
+                termination = TERMINATION_DIVERGED
+                break
+            if prev_loss is not None and abs(loss - prev_loss) < config.convergence_tol:
+                termination = TERMINATION_CONVERGED
+            elif t == config.max_steps:
+                termination = TERMINATION_STEP_LIMIT
+            if termination is not None or t % config.ntk_eval_interval == 0:
+                ntk_steps.append(t)
+                eta_lambda.append(eta * lambda_max_symmetric(net.ntk(x)))
+            if termination is not None:
+                break
 
-        with np.errstate(over="ignore", invalid="ignore"):
-            model.apply_gd_step(x, z - y, eta)
-        prev_loss = loss
-        t += 1
+            with np.errstate(over="ignore", invalid="ignore"):
+                net.apply_gd_step(x, z - y, eta)
+            prev_loss = loss
+            t += 1
 
     return Trajectory(
         losses=np.array(losses),

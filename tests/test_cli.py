@@ -696,7 +696,8 @@ class TestCheckCommand:
         assert doc["all_passed"] is True
         names = {r["name"] for r in doc["results"]}
         assert "weight_norm_identity" in names
-        assert len(names) == 7
+        assert len(names) == 8
+        assert "row_space_matches_dense" in names
         assert "update_recursions" in names
         assert "zero_coupling_linear" in names
         assert "negative_control_corrupted_zero_slope" in names

@@ -19,7 +19,8 @@ from catapult.models import (
 from catapult.datasets import Dataset
 from catapult.numerics import Rng, lambda_max_symmetric
 from catapult.selfcheck import _CorruptedZeroSlopeNet, check_negative_control_corrupted_slope
-from catapult.training import TrainConfig, train
+from catapult import training
+from catapult.training import TrainConfig, mse_loss, train
 from conftest import (
     analytic_gradient,
     finite_difference_gradient,
@@ -471,6 +472,16 @@ def kept_pass_case(family: str):
     return model, dataset, 4.0
 
 
+def traced_passes(net, monkeypatch) -> list:
+    """The inputs of every forward pass a net of that class runs from now on."""
+    forward = type(net)._forward
+    passes = []
+    monkeypatch.setattr(
+        type(net), "_forward", lambda self, inputs: passes.append(inputs) or forward(self, inputs)
+    )
+    return passes
+
+
 class TestKeptForwardPass:
     @pytest.mark.parametrize("family", KEPT_PASS_FAMILIES)
     @pytest.mark.parametrize("regime", ["lazy", "catapult"])
@@ -498,14 +509,7 @@ class TestKeptForwardPass:
     def test_train_runs_one_forward_pass_per_step(self, family, monkeypatch):
         model, dataset, _ = kept_pass_case(family)
         eta = 1.0 / lambda_max_symmetric(model.ntk(dataset.inputs))
-        forward = type(model)._forward
-        passes = []
-
-        def counted(self, inputs):
-            passes.append(inputs)
-            return forward(self, inputs)
-
-        monkeypatch.setattr(type(model), "_forward", counted)
+        passes = traced_passes(model, monkeypatch)
         config = TrainConfig(eta=eta, max_steps=20, convergence_tol=1e-300)
         assert train(model.clone(), dataset, config).steps_taken == 20
         # the outputs of the 21 states; the 21 kernels and 20 steps reuse them
@@ -540,11 +544,7 @@ class TestKeptForwardPass:
         x, y = dataset.inputs, dataset.labels
         model.apply_gd_step(x, model.outputs(x) - y, 0.1)
         model.outputs(x)
-        forward = type(model)._forward
-        passes = []
-        monkeypatch.setattr(
-            type(model), "_forward", lambda self, inputs: passes.append(1) or forward(self, inputs)
-        )
+        passes = traced_passes(model, monkeypatch)
         kept = model.activations(x)
         assert passes == []
         fresh = model.activations(x.copy())
@@ -725,37 +725,50 @@ class TestSlopeAgainstWherePair:
 
 
 # ---------------------------------------------------------------------------
-# The first layer in the row space of the training inputs (D < d)
+# train steps a net on fewer points than dimensions (D < d) in their row space
 # ---------------------------------------------------------------------------
 
-# relative deviation from the dense step allowed over 30 steps; the largest
-# seen on these cases is 6.5e-15, through loss spikes of 5 to 9 times
+# relative deviation from the dense loop allowed over 30 steps; the largest
+# seen on these cases is 4.2e-15, through loss spikes of 5 to 9 times
 ROW_SPACE_RTOL = 1e-12
 ROW_SPACE_FAMILIES = ["relu", "leaky_homogenous", "deep_relu"]
+ROW_SPACE_STEPS = 30
 
 
 def row_space_case(family: str, d_pts: int, dim: int):
-    """A net, inputs, labels, the net's dense oracle, and an eta * lambda0 at
+    """A net, its dataset, the net's dense oracle, and an eta * lambda0 at
     which its loss spikes within 30 steps and then falls (a catapult)."""
     rng = Rng(81)
-    x = rng.child(1).normal((d_pts, dim))
-    y = rng.child(2).normal(d_pts)
+    dataset = Dataset(inputs=rng.child(1).normal((d_pts, dim)), labels=rng.child(2).normal(d_pts))
     if family == "deep_relu":
-        return DeepReluNet.init_random(32, dim, rng.child(3)), x, y, where_deep, 4.0
+        return DeepReluNet.init_random(32, dim, rng.child(3)), dataset, where_deep, 4.0
     a_minus = 0.0 if family == "relu" else 0.5
     net = HomogenousNet.init_random(32, rng.child(3), a_minus, 1.0, dim)
-    return net, x, y, where_homogenous, 3.0
+    return net, dataset, where_homogenous, 3.0
 
 
-def dense_step(net, oracle, x, y, eta: float) -> np.ndarray:
-    """One GD step on a net that never stepped itself, so its first layer is
-    one array: ``w -= eta * g`` with every gradient built from the explicit
-    inputs by the oracle's factors.  Returns the outputs before the step."""
-    outputs, _, factors = oracle(net, x)
-    for w, g in zip(net.weights(), loss_gradients(factors, outputs - y, net.output_scale)):
-        g *= eta
-        w -= g
-    return outputs
+def row_space_config(net, dataset, rate: float) -> TrainConfig:
+    eta = rate / lambda_max_symmetric(net.ntk(dataset.inputs))
+    return TrainConfig(eta=eta, max_steps=ROW_SPACE_STEPS, convergence_tol=1e-300)
+
+
+def dense_train(net, oracle, dataset, eta: float, steps: int):
+    """train's loop, stepping the net itself with every output, kernel and
+    gradient built from the explicit inputs by the oracle: the losses, norms
+    and eta * lambda_max of its steps + 1 states."""
+    x, y = dataset.inputs, dataset.labels
+    losses, norms, eta_lambda = [], [], []
+    for t in range(steps + 1):
+        outputs, _, factors = oracle(net, x)
+        losses.append(mse_loss(outputs, y))
+        norms.append(net.weight_norm())
+        eta_lambda.append(eta * lambda_max_symmetric(tangent_kernel(factors, net.output_scale)))
+        if t == steps:
+            break
+        for w, g in zip(net.weights(), loss_gradients(factors, outputs - y, net.output_scale)):
+            g *= eta
+            w -= g
+    return np.array(losses), np.array(norms), np.array(eta_lambda)
 
 
 def relative(a, b) -> float:
@@ -763,70 +776,80 @@ def relative(a, b) -> float:
     return float(np.abs(a - b).max() / np.abs(b).max())
 
 
-class TestRowSpaceFirstLayer:
+class TestTrainInTheRowSpace:
     @pytest.mark.parametrize("family", ROW_SPACE_FAMILIES)
     @pytest.mark.parametrize("regime", ["lazy", "catapult"])
-    def test_steps_match_the_dense_reference(self, family, regime):
-        # 8 points in d = 32; along the way the net is cloned, pickled, run
-        # on a second input matrix and stepped on a copy of its inputs
-        net, x, y, oracle, catapult_rate = row_space_case(family, 8, 32)
-        x_other = Rng(82).normal((5, 32))
-        rate = 1.0 if regime == "lazy" else catapult_rate
-        eta = rate / lambda_max_symmetric(net.ntk(x))
+    def test_fewer_points_than_dimensions_match_the_dense_loop(self, family, regime, monkeypatch):
+        # 8 points in d = 32: every pass of the run is on the (8, 8)
+        # coordinates of the inputs, and the series and the final weights
+        # are the dense loop's to roundoff
+        net, dataset, oracle, catapult_rate = row_space_case(family, 8, 32)
+        config = row_space_config(net, dataset, 1.0 if regime == "lazy" else catapult_rate)
         reference = net.clone()
-        losses = []
-        for t in range(30):
-            if t == 8:
-                net = net.clone()
-            if t == 14:
-                net = pickle.loads(pickle.dumps(net))
-            if t == 20:
-                expected = oracle(reference, x_other)[0]
-                assert relative(net.outputs(x_other), expected) < ROW_SPACE_RTOL
-            inputs = x.copy() if t == 25 else x
-            z = net.outputs(inputs)
-            kernel = tangent_kernel(oracle(reference, x)[2], net.output_scale)
-            assert relative(net.ntk(inputs), kernel) < ROW_SPACE_RTOL
-            assert abs(net.weight_norm() / reference.weight_norm() - 1.0) < ROW_SPACE_RTOL
-            net.apply_gd_step(inputs, z - y, eta)
-            expected = dense_step(reference, oracle, x, y, eta)
-            assert relative(z, expected) < ROW_SPACE_RTOL
-            losses.append(float((z - y) @ (z - y)))
-            # the step ran in the row space, on whichever inputs object it got
-            assert net._row_space is not None and net._row_space.inputs is inputs
+        passes = traced_passes(net, monkeypatch)
+        trajectory = train(net, dataset, config)
+        assert trajectory.steps_taken == ROW_SPACE_STEPS
+        assert len(passes) == ROW_SPACE_STEPS + 1
+        assert all(p.shape == (8, 8) and p is passes[0] for p in passes)
+        losses, norms, eta_lambda = dense_train(
+            reference, oracle, dataset, config.eta, ROW_SPACE_STEPS
+        )
+        assert relative(trajectory.losses, losses) < ROW_SPACE_RTOL
+        assert relative(trajectory.weight_norms, norms) < ROW_SPACE_RTOL
+        assert relative(trajectory.eta_lambda_max, eta_lambda) < ROW_SPACE_RTOL
         for w, e in zip(net.weights(), reference.weights()):
-            assert relative(w, e) < ROW_SPACE_RTOL
-        assert np.isfinite(losses).all() and losses[-1] < losses[0]
-        assert (max(losses) > losses[0]) == (regime == "catapult")
+            assert w.shape == e.shape and relative(w, e) < ROW_SPACE_RTOL
+        assert losses[-1] < losses[0]
+        assert (losses.max() > losses[0]) == (regime == "catapult")
 
     @pytest.mark.parametrize("family", ROW_SPACE_FAMILIES)
     @pytest.mark.parametrize("shape", [(32, 32), (40, 8)])
-    def test_no_fewer_points_than_dimensions_moves_no_bit(self, family, shape):
-        net, x, y, oracle, catapult_rate = row_space_case(family, *shape)
-        eta = catapult_rate / lambda_max_symmetric(net.ntk(x))
+    def test_no_fewer_points_than_dimensions_moves_no_bit(self, family, shape, monkeypatch):
+        net, dataset, oracle, catapult_rate = row_space_case(family, *shape)
+        config = row_space_config(net, dataset, catapult_rate)
         reference = net.clone()
-        for _ in range(30):
-            z = net.outputs(x)
-            net.apply_gd_step(x, z - y, eta)
-            assert bits(z) == bits(dense_step(reference, oracle, x, y, eta))
-        assert net._row_space is None
+        passes = traced_passes(net, monkeypatch)
+        trajectory = train(net, dataset, config)
+        assert all(p is dataset.inputs for p in passes)
+        dense = dense_train(reference, oracle, dataset, config.eta, trajectory.steps_taken)
+        for got, expected in zip(
+            (trajectory.losses, trajectory.weight_norms, trajectory.eta_lambda_max), dense
+        ):
+            assert bits(got) == bits(expected)
         for w, e in zip(net.weights(), reference.weights()):
             assert bits(w) == bits(e)
 
     @pytest.mark.parametrize("family", ROW_SPACE_FAMILIES)
-    def test_reading_the_first_layer_folds_it_back(self, family):
-        # the attribute, weights() and writes through them see one array
-        net, x, y, _, _ = row_space_case(family, 8, 32)
-        name = net._row_space_name
-        net.apply_gd_step(x, net.outputs(x) - y, 0.01)
-        net.apply_gd_step(x, net.outputs(x) - y, 0.01)
-        norm = net.weight_norm()
-        first = getattr(net, name)
-        assert net._row_space is None and first.shape == (32, 32)
-        assert abs(net.weight_norm() / norm - 1.0) < ROW_SPACE_RTOL
-        first[:] = 0.0
-        assert np.array_equal(net.weights()[net._weight_names.index(name)], first)
-        assert np.array_equal(net.activations(x)[0], np.zeros((8, 32)))
+    def test_train_drops_the_pass_kept_before_it(self, family):
+        # the twin moved the arrays the net shares with it, so the pass the
+        # net kept before the run is stale afterwards
+        net, dataset, _, catapult_rate = row_space_case(family, 8, 32)
+        net.outputs(dataset.inputs)
+        train(net, dataset, row_space_config(net, dataset, catapult_rate))
+        assert bits(net.ntk(dataset.inputs)) == bits(net.clone().ntk(dataset.inputs))
+
+    @pytest.mark.parametrize("family", ROW_SPACE_FAMILIES)
+    def test_a_run_that_raises_still_writes_the_first_layer_back(self, family, monkeypatch):
+        net, dataset, oracle, catapult_rate = row_space_case(family, 8, 32)
+        config = row_space_config(net, dataset, catapult_rate)
+        first = getattr(net, net._first_layer)
+        reference = net.clone()
+        dense_train(reference, oracle, dataset, config.eta, 12)
+        calls = []
+
+        def raise_at_step_12(kernel):
+            if len(calls) == 12:
+                raise RuntimeError("kernel at step 12")
+            calls.append(kernel)
+            return lambda_max_symmetric(kernel)
+
+        monkeypatch.setattr(training, "lambda_max_symmetric", raise_at_step_12)
+        with pytest.raises(RuntimeError, match="step 12"):
+            train(net, dataset, config)
+        # written in place: the net's own array holds the 12 steps
+        assert getattr(net, net._first_layer) is first
+        for w, e in zip(net.weights(), reference.weights()):
+            assert relative(w, e) < ROW_SPACE_RTOL
 
 
 class TestLinearNetWithBiasEmbedding:

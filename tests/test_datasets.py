@@ -10,6 +10,7 @@ from catapult.datasets import (
     Dataset,
     EigenScheme,
     MetaFeatureSpec,
+    QuadraticFeatureMap,
     TeacherStudentSpec,
     assemble_quadratic,
     build_meta_features,
@@ -24,6 +25,13 @@ from catapult.datasets import (
 from catapult.models import QuadraticModel
 from catapult.numerics import Rng, random_orthogonal
 from catapult.training import mse_loss
+
+
+def _assert_relatively_close(actual, expected):
+    """Agreement to 1e-12 of the largest expected magnitude."""
+    assert actual.shape == expected.shape
+    if expected.size:
+        assert np.abs(actual - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 class TestToyDatasets:
@@ -128,7 +136,45 @@ class TestMetaFeatureConstruction:
         zeta = zeta_for("1_over_n_psi", 16)
         model = assemble_quadratic(fm, ds, zeta, Rng(11))
         streamed = fm.outputs_at(model.theta, zeta, x)
-        assert np.allclose(streamed, model.outputs(), atol=1e-12)
+        _assert_relatively_close(streamed, model.outputs())
+
+    @pytest.mark.parametrize(
+        "points", [0, 1, OUTPUTS_AT_CHUNK, OUTPUTS_AT_CHUNK + 1],
+        ids=["empty", "one", "one_block", "one_block_and_one"],
+    )
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("activation", ["tanh", "identity"])
+    @pytest.mark.parametrize("projected", [False, True], ids=["full", "projected"])
+    def test_outputs_at_agrees_at_block_edges(self, points, d, activation, projected):
+        # the packed upper-triangle contraction against the model built on
+        # the full meta-feature matrices, at and around the block boundary
+        spec = MetaFeatureSpec(20, 6, d, EigenScheme("uniform", 1.0, 2.0), activation)
+        fm = build_meta_features(spec, Rng(21))
+        if projected:
+            fm = fm.project(random_orthogonal(20, Rng(22))[:12], random_orthogonal(6, Rng(23))[:4])
+        x = Rng(24).uniform(-0.5, 0.5, (points, d))
+        zeta = zeta_for("1_over_n_psi", fm.n_psi)
+        if points:
+            ds = Dataset(inputs=x, labels=np.zeros(points))
+            model = assemble_quadratic(fm, ds, zeta, Rng(25))
+        else:  # a Dataset needs a point: assemble_quadratic's model by hand
+            model = QuadraticModel(Rng(25).normal(fm.n), *fm.at(x), zeta)
+        streamed = fm.outputs_at(model.theta, zeta, x)
+        assert streamed.shape == (points,)
+        _assert_relatively_close(streamed, model.outputs())
+
+    def test_outputs_at_forms_no_full_activation_block(self, monkeypatch):
+        spec = MetaFeatureSpec(24, 4, 1, EigenScheme("uniform", 1.0, 2.0), "tanh")
+        fm = build_meta_features(spec, Rng(26))
+        x = Rng(27).uniform(-0.5, 0.5, (OUTPUTS_AT_CHUNK + 3, 1))
+        theta = Rng(28).normal(fm.n)
+        expected = QuadraticModel(theta, *fm.at(x), 0.5).outputs()
+
+        def refuse(self, x):
+            raise AssertionError("outputs_at formed an m x m activation block")
+
+        monkeypatch.setattr(QuadraticFeatureMap, "_activations_at", refuse)
+        _assert_relatively_close(fm.outputs_at(theta, 0.5, x), expected)
 
     @pytest.mark.parametrize("n_phi", [0, 6], ids=["pure", "with_bias"])
     @pytest.mark.parametrize("d", [1, 2])
@@ -149,7 +195,7 @@ class TestMetaFeatureConstruction:
         model = assemble_quadratic(fm, ds, zeta, Rng(20))
         expected = model.outputs()
         streamed = fm.outputs_at(model.theta, zeta, x)
-        assert np.abs(streamed - expected).max() <= 1e-12 * np.abs(expected).max()
+        _assert_relatively_close(streamed, expected)
 
 
 class TestTeacherStudent:
@@ -179,11 +225,22 @@ class TestTeacherStudent:
         assert q.shape == (20, 32)
         assert np.abs(q @ q.T - np.eye(20)).max() < 1e-10
 
-    def test_labels_come_from_the_teacher(self):
-        spec = TeacherStudentSpec(
-            n_psi_teacher=16, n_psi_student=8, d=2, train_size=6, test_size=3,
-            activation="identity", eigen_scheme=EigenScheme("pm_one"),
-        )
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            TeacherStudentSpec(
+                n_psi_teacher=16, n_psi_student=8, d=2, train_size=6, test_size=3,
+                activation="identity", eigen_scheme=EigenScheme("pm_one"),
+            ),
+            # a test split longer than one block of outputs_at
+            TeacherStudentSpec(
+                n_psi_teacher=16, n_psi_student=8, n_phi_teacher=6, n_phi_student=4,
+                d=1, train_size=6, test_size=2 * OUTPUTS_AT_CHUNK + 5, activation="tanh",
+            ),
+        ],
+        ids=["identity_d2", "tanh_with_bias_d1"],
+    )
+    def test_labels_come_from_the_teacher(self, spec):
         setup = make_teacher_student(spec, Rng(14))
         ds = setup.dataset
         # the teacher model materialized on each split, at the teacher weights

@@ -58,14 +58,18 @@ EXIT_CONFIG = 1
 EXIT_INVARIANT = 2
 EXIT_IO = 3
 
-MODEL_FAMILIES = (
-    "pure_quadratic",
-    "quadratic_with_bias",
-    "linear_net_with_bias",
-    "homogenous",
-    "deep_relu",
-)
 DATASET_KINDS = ("toy", "toy_relu", "random", "teacher_student", "image_two_class")
+# The dataset kinds each model family trains on.  Teacher-student labels come
+# from a quadratic teacher, so only the quadratic families learn them; images
+# feed only the nets; the linear net with bias is input-independent, so it
+# trains on the single toy datapoint alone.
+FAMILY_KINDS = {
+    "pure_quadratic": ("toy", "toy_relu", "random", "teacher_student"),
+    "quadratic_with_bias": ("toy", "toy_relu", "random", "teacher_student"),
+    "linear_net_with_bias": ("toy",),
+    "homogenous": ("toy", "toy_relu", "random", "image_two_class"),
+    "deep_relu": ("toy", "toy_relu", "random", "image_two_class"),
+}
 
 
 class ConfigError(ValueError):
@@ -163,10 +167,6 @@ POSITIVE = (lambda value: value > 0, "must be positive")
 AT_LEAST_ONE = (lambda value: value >= 1, "must be at least 1")
 # A record field's annotation, as the type its config field must have
 _FIELD_KINDS = {"int": int, "float": float, "Optional[float]": float, "str": str}
-# TrainConfig's fields that the training section sets beside its rates
-_TRAINING_FIELDS = tuple(
-    item.name for item in dataclasses.fields(TrainConfig) if item.name != "eta"
-)
 
 
 def _field(section: dict, path: str, key: str, kind, default=_REQUIRED, allowed=None, bound=None):
@@ -245,26 +245,32 @@ def _eigen_scheme(section: dict, path: str) -> EigenScheme:
 
 def _normalize_model(raw: dict, dataset_cfg: dict) -> dict:
     section = _section(raw, "model")
-    family = _field(section, "model", "family", str, allowed=set(MODEL_FAMILIES))
+    family = _field(section, "model", "family", str, allowed=set(FAMILY_KINDS))
+    kind = dataset_cfg["kind"]
+    if kind not in FAMILY_KINDS[family]:
+        raise ConfigError(f"model.family: {family} does not train on {kind} datasets")
     out = {
         "family": family,
         "init_seed": _field(section, "model", "init_seed", int, 0, bound=NON_NEGATIVE),
     }
-    quadratic = family in ("pure_quadratic", "quadratic_with_bias")
-    if dataset_cfg["kind"] == "teacher_student":
+    with_bias = family == "quadratic_with_bias"
+    if kind == "teacher_student":
         # Dimensions, eigenvalue scheme and activation come from the
         # teacher-student dataset section; the model keeps only an optional
         # coupling override.
-        if quadratic:
-            out["zeta"] = _field(section, "model", "zeta", float, None, bound=NON_NEGATIVE)
-    elif quadratic:
-        with_bias = family == "quadratic_with_bias"
+        if with_bias != (dataset_cfg["n_phi_student"] > 0):
+            raise ConfigError(
+                "model.family: must match the teacher_student feature block "
+                "(with_bias exactly when n_phi_student > 0)"
+            )
+        out["zeta"] = _field(section, "model", "zeta", float, None, bound=NON_NEGATIVE)
+    elif family in ("pure_quadratic", "quadratic_with_bias"):
         spec = _record(
             MetaFeatureSpec,
             section,
             "model",
             defaults=None if with_bias else {"n_phi": 0},
-            # toy inputs are one-dimensional; images fail the combination check
+            # toy inputs are one-dimensional
             d=dataset_cfg.get("d", 1),
         )
         if spec.n_phi and not with_bias:
@@ -354,7 +360,6 @@ def _normalize_training(raw: dict) -> dict:
             "training.eta: give exactly one of eta, eta_grid, eta_lambda0_grid"
         )
     key = grids[0]
-    out = {"eta": None, "eta_grid": None, "eta_lambda0_grid": None}
     given = {}
     if key != "eta":
         value = section[key]
@@ -366,13 +371,12 @@ def _normalize_training(raw: dict) -> dict:
             if not (numeric and math.isfinite(item) and item > 0):
                 raise ConfigError(f"training.{key}: entries must be finite positive numbers")
             numbers.append(float(item))
-        out[key] = numbers
         # every rate of the grid is valid, so any one checks the schedule
         given["eta"] = numbers[0]
-    config = _record(TrainConfig, section, "training", **given)
-    if key == "eta":
-        out["eta"] = config.eta
-    out.update({name: getattr(config, name) for name in _TRAINING_FIELDS})
+    out = dataclasses.asdict(_record(TrainConfig, section, "training", **given))
+    out.update(eta_grid=None, eta_lambda0_grid=None)
+    if key != "eta":
+        out.update({"eta": None, key: numbers})
     _reject_unknown(section, "training", out)
     return out
 
@@ -407,40 +411,7 @@ def normalize_config(
     if seed_override is not None:
         normalized["model"]["init_seed"] = int(seed_override)
         normalized["dataset"]["seed"] = int(seed_override)
-    _validate_combination(normalized)
     return normalized
-
-
-def _validate_combination(cfg: dict) -> None:
-    family = cfg["model"]["family"]
-    kind = cfg["dataset"]["kind"]
-    if family == "linear_net_with_bias" and kind != "toy":
-        raise ConfigError(
-            "dataset.kind: the linear net with bias is input-independent and "
-            "only trains on the toy dataset"
-        )
-    if kind == "teacher_student" and family not in (
-        "pure_quadratic",
-        "quadratic_with_bias",
-    ):
-        raise ConfigError(
-            "model.family: teacher_student datasets require a quadratic family"
-        )
-    if kind == "image_two_class" and family in (
-        "pure_quadratic",
-        "quadratic_with_bias",
-        "linear_net_with_bias",
-    ):
-        raise ConfigError(
-            "model.family: quadratic families are not supported on image datasets"
-        )
-    if kind == "teacher_student":
-        has_phi = cfg["dataset"]["n_phi_student"] > 0
-        if has_phi != (family == "quadratic_with_bias"):
-            raise ConfigError(
-                "model.family: must match the teacher_student feature block "
-                "(with_bias exactly when n_phi_student > 0)"
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -470,8 +441,9 @@ def _quadratic_outputs(feature_map: QuadraticFeatureMap, model, inputs) -> np.nd
     return feature_map.outputs_at(model.theta, model.zeta, inputs)
 
 
-def _build_dataset(cfg: dict) -> Dataset:
-    section = cfg["dataset"]
+def _build_dataset(section: dict) -> Dataset:
+    """The dataset of a normalized dataset section of any kind but
+    teacher_student, whose labels come with the teacher."""
     kind = section["kind"]
     if kind == "toy":
         return make_toy()
@@ -481,87 +453,57 @@ def _build_dataset(cfg: dict) -> Dataset:
         return make_random(
             section["d"], section["size"], section["half_width"], Rng(section["seed"])
         )
-    if kind == "image_two_class":
-        if section["format"] == "idx":
-            paths = {
-                key: section[key]
-                for key in ("train_images", "train_labels", "test_images", "test_labels")
-            }
-        else:
-            paths = {key: section[key] for key in ("train_files", "test_files")}
-        return load_two_class_images(
-            section["format"],
-            paths,
-            section["class_a"],
-            section["class_b"],
-            section["train_size"],
-        )
-    raise ConfigError(f"dataset.kind: cannot build {kind!r} here")
-
-
-def resolve_experiment(cfg: dict) -> Experiment:
-    model_cfg = cfg["model"]
-    family = model_cfg["family"]
-    seed = model_cfg["init_seed"]
-    theta_rng = Rng(seed).child(2, 0)
-
-    if family == "linear_net_with_bias":
-        return Experiment(
-            _build_dataset(cfg),
-            linear_net_with_bias_embedding(model_cfg["width"], theta_rng, model_cfg["bias0"]),
-        )
-
-    if family == "deep_relu" and model_cfg["depth"] == 1:
-        dataset = _build_dataset(cfg)
-        return Experiment(
-            dataset,
-            DeepReluNet.init_random(model_cfg["width"], dataset.dim, theta_rng),
-        )
-
-    if family in ("homogenous", "deep_relu"):
-        # a depth-0 deep_relu net is the two-layer ReLU net: slopes (0, 1)
-        a_minus, a_plus = model_cfg.get("a_minus", 0.0), model_cfg.get("a_plus", 1.0)
-        dataset = _build_dataset(cfg)
-        return Experiment(
-            dataset,
-            HomogenousNet.init_random(
-                model_cfg["width"], theta_rng, a_minus, a_plus, input_dim=dataset.dim
-            ),
-        )
-
-    # The quadratic families: a student feature map from a teacher-student
-    # setup, or meta-features drawn for the dataset.
-    zeta = model_cfg["zeta"]
-    if cfg["dataset"]["kind"] == "teacher_student":
-        ds_cfg = cfg["dataset"]
-        fields = {f.name: ds_cfg[f.name] for f in dataclasses.fields(TeacherStudentSpec)}
-        fields["eigen_scheme"] = EigenScheme(**ds_cfg["eigen_scheme"])
-        setup = make_teacher_student(TeacherStudentSpec(**fields), Rng(ds_cfg["seed"]).child(3))
-        feature_map, dataset = setup.student_map, setup.dataset
-        if zeta is None:
-            zeta = setup.zeta_student
-    else:
-        dataset = _build_dataset(cfg)
-        spec = MetaFeatureSpec(
-            n_psi=model_cfg["n_psi"],
-            n_phi=model_cfg["n_phi"],
-            d=dataset.dim,
-            eigen_scheme=EigenScheme(**model_cfg["eigen_scheme"]),
-            activation=model_cfg["activation"],
-        )
-        feature_map = build_meta_features(spec, Rng(seed).child(1))
-        if zeta is None:
-            zeta = zeta_for(model_cfg["zeta_rule"], model_cfg["n_psi"])
-
-    return Experiment(
-        dataset,
-        assemble_quadratic(feature_map, dataset, zeta, theta_rng),
-        evaluate_outputs=partial(_quadratic_outputs, feature_map),
+    # an image section holds exactly its format's path keys beside the rest
+    return load_two_class_images(
+        section["format"],
+        section,
+        section["class_a"],
+        section["class_b"],
+        section["train_size"],
     )
 
 
-def _train_config(cfg: dict, eta: float) -> TrainConfig:
-    return TrainConfig(eta=eta, **{name: cfg["training"][name] for name in _TRAINING_FIELDS})
+def resolve_experiment(cfg: dict) -> Experiment:
+    model_cfg, ds_cfg = cfg["model"], cfg["dataset"]
+    family = model_cfg["family"]
+    seed = model_cfg["init_seed"]
+    theta_rng = Rng(seed).child(2, 0)
+    setup = None
+    if ds_cfg["kind"] == "teacher_student":
+        setup = make_teacher_student(
+            _record(TeacherStudentSpec, ds_cfg, "dataset"), Rng(ds_cfg["seed"]).child(3)
+        )
+        dataset = setup.dataset
+    else:
+        dataset = _build_dataset(ds_cfg)
+
+    evaluate_outputs = None
+    if family == "linear_net_with_bias":
+        model = linear_net_with_bias_embedding(model_cfg["width"], theta_rng, model_cfg["bias0"])
+    elif family == "deep_relu" and model_cfg["depth"] == 1:
+        model = DeepReluNet.init_random(model_cfg["width"], dataset.dim, theta_rng)
+    elif family in ("homogenous", "deep_relu"):
+        # a depth-0 deep_relu net is the two-layer ReLU net: slopes (0, 1)
+        a_minus, a_plus = model_cfg.get("a_minus", 0.0), model_cfg.get("a_plus", 1.0)
+        model = HomogenousNet.init_random(
+            model_cfg["width"], theta_rng, a_minus, a_plus, input_dim=dataset.dim
+        )
+    else:
+        # The quadratic families: the student feature map of a teacher-student
+        # setup, or meta-features drawn for the dataset.
+        zeta = model_cfg["zeta"]
+        if setup is not None:
+            feature_map = setup.student_map
+            if zeta is None:
+                zeta = setup.zeta_student
+        else:
+            spec = _record(MetaFeatureSpec, model_cfg, "model", d=dataset.dim)
+            feature_map = build_meta_features(spec, Rng(seed).child(1))
+            if zeta is None:
+                zeta = zeta_for(model_cfg["zeta_rule"], spec.n_psi)
+        model = assemble_quadratic(feature_map, dataset, zeta, theta_rng)
+        evaluate_outputs = partial(_quadratic_outputs, feature_map)
+    return Experiment(dataset, model, evaluate_outputs)
 
 
 def resolve_eta_grid(cfg: dict, experiment: Experiment) -> list[float]:
@@ -650,7 +592,8 @@ def cmd_train(cfg: dict, out_dir: Path) -> None:
     if len(etas) != 1:
         raise ConfigError("training.eta: the train command requires a single rate")
     eta = etas[0]
-    trajectory = train(experiment.model, experiment.dataset, _train_config(cfg, eta))
+    config = _record(TrainConfig, cfg["training"], "training", eta=eta)
+    trajectory = train(experiment.model, experiment.dataset, config)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_trajectory_csv(out_dir / "trajectory.csv", trajectory)
     meta = _base_metadata(cfg, "train")
@@ -675,7 +618,7 @@ def _sweep_rate(experiment: Experiment, cfg: dict, eta: float) -> tuple:
         experiment.model.clone,
         experiment.dataset,
         eta,
-        _train_config(cfg, eta),
+        _record(TrainConfig, cfg["training"], "training", eta=eta),
         experiment.lambda0,
         experiment.evaluate_outputs,
     )

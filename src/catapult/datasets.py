@@ -565,6 +565,8 @@ def _two_class_filter(
     what: str,
 ) -> tuple[np.ndarray, np.ndarray]:
     mask = (labels == class_a) | (labels == class_b)
+    if not mask.any():
+        raise DataFormatError(f"{what}: no images of classes {class_a}/{class_b}")
     selected_images = images[mask]
     selected_labels = labels[mask]
     if limit is not None:

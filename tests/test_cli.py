@@ -14,9 +14,11 @@ from catapult.cli import (
     format_float,
     main,
     normalize_config,
+    resolve_experiment,
 )
 from catapult.datasets import EigenScheme, TeacherStudentSpec
 from catapult.models import DeepReluNet
+from conftest import write_idx_images, write_idx_labels
 
 
 def write_config(tmp_path: Path, payload: dict, name="config.json") -> str:
@@ -33,6 +35,25 @@ VANISHING_KERNEL_CONFIG = {
     "dataset": {"kind": "toy_relu"},
     "training": {"eta_lambda0_grid": [1.0, 3.0]},
 }
+
+
+# The dataset kinds each family trains on, and fields each family reads
+# outside a teacher-student section
+FAMILY_TRAINS_ON = {
+    "pure_quadratic": ("toy", "toy_relu", "random", "teacher_student"),
+    "quadratic_with_bias": ("toy", "toy_relu", "random", "teacher_student"),
+    "linear_net_with_bias": ("toy",),
+    "homogenous": ("toy", "toy_relu", "random", "image_two_class"),
+    "deep_relu": ("toy", "toy_relu", "random", "image_two_class"),
+}
+FAMILY_FIELDS = {
+    "pure_quadratic": {"n_psi": 8, "zeta_rule": "2_over_n"},
+    "quadratic_with_bias": {"n_psi": 8, "n_phi": 2, "zeta_rule": "1_over_n_psi"},
+    "linear_net_with_bias": {"width": 4, "bias0": 0.5},
+    "homogenous": {"width": 4, "a_minus": 0.5, "a_plus": 1.0},
+    "deep_relu": {"width": 4, "depth": 1},
+}
+IDX_PATH_KEYS = ("train_images", "train_labels", "test_images", "test_labels")
 
 
 def quad_toy_config(**training):
@@ -174,8 +195,51 @@ class TestConfigValidation:
             },
             "training": {"eta": 0.1},
         }
-        with pytest.raises(ConfigError, match="not supported on image datasets"):
+        with pytest.raises(ConfigError) as raised:
             normalize_config(bad, tmp_path)
+        assert str(raised.value) == (
+            "model.family: pure_quadratic does not train on image_two_class datasets"
+        )
+
+    @pytest.mark.parametrize(
+        "kind", ["toy", "toy_relu", "random", "teacher_student", "image_two_class"]
+    )
+    @pytest.mark.parametrize("family", list(FAMILY_TRAINS_ON))
+    def test_family_and_dataset_kind_pairs(self, tmp_path, family, kind):
+        # each section carries the fields its family reads, so a pair is
+        # refused for its family alone: homogenous with its width on
+        # teacher_student data once failed as "model.width: unknown field"
+        (tmp_path / "images.idx").write_bytes(b"")
+        quadratic = family in ("pure_quadratic", "quadratic_with_bias")
+        datasets = {
+            "toy": {},
+            "toy_relu": {},
+            "random": {"d": 2, "size": 3},
+            "teacher_student": {
+                "n_psi_teacher": 8,
+                "n_psi_student": 4,
+                "n_phi_teacher": 4 if family == "quadratic_with_bias" else 0,
+                "n_phi_student": 2 if family == "quadratic_with_bias" else 0,
+            },
+            "image_two_class": {
+                "format": "idx",
+                "class_a": 0,
+                "class_b": 1,
+                **{key: "images.idx" for key in IDX_PATH_KEYS},
+            },
+        }
+        model = {"zeta": 0.5} if quadratic and kind == "teacher_student" else FAMILY_FIELDS[family]
+        raw = {
+            "model": {"family": family, **model},
+            "dataset": {"kind": kind, **datasets[kind]},
+            "training": {"eta": 0.1},
+        }
+        if kind in FAMILY_TRAINS_ON[family]:
+            assert normalize_config(raw, tmp_path)["model"]["family"] == family
+        else:
+            with pytest.raises(ConfigError) as raised:
+                normalize_config(raw, tmp_path)
+            assert str(raised.value) == f"model.family: {family} does not train on {kind} datasets"
 
     def test_exit_code_one_on_config_error(self, tmp_path, capsys):
         path = write_config(tmp_path, {"model": {}})
@@ -603,6 +667,38 @@ class TestSweepCommand:
                 assert float(row["generalization_gap"]) == test - train
 
 
+@pytest.mark.parametrize("d", [1, 4])
+def test_teacher_student_kernel_rank_grows_with_input_dimension(tmp_path, d):
+    # At d = 1 every student meta-feature matrix is close to x_a * M for one
+    # fixed M, so the initial kernel is close to rank one and the data act
+    # as one datapoint; at d = 4 the second eigenvalue is a sizable fraction
+    # of the top (0.42-0.97 over these seeds, against at most 2e-6 at d = 1)
+    ratios = []
+    for seed in range(5):
+        raw = {
+            "model": {"family": "pure_quadratic", "init_seed": seed},
+            "dataset": {
+                "kind": "teacher_student",
+                "seed": seed,
+                "d": d,
+                "n_psi_teacher": 40,
+                "n_psi_student": 30,
+                "train_size": 16,
+                "test_size": 0,
+                "activation": "tanh",
+                "eigen_scheme": {"kind": "pm_one"},
+            },
+            "training": {"eta": 0.1},
+        }
+        experiment = resolve_experiment(normalize_config(raw, tmp_path))
+        eigenvalues = np.linalg.eigvalsh(experiment.model.ntk(experiment.dataset.inputs))
+        ratios.append(eigenvalues[-2] / eigenvalues[-1])
+    if d == 1:
+        assert max(ratios) <= 1e-4, ratios
+    else:
+        assert min(ratios) >= 0.1, ratios
+
+
 class TestBoundsCommand:
     def test_pure_toy_report_document(self, tmp_path):
         path = write_config(tmp_path, quad_toy_config())
@@ -923,7 +1019,6 @@ def with_model(config: dict, **model) -> dict:
 
 def image_config(class_a: int, class_b: int, **dataset) -> dict:
     # the class ids and the train size are checked before the (here missing) files
-    paths = ("train_images", "train_labels", "test_images", "test_labels")
     return {
         "model": {"family": "deep_relu", "width": 8},
         "dataset": {
@@ -931,7 +1026,7 @@ def image_config(class_a: int, class_b: int, **dataset) -> dict:
             "format": "idx",
             "class_a": class_a,
             "class_b": class_b,
-            **{key: f"missing-{key}.idx" for key in paths},
+            **{key: f"missing-{key}.idx" for key in IDX_PATH_KEYS},
             **dataset,
         },
         "training": {"eta": 0.1},
@@ -1249,6 +1344,41 @@ class TestExitCodes:
         path = write_config(tmp_path, cfg)
         assert main(["train", "--config", path, "--out", str(tmp_path / "o")]) == 3
 
+    @pytest.mark.parametrize("fmt", ["idx", "cifar_binary"])
+    def test_test_split_without_either_class_is_io_exit(self, tmp_path, capsys, fmt):
+        # a test split of classes 2-7 only once ended in a ValueError
+        # traceback from the empty split, with exit 1
+        train_labels, test_labels = np.array([0, 1, 0, 1]), np.arange(2, 8)
+        pixels = np.full((10, 4, 4), 128, dtype=np.uint8)
+        if fmt == "idx":
+            files = {key: key for key in IDX_PATH_KEYS}
+            write_idx_images(tmp_path / "train_images", pixels[:4])
+            write_idx_labels(tmp_path / "train_labels", train_labels)
+            write_idx_images(tmp_path / "test_images", pixels[4:])
+            write_idx_labels(tmp_path / "test_labels", test_labels)
+        else:
+            for name, labels in (("train.bin", train_labels), ("test.bin", test_labels)):
+                records = np.full((labels.size, 3073), 128, dtype=np.uint8)
+                records[:, 0] = labels
+                (tmp_path / name).write_bytes(records.tobytes())
+            files = {"train_files": ["train.bin"], "test_files": ["test.bin"]}
+        cfg = {
+            "model": {"family": "deep_relu", "width": 8},
+            "dataset": {
+                "kind": "image_two_class",
+                "format": fmt,
+                "class_a": 0,
+                "class_b": 1,
+                "train_size": 4,
+                **files,
+            },
+            "training": {"eta": 0.1},
+        }
+        path = write_config(tmp_path, cfg)
+        assert main(["train", "--config", path, "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err == "data format error: test set: no images of classes 0/1\n", err
+
 
 class TestImagePipeline:
     @pytest.mark.parametrize("depth", [0, 1])
@@ -1302,7 +1432,6 @@ class TestDepthZeroDeepRelu:
         return {"kind": "image_two_class", "format": "idx", "class_a": 0, "class_b": 1, **paths}
 
     def test_resolves_to_the_same_net(self, tmp_path, synthetic_idx_paths):
-        from catapult.cli import resolve_experiment
         from catapult.models import HomogenousNet
 
         deep, relu = (

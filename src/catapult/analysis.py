@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -74,27 +75,34 @@ class GeneralizationReport:
     accuracy: float
 
 
-def generalization_report(
-    model,
-    dataset: Dataset,
-    train_loss: float,
-    evaluate_outputs: Optional[Callable] = None,
-) -> GeneralizationReport:
-    """Test MSE, its gap over the caller's train loss, and sign-agreement
-    accuracy on the test split.  The train loss comes from the caller (a
-    sweep takes the trajectory's final loss), so the train split is not
-    evaluated again and the gap is exactly ``test_loss - train_loss``.
-
-    A quadratic model's outputs are fixed to the points its features were
-    built for, so it needs ``evaluate_outputs`` to score the test split."""
+def split_scores(dataset: Dataset, model) -> tuple[np.ndarray, np.ndarray]:
+    """A model's own outputs on the dataset's test split, and the split's
+    labels.  A quadratic model's outputs are fixed to the points its
+    features were built for, so it is scored by its feature map instead."""
     if not dataset.has_test_split:
         raise AnalysisError("dataset has no test split")
-    if evaluate_outputs is None and isinstance(model, QuadraticModel):
-        raise AnalysisError("a quadratic model needs evaluate_outputs to score the test split")
-    evaluate = evaluate_outputs or (lambda m, x: m.outputs(x))
-    z_test = evaluate(model, dataset.test_inputs)
-    test_loss = mse_loss(z_test, dataset.test_labels)
-    accuracy = float(np.mean(np.sign(z_test) == np.sign(dataset.test_labels)))
+    if isinstance(model, QuadraticModel):
+        raise AnalysisError("a quadratic model needs a test scorer built from its feature map")
+    return model.outputs(dataset.test_inputs), dataset.test_labels
+
+
+def split_scorer(dataset: Dataset) -> Optional[Callable]:
+    """``split_scores`` on the dataset, or None when it has no test split."""
+    return partial(split_scores, dataset) if dataset.has_test_split else None
+
+
+def generalization_report(model, train_loss: float, score_test: Callable) -> GeneralizationReport:
+    """Test MSE, its gap over the caller's train loss, and sign-agreement
+    accuracy on the test split.  ``score_test(model)`` returns the model's
+    outputs on the test split and the split's labels: ``split_scores`` for
+    a net on a loaded split, or a teacher-student setup's
+    ``score_student``, which labels the split in the pass that scores the
+    student.  The train loss comes from the caller (a sweep takes the
+    trajectory's final loss), so the train split is not evaluated again and
+    the gap is exactly ``test_loss - train_loss``."""
+    z_test, labels = score_test(model)
+    test_loss = mse_loss(z_test, labels)
+    accuracy = float(np.mean(np.sign(z_test) == np.sign(labels)))
     return GeneralizationReport(
         test_loss=test_loss, gap=test_loss - train_loss, accuracy=accuracy
     )
@@ -142,10 +150,13 @@ def run_sweep_point(
     eta: float,
     config: TrainConfig,
     lambda0: float,
-    evaluate_outputs: Optional[Callable] = None,
+    score_test: Optional[Callable] = None,
 ) -> tuple[SweepRecord, Optional[Trajectory]]:
     """Train one freshly initialized model at one learning rate; returns the
-    run summary together with the full trajectory.
+    run summary together with the full trajectory.  A run that did not
+    diverge is scored by ``score_test`` (see ``generalization_report``),
+    which defaults to the dataset's own test split; with neither, the
+    record carries no test columns.
 
     A rate that raises becomes a ``failed`` record whose message is
     ``Type: text``, with no trajectory, so one bad rate never ends a sweep.
@@ -168,10 +179,9 @@ def run_sweep_point(
         # read before the test split's pass replaces the kept final pass
         if model.activation_layers:
             record.sparsity = tuple(sparsity(model, dataset.inputs))
-        if dataset.has_test_split:
-            report = generalization_report(
-                model, dataset, record.train_loss_final, evaluate_outputs
-            )
+        score_test = score_test or split_scorer(dataset)
+        if score_test is not None:
+            report = generalization_report(model, record.train_loss_final, score_test)
             record.test_loss_final = report.test_loss
             record.generalization_gap = report.gap
             record.accuracy = report.accuracy

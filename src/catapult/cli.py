@@ -30,14 +30,13 @@ from typing import Callable, Optional
 import numpy as np
 
 import catapult
-from catapult.analysis import SweepRecord, run_sweep_point
+from catapult.analysis import SweepRecord, run_sweep_point, split_scorer
 from catapult.bounds import collect_bound_reports
 from catapult.datasets import (
     DataFormatError,
     Dataset,
     EigenScheme,
     MetaFeatureSpec,
-    QuadraticFeatureMap,
     TeacherStudentSpec,
     assemble_quadratic,
     build_meta_features,
@@ -424,21 +423,21 @@ class Experiment:
     """Materialized dataset plus the initialized model every command starts
     from, with ``lambda0``, the top eigenvalue of the model's initial
     kernel, measured once here: sweep rates and certified windows are both
-    in its units.  It holds plain values only, so a pool worker receives it
-    pickled instead of resolving the configuration again."""
+    in its units.  ``score_test(model)`` returns a model's outputs on the
+    test split and the split's labels (None without a test split): the
+    loaded labels for a net on images, and for a teacher-student student
+    the teacher's, labelled in the pass that scores the student, so the
+    split is never labelled before a sweep scores it.  It holds plain
+    values only, so a pool worker receives it pickled instead of resolving
+    the configuration again."""
 
     dataset: Dataset
     model: object
-    evaluate_outputs: Optional[Callable] = None
+    score_test: Optional[Callable] = None
     lambda0: float = dataclasses.field(init=False)
 
     def __post_init__(self):
         self.lambda0 = lambda_max_symmetric(self.model.ntk(self.dataset.inputs))
-
-
-def _quadratic_outputs(feature_map: QuadraticFeatureMap, model, inputs) -> np.ndarray:
-    """A quadratic model's outputs on inputs outside its training split."""
-    return feature_map.outputs_at(model.theta, model.zeta, inputs)
 
 
 def _build_dataset(section: dict) -> Dataset:
@@ -477,7 +476,7 @@ def resolve_experiment(cfg: dict) -> Experiment:
     else:
         dataset = _build_dataset(ds_cfg)
 
-    evaluate_outputs = None
+    score_test = split_scorer(dataset)  # a loaded image split, for the nets
     if family == "linear_net_with_bias":
         model = linear_net_with_bias_embedding(model_cfg["width"], theta_rng, model_cfg["bias0"])
     elif family == "deep_relu" and model_cfg["depth"] == 1:
@@ -496,14 +495,15 @@ def resolve_experiment(cfg: dict) -> Experiment:
             feature_map = setup.student_map
             if zeta is None:
                 zeta = setup.zeta_student
+            if setup.test_inputs is not None:
+                score_test = setup.score_student
         else:
             spec = _record(MetaFeatureSpec, model_cfg, "model", d=dataset.dim)
             feature_map = build_meta_features(spec, Rng(seed).child(1))
             if zeta is None:
                 zeta = zeta_for(model_cfg["zeta_rule"], spec.n_psi)
         model = assemble_quadratic(feature_map, dataset, zeta, theta_rng)
-        evaluate_outputs = partial(_quadratic_outputs, feature_map)
-    return Experiment(dataset, model, evaluate_outputs)
+    return Experiment(dataset, model, score_test)
 
 
 def resolve_eta_grid(cfg: dict, experiment: Experiment) -> list[float]:
@@ -620,7 +620,7 @@ def _sweep_rate(experiment: Experiment, cfg: dict, eta: float) -> tuple:
         eta,
         _record(TrainConfig, cfg["training"], "training", eta=eta),
         experiment.lambda0,
-        experiment.evaluate_outputs,
+        experiment.score_test,
     )
 
 

@@ -253,44 +253,70 @@ class QuadraticFeatureMap:
             phi[:, self.n_psi :] = phi_block
         return phi, psi
 
-    def outputs_at(self, theta, zeta: float, inputs) -> np.ndarray:
+    def unprojected(self, theta) -> np.ndarray:
+        """A weight vector of this map (or a (n, k) matrix of them, one per
+        column) in the coordinates of the unprojected map that shares its
+        generators: the meta-feature part ``w = Q^T theta_psi`` followed by
+        the feature part ``v = P^T theta_phi``.  Since ``theta_psi^T Q T Q^T
+        theta_psi = w^T T w`` for the unprojected activation block ``T`` and
+        ``theta_phi^T P F x = v^T F x``, the unprojected map's outputs at
+        (w, v) are this map's outputs at theta."""
+        theta = np.asarray(theta, dtype=np.float64)
+        if theta.shape[0] != self.n:
+            raise ValueError(
+                f"theta: expected {self.n} weights for this feature map, got {theta.shape[0]}"
+            )
+        w, v = theta[: self.n_psi], theta[self.n_psi :]
+        if self.psi_projector is not None:
+            w = (w.T @ self.psi_projector).T
+        if self.phi_projector is not None:
+            v = (v.T @ self.phi_projector).T
+        return np.concatenate([w, v])
+
+    def outputs_at(self, theta, zeta, inputs) -> np.ndarray:
         """Model outputs on arbitrary inputs, streamed in blocks of
         ``OUTPUTS_AT_CHUNK`` points so large test splits never materialize
         their meta-feature matrices.
 
-        The meta-feature projector is folded into the weights: with
-        ``w = Q^T theta_psi`` the quadratic term ``theta_psi^T Q T Q^T
-        theta_psi`` is ``w^T T w`` for the unprojected activation block
-        ``T = g(sum_i x_i W^i)``, so no projected matrix is ever formed.
+        ``theta`` is one weight vector of length ``n`` with a scalar
+        ``zeta``, giving a (D,) array, or a (n, k) matrix of k weight
+        columns with k couplings, giving a (D, k) array: the columns share
+        every pass over the inputs, and only the final product sees k.
 
-        T is symmetric, so only its packed upper triangle is evaluated:
-        ``w^T T w = sum_{j<=k} c_jk g(sum_i x_i W^i_jk)`` with weights
-        ``c_jj = w_j^2`` and ``c_jk = 2 w_j w_k``.  Per block of points that
-        is one product of the inputs with the (d, m(m+1)/2) packed
-        generators, the activation in place, and one product with c."""
-        theta = np.asarray(theta, dtype=np.float64)
+        The weights are first taken to the unprojected coordinates (see
+        ``unprojected``), so no projected matrix is ever formed.  T is
+        symmetric, so only its packed upper triangle is evaluated: ``w^T T
+        w = sum_{j<=l} c_jl g(sum_i x_i W^i_jl)`` with ``c_jj = w_j^2`` and
+        ``c_jl = 2 w_j w_l``.  Per block of points that is one product of
+        the inputs with the (d, m(m+1)/2) packed generators, the activation
+        in place, and one product with the columns ``zeta / 2 * c``."""
+        theta = self.unprojected(theta)
+        single = theta.ndim == 1
+        if single:
+            theta = theta[:, None]
+        scale = 0.5 * np.asarray(zeta, dtype=np.float64).reshape(-1)
+        if scale.shape[0] != theta.shape[1]:
+            raise ValueError(f"zeta: expected {theta.shape[1]} couplings, got {scale.shape[0]}")
+        m = self.meta_generators.shape[1]
+        w, v = theta[:m], theta[m:]
         x = np.asarray(inputs, dtype=np.float64)
         if x.ndim == 1:
             x = x[:, None]
-        w = theta[: self.n_psi]
-        if self.psi_projector is not None:
-            w = w @ self.psi_projector
         rows, cols = np.triu_indices(w.shape[0])
         generators = self.meta_generators[:, rows, cols]
         c = w[rows] * w[cols]
         c[rows != cols] *= 2.0
-        theta_feat = theta[self.n_psi :]
-        out = np.empty(x.shape[0])
+        c *= scale
+        out = np.empty((x.shape[0], w.shape[1]))
         buf = np.empty((min(x.shape[0], OUTPUTS_AT_CHUNK), rows.shape[0]))
         for start in range(0, x.shape[0], OUTPUTS_AT_CHUNK):
             block = slice(start, start + OUTPUTS_AT_CHUNK)
             points = x[block]
             packed = np.dot(points, generators, out=buf[: points.shape[0]])
-            quad = 0.5 * zeta * (self._activate(packed) @ c)
-            phi = self._features_at(points)
-            lin = phi @ theta_feat if phi is not None else 0.0
-            out[block] = lin + quad
-        return out
+            np.matmul(self._activate(packed), c, out=out[block])
+            if self.feature_matrix is not None:
+                out[block] += (points @ self.feature_matrix.T) @ v
+        return out[:, 0] if single else out
 
     def project(self, psi_projector, phi_projector=None) -> "QuadraticFeatureMap":
         if self.psi_projector is not None or self.phi_projector is not None:
@@ -408,17 +434,43 @@ class TeacherStudentSpec:
 
 @dataclass
 class TeacherStudentSetup:
+    """A teacher, its student feature map, the train split the teacher
+    labelled, and the test inputs, which stay unlabelled until a student is
+    scored on them (``score_student``)."""
+
     student_map: QuadraticFeatureMap
     zeta_student: float
-    dataset: Dataset
+    dataset: Dataset  # the train split only
     teacher_map: QuadraticFeatureMap
     zeta_teacher: float
     theta_teacher: np.ndarray
+    test_inputs: Optional[np.ndarray]  # (test_size, d), None when test_size == 0
+
+    def score_student(self, model) -> tuple[np.ndarray, np.ndarray]:
+        """A student model's outputs on the test split and the teacher's
+        labels there, from one pass over the test inputs.
+
+        The student and the teacher share the unprojected generators, so the
+        student's weights are folded into the teacher's coordinates and
+        both are scored as the two columns of one ``outputs_at`` call.  The
+        columns are always the teacher and this one student: the labels'
+        bits then do not depend on which other students are scored."""
+        if self.test_inputs is None:
+            raise ValueError("the teacher-student setup has no test split")
+        student = self.student_map.unprojected(model.theta)
+        both = self.teacher_map.outputs_at(
+            np.column_stack([self.theta_teacher, student]),
+            [self.zeta_teacher, model.zeta],
+            self.test_inputs,
+        )
+        return both[:, 1], both[:, 0]
 
 
 def make_teacher_student(spec: TeacherStudentSpec, rng: Rng) -> TeacherStudentSetup:
-    """Draw the teacher, label uniform-cube data with it, and project the
-    feature functions down to the student dimensions.
+    """Draw the teacher, label uniform-cube training data with it, draw the
+    test inputs, and project the feature functions down to the student
+    dimensions.  The test inputs are labelled only when a student is scored
+    on them, in the same pass (``TeacherStudentSetup.score_student``).
 
     The projectors take the leading rows of a random orthogonal matrix at
     the teacher dimension, so their rows are orthonormal and the student
@@ -444,7 +496,6 @@ def make_teacher_student(spec: TeacherStudentSpec, rng: Rng) -> TeacherStudentSe
     )
     theta_teacher = rng.child(3).normal(teacher_map.n)
     y_train = teacher_map.outputs_at(theta_teacher, zeta_teacher, x_train)
-    y_test = teacher_map.outputs_at(theta_teacher, zeta_teacher, x_test)
 
     psi_projector = random_orthogonal(spec.n_psi_teacher, rng.child(4))[
         : spec.n_psi_student
@@ -456,19 +507,14 @@ def make_teacher_student(spec: TeacherStudentSpec, rng: Rng) -> TeacherStudentSe
         ]
     student_map = teacher_map.project(psi_projector, phi_projector)
 
-    dataset = Dataset(
-        inputs=x_train,
-        labels=y_train,
-        test_inputs=x_test if spec.test_size > 0 else None,
-        test_labels=y_test if spec.test_size > 0 else None,
-    )
     return TeacherStudentSetup(
         student_map=student_map,
         zeta_student=zeta_student,
-        dataset=dataset,
+        dataset=Dataset(inputs=x_train, labels=y_train),
         teacher_map=teacher_map,
         zeta_teacher=zeta_teacher,
         theta_teacher=theta_teacher,
+        test_inputs=x_test if spec.test_size > 0 else None,
     )
 
 

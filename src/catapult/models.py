@@ -287,7 +287,8 @@ class QuadraticModel(_KeptPass):
         if self.variant == "pure" and np.any(self.features != 0.0):
             raise ModelError("pure variant requires all feature vectors to be zero")
         if self.variant == "with_bias":
-            overlap = np.einsum("aij,bj->abi", self.meta_features, self.features)
+            # every meta-feature row against every feature vector, one product
+            overlap = self.meta_features.reshape(d_pts * n, n) @ self.features.T
             worst = float(np.abs(overlap).max()) if overlap.size else 0.0
             if worst > BIAS_ORTHOGONALITY_TOL:
                 raise ModelError(

@@ -10,6 +10,8 @@ from catapult.analysis import (
     output_breakdown_scale,
     run_sweep_point,
     sparsity,
+    split_scorer,
+    split_scores,
 )
 from catapult.datasets import Dataset, make_toy
 from catapult.models import DeepReluNet, HomogenousNet, QuadraticModel
@@ -268,7 +270,7 @@ class TestGeneralizationReport:
         dataset = Dataset(inputs=x, labels=y, test_inputs=x, test_labels=y)
         net = HomogenousNet.init_random(16, rng.child(2), 0.5, 1.0, input_dim=3)
         train_loss = mse_loss(net.outputs(x), y)
-        report = generalization_report(net, dataset, train_loss)
+        report = generalization_report(net, train_loss, split_scorer(dataset))
         assert report.gap == 0.0
 
     def test_perfect_predictor_has_unit_accuracy(self):
@@ -278,24 +280,20 @@ class TestGeneralizationReport:
 
         x = np.array([[1.0], [-1.0], [1.0]])
         dataset = Dataset(inputs=x, labels=x[:, 0], test_inputs=x, test_labels=x[:, 0])
-        report = generalization_report(Oracle(), dataset, 0.0)
+        report = generalization_report(Oracle(), 0.0, split_scorer(dataset))
         assert report.accuracy == 1.0
         assert report.test_loss == 0.0
 
     def test_requires_test_split(self):
         net = HomogenousNet.init_random(8, Rng(19), 0.5, 1.0)
-        with pytest.raises(AnalysisError):
-            generalization_report(net, make_toy(), 0.0)
+        assert split_scorer(make_toy()) is None
+        with pytest.raises(AnalysisError, match="no test split"):
+            split_scores(make_toy(), net)
 
-    def test_custom_evaluator_is_used(self):
+    def test_scorer_gives_outputs_and_labels(self):
+        # the scorer's labels, not any dataset's, are scored against
         model, _ = linear_model(n=16, d_pts=3, seed=20)
-        x = np.zeros((3, 1))
-        dataset = Dataset(
-            inputs=x, labels=np.ones(3), test_inputs=x, test_labels=np.ones(3)
-        )
-        report = generalization_report(
-            model, dataset, 0.5, evaluate_outputs=lambda m, inputs: np.ones(len(inputs))
-        )
+        report = generalization_report(model, 0.5, lambda m: (np.ones(3), np.ones(3)))
         assert report.test_loss == 0.0
         assert report.gap == -0.5
         assert report.accuracy == 1.0
@@ -311,8 +309,8 @@ class TestGeneralizationReport:
             test_inputs=Rng(22).uniform(-0.5, 0.5, (2, 1)),
             test_labels=Rng(23).uniform(-0.5, 0.5, 2),
         )
-        with pytest.raises(AnalysisError, match="evaluate_outputs"):
-            generalization_report(model, dataset, 0.0)
+        with pytest.raises(AnalysisError, match="test scorer"):
+            generalization_report(model, 0.0, split_scorer(dataset))
         record, trajectory = run_sweep_point(
             model.clone, dataset, 0.01, TrainConfig(eta=0.01, max_steps=2, **FAST), 1.0
         )

@@ -667,6 +667,64 @@ class TestSweepCommand:
                 assert float(row["generalization_gap"]) == test - train
 
 
+class TestTestSplitPasses:
+    """The teacher-student test split is labelled in the pass that scores a
+    student, so set-up and bounds never pass over it and a sweep passes
+    over it once per rate that did not diverge."""
+
+    CONFIG = {
+        "model": {"family": "quadratic_with_bias", "init_seed": 4},
+        "dataset": {
+            "kind": "teacher_student",
+            "seed": 4,
+            "activation": "tanh",
+            "n_psi_teacher": 40,
+            "n_psi_student": 30,
+            "n_phi_teacher": 6,
+            "n_phi_student": 4,
+            "train_size": 16,
+            "test_size": 50,
+        },
+        "training": {"eta_lambda0_grid": [0.5, 1.0, 1.5, 10.0, 12.0], "max_steps": 5000},
+    }
+
+    @staticmethod
+    def spy_points(monkeypatch) -> list:
+        """The point count of every ``outputs_at`` call, in order."""
+        from catapult.datasets import QuadraticFeatureMap
+
+        points, original = [], QuadraticFeatureMap.outputs_at
+
+        def spy(self, theta, zeta, inputs):
+            points.append(len(inputs))
+            return original(self, theta, zeta, inputs)
+
+        monkeypatch.setattr(QuadraticFeatureMap, "outputs_at", spy)
+        return points
+
+    def test_set_up_and_bounds_score_the_train_split_only(self, tmp_path, monkeypatch):
+        import catapult.cli as cli
+
+        points = self.spy_points(monkeypatch)
+        cfg = normalize_config(self.CONFIG, tmp_path)
+        cli.write_bounds(cfg, resolve_experiment(cfg), tmp_path / "bounds")
+        assert points == [16]
+
+    def test_a_sweep_scores_the_test_split_once_per_converged_rate(self, tmp_path, monkeypatch):
+        import catapult.cli as cli
+
+        points = self.spy_points(monkeypatch)
+        cfg = normalize_config(self.CONFIG, tmp_path)
+        cli.write_sweep(cfg, resolve_experiment(cfg), tmp_path / "sweep", jobs=1)
+        lines = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()
+        column = lines[0].split(",").index("phase")
+        phases = [line.split(",")[column] for line in lines[1:]]
+        converged = sum(phase in ("lazy", "catapult") for phase in phases)
+        divergent = phases.count("divergent")
+        assert converged >= 1 and divergent >= 1 and converged + divergent == len(phases)
+        assert points == [16] + [50] * converged
+
+
 @pytest.mark.parametrize("d", [1, 4])
 def test_teacher_student_kernel_rank_grows_with_input_dimension(tmp_path, d):
     # At d = 1 every student meta-feature matrix is close to x_a * M for one

@@ -176,6 +176,35 @@ class TestMetaFeatureConstruction:
         monkeypatch.setattr(QuadraticFeatureMap, "_activations_at", refuse)
         _assert_relatively_close(fm.outputs_at(theta, 0.5, x), expected)
 
+    @pytest.mark.parametrize("n_phi", [0, 2], ids=["pure", "with_bias"])
+    @pytest.mark.parametrize("extra", [-2, -1, 1, 2])
+    def test_outputs_at_checks_the_weight_length(self, n_phi, extra):
+        # a short vector once gave wrong outputs on a pure map and a long one
+        # was cut silently; on a with-bias map numpy raised on a shape
+        spec = MetaFeatureSpec(8, n_phi, 1, EigenScheme("pm_one"))
+        fm = build_meta_features(spec, Rng(29))
+        theta = Rng(30).normal(fm.n + extra)
+        x = Rng(31).uniform(-0.5, 0.5, (3, 1))
+        with pytest.raises(ValueError, match=f"expected {fm.n} weights .*got {fm.n + extra}$"):
+            fm.outputs_at(theta, 0.5, x)
+
+    @pytest.mark.parametrize("projected", [False, True], ids=["full", "projected"])
+    def test_outputs_at_scores_weight_columns_together(self, projected):
+        # k weight columns with k couplings give the k single-column outputs
+        spec = MetaFeatureSpec(20, 6, 2, EigenScheme("uniform", 1.0, 2.0), "tanh")
+        fm = build_meta_features(spec, Rng(32))
+        if projected:
+            fm = fm.project(random_orthogonal(20, Rng(33))[:12], random_orthogonal(6, Rng(34))[:4])
+        x = Rng(35).uniform(-0.5, 0.5, (OUTPUTS_AT_CHUNK + 3, 2))
+        thetas = Rng(36).normal((fm.n, 3))
+        zetas = [0.1, 0.2, 0.3]
+        together = fm.outputs_at(thetas, zetas, x)
+        assert together.shape == (x.shape[0], 3)
+        for k in range(3):
+            _assert_relatively_close(together[:, k], fm.outputs_at(thetas[:, k], zetas[k], x))
+        with pytest.raises(ValueError, match="zeta: expected 3 couplings, got 2"):
+            fm.outputs_at(thetas, zetas[:2], x)
+
     @pytest.mark.parametrize("n_phi", [0, 6], ids=["pure", "with_bias"])
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("activation", ["tanh", "identity"])
@@ -196,6 +225,21 @@ class TestMetaFeatureConstruction:
         expected = model.outputs()
         streamed = fm.outputs_at(model.theta, zeta, x)
         _assert_relatively_close(streamed, expected)
+
+
+# a pure identity pair in d = 2, and a tanh with-bias pair whose test split
+# is longer than one block of outputs_at
+TEACHER_STUDENT_SPECS = [
+    TeacherStudentSpec(
+        n_psi_teacher=16, n_psi_student=8, d=2, train_size=6, test_size=3,
+        activation="identity", eigen_scheme=EigenScheme("pm_one"),
+    ),
+    TeacherStudentSpec(
+        n_psi_teacher=16, n_psi_student=8, n_phi_teacher=6, n_phi_student=4,
+        d=1, train_size=6, test_size=2 * OUTPUTS_AT_CHUNK + 5, activation="tanh",
+    ),
+]
+TEACHER_STUDENT_IDS = ["identity_d2", "tanh_with_bias_d1"]
 
 
 class TestTeacherStudent:
@@ -225,29 +269,46 @@ class TestTeacherStudent:
         assert q.shape == (20, 32)
         assert np.abs(q @ q.T - np.eye(20)).max() < 1e-10
 
-    @pytest.mark.parametrize(
-        "spec",
-        [
-            TeacherStudentSpec(
-                n_psi_teacher=16, n_psi_student=8, d=2, train_size=6, test_size=3,
-                activation="identity", eigen_scheme=EigenScheme("pm_one"),
-            ),
-            # a test split longer than one block of outputs_at
-            TeacherStudentSpec(
-                n_psi_teacher=16, n_psi_student=8, n_phi_teacher=6, n_phi_student=4,
-                d=1, train_size=6, test_size=2 * OUTPUTS_AT_CHUNK + 5, activation="tanh",
-            ),
-        ],
-        ids=["identity_d2", "tanh_with_bias_d1"],
-    )
+    @pytest.mark.parametrize("spec", TEACHER_STUDENT_SPECS, ids=TEACHER_STUDENT_IDS)
     def test_labels_come_from_the_teacher(self, spec):
         setup = make_teacher_student(spec, Rng(14))
         ds = setup.dataset
-        # the teacher model materialized on each split, at the teacher weights
-        for inputs, labels in ((ds.inputs, ds.labels), (ds.test_inputs, ds.test_labels)):
-            phi, psi = setup.teacher_map.at(inputs)
-            teacher = QuadraticModel(setup.theta_teacher, phi, psi, setup.zeta_teacher)
-            assert np.allclose(labels, teacher.outputs(), rtol=0.0, atol=1e-12)
+        # the teacher model materialized on the train split, at the teacher
+        # weights; the test split is labelled only when a student is scored
+        phi, psi = setup.teacher_map.at(ds.inputs)
+        teacher = QuadraticModel(setup.theta_teacher, phi, psi, setup.zeta_teacher)
+        assert np.allclose(ds.labels, teacher.outputs(), rtol=0.0, atol=1e-12)
+        assert not ds.has_test_split
+        assert setup.test_inputs.shape == (spec.test_size, spec.d)
+
+    @pytest.mark.parametrize("spec", TEACHER_STUDENT_SPECS, ids=TEACHER_STUDENT_IDS)
+    def test_scoring_a_student_labels_the_test_split(self, spec):
+        setup = make_teacher_student(spec, Rng(14))
+        x = setup.test_inputs
+        phi, psi = setup.teacher_map.at(x)
+        teacher = QuadraticModel(setup.theta_teacher, phi, psi, setup.zeta_teacher).outputs()
+        labels = []
+        for seed, zeta in ((15, setup.zeta_student), (16, 0.3)):
+            student = assemble_quadratic(setup.student_map, setup.dataset, zeta, Rng(seed))
+            outputs, test_labels = setup.score_student(student)
+            labels.append(test_labels)
+            # the student's outputs are those of the student materialized
+            # on the test inputs
+            expected = QuadraticModel(student.theta, *setup.student_map.at(x), zeta).outputs()
+            _assert_relatively_close(outputs, expected)
+        # the teacher's column is the same bits whichever student shares
+        # the pass, and the teacher's outputs to 1e-12, relative and absolute
+        assert labels[0].tobytes() == labels[1].tobytes()
+        _assert_relatively_close(labels[0], teacher)
+        assert np.allclose(labels[0], teacher, rtol=0.0, atol=1e-12)
+
+    def test_no_test_split_no_test_inputs(self):
+        spec = TeacherStudentSpec(n_psi_teacher=8, n_psi_student=4, train_size=3, test_size=0)
+        setup = make_teacher_student(spec, Rng(17))
+        assert setup.test_inputs is None and not setup.dataset.has_test_split
+        student = assemble_quadratic(setup.student_map, setup.dataset, 0.5, Rng(18))
+        with pytest.raises(ValueError, match="no test split"):
+            setup.score_student(student)
 
     def test_large_scale_instance_is_well_conditioned(self):
         # rank-500 teacher projected to a rank-400 student on 32 points

@@ -33,6 +33,7 @@ import catapult
 from catapult.analysis import SweepRecord, run_sweep_point, split_scorer
 from catapult.bounds import collect_bound_reports
 from catapult.datasets import (
+    IMAGE_CLASSES,
     DataFormatError,
     Dataset,
     EigenScheme,
@@ -57,7 +58,6 @@ EXIT_CONFIG = 1
 EXIT_INVARIANT = 2
 EXIT_IO = 3
 
-DATASET_KINDS = ("toy", "toy_relu", "random", "teacher_student", "image_two_class")
 # The dataset kinds each model family trains on.  Teacher-student labels come
 # from a quadratic teacher, so only the quadratic families learn them; images
 # feed only the nets; the linear net with bias is input-independent, so it
@@ -309,7 +309,7 @@ def _existing_file(base_dir: Path, key: str, value: str) -> str:
 
 def _normalize_dataset(raw: dict, base_dir: Path) -> dict:
     section = _section(raw, "dataset")
-    kind = _field(section, "dataset", "kind", str, allowed=set(DATASET_KINDS))
+    kind = _field(section, "dataset", "kind", str, allowed=set().union(*FAMILY_KINDS.values()))
     out = {
         "kind": kind,
         "seed": _field(section, "dataset", "seed", int, 0, bound=NON_NEGATIVE),
@@ -325,10 +325,11 @@ def _normalize_dataset(raw: dict, base_dir: Path) -> dict:
         out["format"] = fmt
         out["class_a"] = _field(section, "dataset", "class_a", int)
         out["class_b"] = _field(section, "dataset", "class_b", int)
-        # both formats hold the ten classes 0-9
         for key in ("class_a", "class_b"):
-            if not 0 <= out[key] <= 9:
-                raise ConfigError(f"dataset.{key}: must be a class id from 0 to 9")
+            if not 0 <= out[key] < IMAGE_CLASSES:
+                raise ConfigError(
+                    f"dataset.{key}: must be a class id from 0 to {IMAGE_CLASSES - 1}"
+                )
         if out["class_a"] == out["class_b"]:
             raise ConfigError("dataset.class_b: must differ from class_a")
         out["train_size"] = _field(section, "dataset", "train_size", int, 128, bound=AT_LEAST_ONE)
@@ -722,10 +723,11 @@ def cmd_check(seed: int, out_dir: Optional[Path]) -> bool:
 def _read_json(path_text: str):
     path = Path(path_text)
     try:
-        return json.loads(path.read_text())
+        return json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError as exc:
         raise ConfigError(f"config: file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        # JSON text is UTF-8 (RFC 8259), so undecodable bytes are invalid JSON
         raise ConfigError(f"config: invalid JSON: {exc}") from exc
 
 

@@ -17,11 +17,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from catapult.models import QuadraticModel, _symmetrize
+from catapult.models import QuadraticModel, _as_inputs, _symmetrize
 from catapult.numerics import Rng, random_orthogonal
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
+IMAGE_CLASSES = 10  # both image formats label the ten classes 0-9
 CIFAR_RECORD_BYTES = 3073  # 1 label byte + 32*32*3 pixel bytes
 # Points per block when streaming model outputs on arbitrary inputs.  At
 # n_psi = 200 on one BLAS thread, blocks of 4, 8 and 16 points timed within
@@ -38,9 +39,7 @@ class DataFormatError(ValueError):
 def _split(inputs, labels, prefix: str) -> tuple[np.ndarray, np.ndarray]:
     """One split's inputs as a (D, d) array and labels as a (D,) array;
     the counts must agree and be positive, and the labels finite."""
-    inputs = np.asarray(inputs, dtype=np.float64)
-    if inputs.ndim == 1:
-        inputs = inputs[:, None]
+    inputs = _as_inputs(inputs)
     labels = np.asarray(labels, dtype=np.float64).reshape(-1)
     if inputs.shape[0] != labels.shape[0] or labels.size < 1:
         raise ValueError(f"{prefix}inputs and labels must agree on a positive count")
@@ -232,9 +231,7 @@ class QuadraticFeatureMap:
         return phi
 
     def _blocks_at(self, inputs) -> tuple[Optional[np.ndarray], np.ndarray]:
-        x = np.asarray(inputs, dtype=np.float64)
-        if x.ndim == 1:
-            x = x[:, None]
+        x = _as_inputs(inputs)
         psi = self._activations_at(x)
         if self.psi_projector is not None:
             q = self.psi_projector
@@ -299,9 +296,7 @@ class QuadraticFeatureMap:
             raise ValueError(f"zeta: expected {theta.shape[1]} couplings, got {scale.shape[0]}")
         m = self.meta_generators.shape[1]
         w, v = theta[:m], theta[m:]
-        x = np.asarray(inputs, dtype=np.float64)
-        if x.ndim == 1:
-            x = x[:, None]
+        x = _as_inputs(inputs)
         rows, cols = np.triu_indices(w.shape[0])
         generators = self.meta_generators[:, rows, cols]
         c = w[rows] * w[cols]
@@ -532,48 +527,53 @@ def _read_exact(data: bytes, offset: int, count: int, path: Path) -> bytes:
     return data[offset : offset + count]
 
 
+def _class_ids(labels: np.ndarray, path: Path, first_byte: int, stride: int) -> np.ndarray:
+    """The labels, once each is one of the ``IMAGE_CLASSES`` class ids.
+    Label i sits at byte ``first_byte + i * stride`` of the file, which the
+    error for an unknown id names."""
+    bad = np.nonzero(labels >= IMAGE_CLASSES)[0]
+    if bad.size:
+        raise DataFormatError(
+            f"{path}: unknown class id {int(labels[bad[0]])} at byte "
+            f"{first_byte + int(bad[0]) * stride}"
+        )
+    return labels
+
+
+def _read_idx(path: Path, magic: int, what: str) -> tuple[np.ndarray, int]:
+    """The unsigned bytes of an IDX file, shaped as its header declares,
+    and the byte they start at.  The magic's low byte is the number of
+    dimensions; one big-endian 4-byte size per dimension follows it."""
+    data = path.read_bytes()
+    (found,) = struct.unpack(">I", _read_exact(data, 0, 4, path))
+    if found != magic:
+        raise DataFormatError(
+            f"{path}: {what} magic number mismatch at byte 0: "
+            f"got 0x{found:08x}, expected 0x{magic:08x}"
+        )
+    ndim = magic & 0xFF
+    shape = struct.unpack(f">{ndim}I", _read_exact(data, 4, 4 * ndim, path))
+    start, size = 4 + 4 * ndim, math.prod(shape)
+    values = _read_exact(data, start, size, path)
+    if len(data) != start + size:
+        raise DataFormatError(
+            f"{path}: {len(data) - start - size} trailing bytes after byte {start + size}"
+        )
+    return np.frombuffer(values, dtype=np.uint8).reshape(shape), start
+
+
 def read_idx_images(path) -> np.ndarray:
     """Images from a big-endian IDX file as a (count, rows*cols) byte matrix."""
-    path = Path(path)
-    data = path.read_bytes()
-    (magic,) = struct.unpack(">I", _read_exact(data, 0, 4, path))
-    if magic != IDX_IMAGES_MAGIC:
-        raise DataFormatError(
-            f"{path}: image magic number mismatch at byte 0: "
-            f"got 0x{magic:08x}, expected 0x{IDX_IMAGES_MAGIC:08x}"
-        )
-    count, rows, cols = struct.unpack(">III", _read_exact(data, 4, 12, path))
-    pixels = _read_exact(data, 16, count * rows * cols, path)
-    if len(data) != 16 + count * rows * cols:
-        raise DataFormatError(
-            f"{path}: {len(data) - 16 - count * rows * cols} trailing bytes "
-            f"after byte {16 + count * rows * cols}"
-        )
-    return np.frombuffer(pixels, dtype=np.uint8).reshape(count, rows * cols)
+    images, _ = _read_idx(Path(path), IDX_IMAGES_MAGIC, "image")
+    count, rows, cols = images.shape
+    return images.reshape(count, rows * cols)
 
 
 def read_idx_labels(path) -> np.ndarray:
+    """Class ids from a big-endian IDX label file."""
     path = Path(path)
-    data = path.read_bytes()
-    (magic,) = struct.unpack(">I", _read_exact(data, 0, 4, path))
-    if magic != IDX_LABELS_MAGIC:
-        raise DataFormatError(
-            f"{path}: label magic number mismatch at byte 0: "
-            f"got 0x{magic:08x}, expected 0x{IDX_LABELS_MAGIC:08x}"
-        )
-    (count,) = struct.unpack(">I", _read_exact(data, 4, 4, path))
-    labels = _read_exact(data, 8, count, path)
-    if len(data) != 8 + count:
-        raise DataFormatError(
-            f"{path}: {len(data) - 8 - count} trailing bytes after byte {8 + count}"
-        )
-    values = np.frombuffer(labels, dtype=np.uint8).copy()
-    bad = np.nonzero(values > 9)[0]
-    if bad.size:
-        raise DataFormatError(
-            f"{path}: unknown class id {int(values[bad[0]])} at byte {8 + int(bad[0])}"
-        )
-    return values
+    labels, start = _read_idx(path, IDX_LABELS_MAGIC, "label")
+    return _class_ids(labels.copy(), path, start, 1)
 
 
 def read_cifar_binary(paths: Sequence) -> tuple[np.ndarray, np.ndarray]:
@@ -590,14 +590,7 @@ def read_cifar_binary(paths: Sequence) -> tuple[np.ndarray, np.ndarray]:
                 f"{len(data) - len(data) % CIFAR_RECORD_BYTES}"
             )
         records = np.frombuffer(data, dtype=np.uint8).reshape(-1, CIFAR_RECORD_BYTES)
-        labels = records[:, 0]
-        bad = np.nonzero(labels > 9)[0]
-        if bad.size:
-            raise DataFormatError(
-                f"{path}: unknown class id {int(labels[bad[0]])} at byte "
-                f"{int(bad[0]) * CIFAR_RECORD_BYTES}"
-            )
-        all_labels.append(labels.copy())
+        all_labels.append(_class_ids(records[:, 0].copy(), path, 0, CIFAR_RECORD_BYTES))
         all_pixels.append(records[:, 1:].copy())
     return np.concatenate(all_labels), np.concatenate(all_pixels)
 
@@ -610,15 +603,17 @@ def _two_class_filter(
     limit: Optional[int],
     what: str,
 ) -> tuple[np.ndarray, np.ndarray]:
+    if images.shape[0] != labels.shape[0]:
+        raise DataFormatError(f"{what} image and label counts disagree")
     mask = (labels == class_a) | (labels == class_b)
     if not mask.any():
-        raise DataFormatError(f"{what}: no images of classes {class_a}/{class_b}")
+        raise DataFormatError(f"{what} set: no images of classes {class_a}/{class_b}")
     selected_images = images[mask]
     selected_labels = labels[mask]
     if limit is not None:
         if selected_labels.shape[0] < limit:
             raise DataFormatError(
-                f"{what}: only {selected_labels.shape[0]} images of classes "
+                f"{what} set: only {selected_labels.shape[0]} images of classes "
                 f"{class_a}/{class_b} available, needed {limit}"
             )
         selected_images = selected_images[:limit]
@@ -639,31 +634,30 @@ def load_two_class_images(
     The first ``train_size`` training images whose label matches either
     class (in file order) become the training set; every matching test image
     becomes the test split.  ``class_a`` maps to label -1.0 and ``class_b``
-    to +1.0; pixels are scaled to [0, 1] and flattened row-major.
+    to +1.0; pixels are scaled to [0, 1] and flattened row-major.  Both
+    splits must have the same number of pixels per image.
     """
     if train_size < 1:
         raise ValueError(f"train_size must be at least 1, got {train_size}")
     if fmt == "idx":
-        train_images = read_idx_images(paths["train_images"])
-        train_labels = read_idx_labels(paths["train_labels"])
-        test_images = read_idx_images(paths["test_images"])
-        test_labels = read_idx_labels(paths["test_labels"])
-        if train_images.shape[0] != train_labels.shape[0]:
-            raise DataFormatError("training image and label counts disagree")
-        if test_images.shape[0] != test_labels.shape[0]:
-            raise DataFormatError("test image and label counts disagree")
+        splits = [
+            (read_idx_images(paths[f"{split}_images"]), read_idx_labels(paths[f"{split}_labels"]))
+            for split in ("train", "test")
+        ]
     elif fmt == "cifar_binary":
-        train_labels, train_images = read_cifar_binary(paths["train_files"])
-        test_labels, test_images = read_cifar_binary(paths["test_files"])
+        # each file set reads as (labels, images)
+        splits = [read_cifar_binary(paths[f"{split}_files"])[::-1] for split in ("train", "test")]
     else:
         raise DataFormatError(f"unknown image format {fmt!r}")
 
-    x_train, y_train = _two_class_filter(
-        train_images, train_labels, class_a, class_b, train_size, "training set"
+    (x_train, y_train), (x_test, y_test) = (
+        _two_class_filter(images, labels, class_a, class_b, limit, what)
+        for (images, labels), limit, what in zip(splits, (train_size, None), ("training", "test"))
     )
-    x_test, y_test = _two_class_filter(
-        test_images, test_labels, class_a, class_b, None, "test set"
-    )
+    if x_test.shape[1] != x_train.shape[1]:
+        raise DataFormatError(
+            f"test images have {x_test.shape[1]} pixels, training images {x_train.shape[1]}"
+        )
     return Dataset(
         inputs=x_train,
         labels=y_train,

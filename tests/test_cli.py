@@ -18,7 +18,8 @@ from catapult.cli import (
 )
 from catapult.datasets import EigenScheme, TeacherStudentSpec
 from catapult.models import DeepReluNet
-from conftest import write_idx_images, write_idx_labels
+from catapult.numerics import Rng
+from conftest import synthetic_two_class_images, write_idx_images, write_idx_labels
 
 
 def write_config(tmp_path: Path, payload: dict, name="config.json") -> str:
@@ -1122,6 +1123,18 @@ class TestExitCodes:
         assert exit_info.value.code == 0
         assert "usage: catapult" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["train", "sweep", "bounds", "check"])
+    @pytest.mark.parametrize(
+        "content", [b"\xff\xfe{}", b'{"model": '], ids=["not_utf8", "malformed"]
+    )
+    def test_unreadable_config_is_config_exit(self, tmp_path, capsys, command, content):
+        # bytes that are not UTF-8 once ended in a UnicodeDecodeError traceback
+        path = tmp_path / "config.json"
+        path.write_bytes(content)
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert_one_config_error(capsys, "config: invalid JSON: ")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["train", "bounds", "check"])
     def test_jobs_is_a_sweep_option_only(self, tmp_path, capsys, command):
         argv = [command, "--seed", "0", "--jobs", "7"]
@@ -1436,6 +1449,20 @@ class TestExitCodes:
         assert main(["train", "--config", path, "--out", str(tmp_path / "o")]) == 3
         err = capsys.readouterr().err
         assert err == "data format error: test set: no images of classes 0/1\n", err
+
+    def test_splits_of_different_image_sizes_are_io_exit(self, tmp_path, capsys):
+        # 8 x 8 training and 6 x 6 test images once ended in the ValueError
+        # traceback of Dataset, with exit 1
+        rng = Rng(5)
+        for split, side in (("train", 8), ("test", 6)):
+            images, labels = synthetic_two_class_images(4, side, rng.child(side))
+            write_idx_images(tmp_path / f"{split}_images", images)
+            write_idx_labels(tmp_path / f"{split}_labels", labels)
+        files = {key: key for key in IDX_PATH_KEYS}
+        path = write_config(tmp_path, image_config(0, 1, train_size=4, **files))
+        assert main(["train", "--config", path, "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err == "data format error: test images have 36 pixels, training images 64\n", err
 
 
 class TestImagePipeline:

@@ -20,11 +20,16 @@ from catapult.datasets import (
     make_toy,
     make_toy_relu,
     read_cifar_binary,
+    read_idx_images,
+    read_idx_labels,
     zeta_for,
 )
 from catapult.models import QuadraticModel
 from catapult.numerics import Rng, random_orthogonal
 from catapult.training import mse_loss
+from conftest import synthetic_two_class_images, write_idx_images, write_idx_labels
+
+IDX_KEYS = ("train_images", "train_labels", "test_images", "test_labels")
 
 
 def _assert_relatively_close(actual, expected):
@@ -405,6 +410,51 @@ class TestIdxLoader:
 
         with pytest.raises(DataFormatError, match="unknown class id 17 at byte 10"):
             read_idx_labels(bad)
+
+    @pytest.mark.parametrize(
+        "writer, reader, payload, extra, message",
+        [
+            # 16 header bytes, then 3 images of 2 x 2 pixels
+            (write_idx_images, read_idx_images, np.zeros((3, 2, 2)), 5, "5 trailing bytes after byte 28"),
+            # 8 header bytes, then 3 labels
+            (write_idx_labels, read_idx_labels, np.array([0, 1, 0]), 2, "2 trailing bytes after byte 11"),
+        ],
+        ids=["images", "labels"],
+    )
+    def test_trailing_bytes_name_the_end_of_the_declared_data(
+        self, tmp_path, writer, reader, payload, extra, message
+    ):
+        path = tmp_path / "extra.idx"
+        writer(path, payload)
+        path.write_bytes(path.read_bytes() + b"\x00" * extra)
+        with pytest.raises(DataFormatError) as error:
+            reader(path)
+        assert str(error.value) == f"{path}: {message}"
+
+    def test_zero_images_read_as_an_empty_matrix_and_fail_the_filter(self, tmp_path):
+        paths = {key: str(tmp_path / key) for key in IDX_KEYS}
+        for split in ("train", "test"):
+            write_idx_images(paths[f"{split}_images"], np.zeros((0, 3, 5)))
+            write_idx_labels(paths[f"{split}_labels"], np.zeros(0))
+        images = read_idx_images(paths["train_images"])
+        assert images.shape == (0, 15)
+        assert read_idx_labels(paths["train_labels"]).shape == (0,)
+        with pytest.raises(DataFormatError, match="^training set: no images of classes 0/1$"):
+            load_two_class_images("idx", paths, 0, 1, train_size=1)
+
+    def test_splits_of_different_image_sizes(self, tmp_path):
+        # 8 x 8 training images and 6 x 6 test images once ended in the
+        # ValueError of Dataset, which the command line does not report
+        paths = {key: str(tmp_path / key) for key in IDX_KEYS}
+        rng = Rng(4)
+        for split, side in (("train", 8), ("test", 6)):
+            images, labels = synthetic_two_class_images(3, side, rng.child(side))
+            write_idx_images(paths[f"{split}_images"], images)
+            write_idx_labels(paths[f"{split}_labels"], labels)
+        with pytest.raises(
+            DataFormatError, match="^test images have 36 pixels, training images 64$"
+        ):
+            load_two_class_images("idx", paths, 0, 1, train_size=4)
 
 
 class TestCifarLoader:

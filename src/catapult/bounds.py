@@ -358,7 +358,7 @@ def bound_multi_omega(model: QuadraticModel) -> BoundReport:
     exactly from one eigenvalues-only solve.  On one datapoint
     ``Omega = zeta**2 psi**2``, so its top eigenvalue is ``zeta**2`` times
     the largest squared eigenvalue of psi, read off the model's cached
-    spectrum: the single-datapoint formula, from the same solve.
+    spectrum: the single-datapoint formula, from the same spectrum.
     """
     if model.variant != "pure":
         raise BoundsError("the contraction window applies to the pure variant")

@@ -726,8 +726,9 @@ def _read_json(path_text: str):
         return json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError as exc:
         raise ConfigError(f"config: file not found: {path}") from exc
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        # JSON text is UTF-8 (RFC 8259), so undecodable bytes are invalid JSON
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        # JSON text is UTF-8 (RFC 8259), so undecodable bytes are invalid JSON;
+        # nesting deeper than the decoder's recursion limit is refused too
         raise ConfigError(f"config: invalid JSON: {exc}") from exc
 
 

@@ -190,7 +190,7 @@ class QuadraticFeatureMap:
     meta_generators: np.ndarray  # (d, m, m), each exactly symmetric
     feature_matrix: Optional[np.ndarray]  # (p, d) or None when n_phi == 0
     activation: str
-    meta_eigenvalues: np.ndarray  # (d, m) as drawn, for inspection
+    meta_eigenvalues: np.ndarray  # (d, m) as drawn; spectrum_at reads them
     psi_projector: Optional[np.ndarray] = None  # (m_out, m)
     phi_projector: Optional[np.ndarray] = None  # (p_out, p)
 
@@ -214,8 +214,10 @@ class QuadraticFeatureMap:
 
     def _activations_at(self, x: np.ndarray) -> np.ndarray:
         """Unprojected meta-feature matrices ``g(sum_i x_i W^i)``, one per
-        row of x.  They are exactly symmetric: every generator is, and the
-        combination and the activation act entrywise."""
+        row of x.  With one generator (d = 1) they are exactly symmetric:
+        each entry is one product ``x W_jl`` and the activation acts
+        entrywise.  A sum over several generators is one BLAS product, which
+        need not add the terms of ``(j, l)`` and ``(l, j)`` alike."""
         return self._activate(np.tensordot(x, self.meta_generators, axes=([1], [0])))
 
     def _activate(self, a: np.ndarray) -> np.ndarray:
@@ -231,24 +233,44 @@ class QuadraticFeatureMap:
         return phi
 
     def _blocks_at(self, inputs) -> tuple[Optional[np.ndarray], np.ndarray]:
+        """The feature block (None without features) and the exactly
+        symmetric meta-feature block; only a projected block or a sum over
+        several generators (``_activations_at``) is symmetrized."""
         x = _as_inputs(inputs)
         psi = self._activations_at(x)
         if self.psi_projector is not None:
             q = self.psi_projector
             psi = np.matmul(np.matmul(q[None, :, :], psi), q.T[None, :, :])
-        return self._features_at(x), _symmetrize(psi)
+        if self.psi_projector is not None or x.shape[1] > 1:
+            psi = _symmetrize(psi)
+        return self._features_at(x), psi
 
     def at(self, inputs) -> tuple[np.ndarray, np.ndarray]:
-        """Embedded (features, meta_features) arrays for the given inputs."""
+        """Embedded (features, meta_features) arrays for the given inputs.
+        Without a feature block the meta-feature block is returned itself."""
         phi_block, psi_block = self._blocks_at(inputs)
         d_pts = psi_block.shape[0]
         n = self.n
         phi = np.zeros((d_pts, n))
+        if phi_block is None:
+            return phi, psi_block
+        phi[:, self.n_psi :] = phi_block
         psi = np.zeros((d_pts, n, n))
         psi[:, : self.n_psi, : self.n_psi] = psi_block
-        if phi_block is not None:
-            phi[:, self.n_psi :] = phi_block
         return phi, psi
+
+    def spectrum_at(self, inputs) -> Optional[np.ndarray]:
+        """The eigenvalues of the one meta-feature matrix ``at(inputs)``
+        embeds, ascending, where they are known in closed form: one
+        datapoint x, one generator (d = 1), the identity activation and no
+        projector.  There ``psi(x) = x W`` exactly, so the spectrum is x
+        times the drawn eigenvalues (its order flips for x < 0), and the
+        feature block adds its ``n_phi`` zeros.  None wherever only a solve
+        gives it."""
+        x = _as_inputs(inputs)
+        if x.shape != (1, 1) or self.activation != "identity" or self.psi_projector is not None:
+            return None
+        return np.sort(np.concatenate([x[0, 0] * self.meta_eigenvalues[0], np.zeros(self.n_phi)]))
 
     def unprojected(self, theta) -> np.ndarray:
         """A weight vector of this map (or a (n, k) matrix of them, one per
@@ -334,7 +356,8 @@ def build_meta_features(spec: MetaFeatureSpec, rng: Rng) -> QuadraticFeatureMap:
     For each input coordinate the symmetric generator is assembled from a
     random orthogonal eigenbasis (exponential of a Gaussian antisymmetric
     matrix) and exactly-paired eigenvalues; the feature matrix has
-    standard-normal entries.
+    standard-normal entries.  The map keeps the drawn eigenvalues, from
+    which ``spectrum_at`` reads a one-datapoint spectrum without a solve.
     """
     generators = np.empty((spec.d, spec.n_psi, spec.n_psi))
     eigenvalues = np.empty((spec.d, spec.n_psi))
@@ -372,7 +395,9 @@ def assemble_quadratic(
     theta_rng: Rng,
 ) -> QuadraticModel:
     """Quadratic model bound to the dataset's training inputs, with
-    standard-normal initial weights."""
+    standard-normal initial weights.  Where the map knows the one-datapoint
+    meta-feature spectrum in closed form (``spectrum_at``), the model gets
+    it and never solves for it."""
     phi, psi = feature_map.at(dataset.inputs)
     variant = "pure" if feature_map.n_phi == 0 else "with_bias"
     return QuadraticModel(
@@ -381,6 +406,7 @@ def assemble_quadratic(
         meta_features=psi,
         zeta=zeta,
         variant=variant,
+        closed_form_spectrum=feature_map.spectrum_at(dataset.inputs),
     )
 
 

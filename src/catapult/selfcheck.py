@@ -338,8 +338,9 @@ def check_single_datapoint_windows(seed: int = 0) -> CheckResult:
 
 def check_omega_dual(seed: int = 0) -> CheckResult:
     """The omega window's ``lambda_max(Omega)``, taken from the n x n dual
-    Gram on three datapoints and from psi's cached spectrum on one, against
-    the top eigenvalue of the materialized (n D) x (n D) contraction."""
+    Gram on three datapoints and, on the toy point, from psi's closed-form
+    spectrum (the drawn eigenvalues), against the top eigenvalue of the
+    materialized (n D) x (n D) contraction."""
     rng = Rng(seed)
     feature_map = build_meta_features(
         MetaFeatureSpec(n_psi=8, n_phi=0, d=2, eigen_scheme=EigenScheme("uniform", 1.0, 2.0)),

@@ -89,15 +89,18 @@ def pure_toy_quadratic(
     seed: int,
     scheme: EigenScheme | None = None,
     zeta_rule: str = "2_over_n",
+    activation: str = "identity",
 ) -> QuadraticModel:
     """Pure quadratic model on the toy datapoint with a linear meta-feature
-    generator, the standard setup for the single-datapoint experiments."""
+    generator (or a tanh one), the standard setup for the single-datapoint
+    experiments."""
     rng = Rng(seed)
     spec = MetaFeatureSpec(
         n_psi=n,
         n_phi=0,
         d=1,
         eigen_scheme=scheme or EigenScheme("uniform", 1.0, 2.0),
+        activation=activation,
     )
     feature_map = build_meta_features(spec, rng.child(1))
     return assemble_quadratic(feature_map, make_toy(), zeta_for(zeta_rule, n), rng.child(2))

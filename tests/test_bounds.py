@@ -510,15 +510,17 @@ class TestSufficiencyCertification:
 
 class TestOneSpectrumPerReport:
     """On one datapoint every quadratic-model bound reads the model's one
-    cached solve of psi's spectrum."""
+    spectrum of psi: the drawn eigenvalues on the toy maps, one cached solve
+    on a tanh map."""
 
     BUILDS = {
         "pure_quadratic": lambda: pure_toy_quadratic(64, seed=40),
         "quadratic_with_bias": lambda: with_bias_toy_quadratic(56, 8, seed=41),
+        "tanh_pure_quadratic": lambda: pure_toy_quadratic(64, seed=44, activation="tanh"),
     }
 
     @pytest.mark.parametrize("family", BUILDS)
-    def test_collect_runs_one_n_by_n_eigenvalue_solve(self, monkeypatch, family):
+    def test_collect_runs_at_most_one_n_by_n_eigenvalue_solve(self, monkeypatch, family):
         model = self.BUILDS[family]()
         solves = []
         for name in ("eigvalsh", "eigh"):
@@ -532,15 +534,16 @@ class TestOneSpectrumPerReport:
             monkeypatch.setattr(np.linalg, name, counted)
         reports, skipped = collect_bound_reports(model, make_toy())
         assert skipped == []
-        assert len(reports) == (3 if family == "pure_quadratic" else 2)
-        assert solves == [(model.n, model.n)]
+        assert len(reports) == (3 if model.variant == "pure" else 2)
+        assert solves == ([(model.n, model.n)] if family.startswith("tanh") else [])
 
     @pytest.mark.parametrize("family", BUILDS)
     def test_each_bound_alone_gives_the_collected_report(self, family):
-        reports, _ = collect_bound_reports(self.BUILDS[family](), make_toy())
+        model = self.BUILDS[family]()
+        reports, _ = collect_bound_reports(model, make_toy())
         bounds = {
             "single_datapoint": (
-                bound_pure_quadratic if family == "pure_quadratic" else bound_quadratic_with_bias
+                bound_pure_quadratic if model.variant == "pure" else bound_quadratic_with_bias
             ),
             "omega": bound_multi_omega,
             "psi_eff": bound_multi_psi_eff,
@@ -550,8 +553,9 @@ class TestOneSpectrumPerReport:
             alone = bounds[report.method](self.BUILDS[family]())
             assert alone.to_dict() == report.to_dict()
 
-    def test_clones_share_the_solve(self):
-        model = pure_toy_quadratic(16, seed=42)
+    @pytest.mark.parametrize("activation", ["identity", "tanh"])
+    def test_clones_share_the_spectrum(self, activation):
+        model = pure_toy_quadratic(16, seed=42, activation=activation)
         spectrum = model.psi_spectrum
         assert model.clone().psi_spectrum is spectrum
         assert not spectrum.flags.writeable

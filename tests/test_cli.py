@@ -830,6 +830,27 @@ class TestBoundsCommand:
         assert doc["reports"] == []
         assert [s["method"] for s in doc["skipped"]] == ["single_datapoint", "mlp_multi"]
 
+    def test_pure_toy_makes_one_n_by_n_eigensolve(self, tmp_path, monkeypatch):
+        # the orthogonal draw's eigh(A^T A); psi's spectrum on the toy point
+        # is the drawn eigenvalues, so no eigvalsh(psi) follows it
+        n = 200
+        solves = []
+        for name in ("eigh", "eigvalsh"):
+            solver = getattr(np.linalg, name)
+
+            def counted(a, *args, _name=name, _solver=solver, **kwargs):
+                if np.shape(a)[-2:] == (n, n):
+                    solves.append(_name)
+                return _solver(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        cfg = quad_toy_config()
+        cfg["model"]["n_psi"] = n
+        out = tmp_path / "bounds"
+        assert main(["bounds", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+        assert solves == ["eigh"]
+        assert (out / "bounds.json").exists()
+
     def test_paired_unit_spectrum_collapses_uncertain_region(self, tmp_path):
         cfg = quad_toy_config()
         cfg["model"]["eigen_scheme"] = {"kind": "pm_one"}
@@ -1125,10 +1146,13 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["train", "sweep", "bounds", "check"])
     @pytest.mark.parametrize(
-        "content", [b"\xff\xfe{}", b'{"model": '], ids=["not_utf8", "malformed"]
+        "content",
+        [b"\xff\xfe{}", b'{"model": ', b"[" * 100_000 + b"]" * 100_000],
+        ids=["not_utf8", "malformed", "nested_too_deep"],
     )
     def test_unreadable_config_is_config_exit(self, tmp_path, capsys, command, content):
-        # bytes that are not UTF-8 once ended in a UnicodeDecodeError traceback
+        # bytes that are not UTF-8 once ended in a UnicodeDecodeError traceback,
+        # and nesting deeper than the recursion limit in a RecursionError one
         path = tmp_path / "config.json"
         path.write_bytes(content)
         assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 1

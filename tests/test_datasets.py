@@ -24,7 +24,7 @@ from catapult.datasets import (
     read_idx_labels,
     zeta_for,
 )
-from catapult.models import QuadraticModel
+from catapult.models import ModelError, QuadraticModel
 from catapult.numerics import Rng, random_orthogonal
 from catapult.training import mse_loss
 from conftest import synthetic_two_class_images, write_idx_images, write_idx_labels
@@ -98,10 +98,16 @@ class TestMetaFeatureConstruction:
         assert np.abs(psi).max() <= 1.0
         assert np.abs(psi).max() > 0.99
 
-    def test_meta_features_exactly_symmetric(self):
-        spec = MetaFeatureSpec(12, 0, 3, EigenScheme("pm_one"), activation="tanh")
+    @pytest.mark.parametrize(
+        "n_psi, d, points, activation",
+        [(12, 3, 7, "tanh"), (30, 16, 3, "identity"), (150, 2, 32, "identity")],
+    )
+    def test_meta_features_exactly_symmetric(self, n_psi, d, points, activation):
+        # a BLAS sum over several generators need not add the terms of (j, l)
+        # and (l, j) alike; the last two shapes once came out asymmetric
+        spec = MetaFeatureSpec(n_psi, 0, d, EigenScheme("pm_one"), activation=activation)
         fm = build_meta_features(spec, Rng(5))
-        _, psi = fm.at(Rng(6).normal((7, 3)))
+        _, psi = fm.at(Rng(6).normal((points, d)))
         assert np.array_equal(psi, psi.transpose(0, 2, 1))
 
     def test_block_split_orthogonality_is_exact(self):
@@ -230,6 +236,57 @@ class TestMetaFeatureConstruction:
         expected = model.outputs()
         streamed = fm.outputs_at(model.theta, zeta, x)
         _assert_relatively_close(streamed, expected)
+
+
+class TestClosedFormSpectrum:
+    """On one datapoint x of an identity map with one generator and no
+    projector, psi(x) = x W, so its spectrum is x times the drawn
+    eigenvalues, with one zero per feature coordinate."""
+
+    DATASETS = {
+        "toy": make_toy,
+        "toy_relu": make_toy_relu,
+        "negative": lambda: make_random(1, 1, 1.0, Rng(2)),  # x = -0.477
+    }
+
+    @pytest.mark.parametrize("dataset", DATASETS)
+    @pytest.mark.parametrize("scheme", ["uniform", "pm_one"])
+    @pytest.mark.parametrize("n_phi", [0, 6], ids=["pure", "with_bias"])
+    def test_matches_the_dense_solve(self, dataset, scheme, n_phi):
+        ds = self.DATASETS[dataset]()
+        assert (ds.inputs[0, 0] < 0.0) == (dataset == "negative")
+        fm = build_meta_features(MetaFeatureSpec(128, n_phi, 1, EigenScheme(scheme)), Rng(50))
+        model = assemble_quadratic(fm, ds, 0.1, Rng(51))
+        spectrum = model.psi_spectrum
+        assert spectrum is model.closed_form_spectrum
+        _assert_relatively_close(spectrum, np.linalg.eigvalsh(model.meta_features[0]))
+        assert np.all(spectrum[1:] >= spectrum[:-1])
+        assert np.count_nonzero(spectrum == 0.0) == n_phi
+        assert not spectrum.flags.writeable
+        assert model.clone().psi_spectrum is spectrum
+
+    @pytest.mark.parametrize("case", ["tanh", "d2", "projected", "two_points"])
+    def test_other_maps_solve(self, case):
+        d = 2 if case == "d2" else 1
+        activation = "tanh" if case == "tanh" else "identity"
+        fm = build_meta_features(MetaFeatureSpec(32, 4, d, EigenScheme(), activation), Rng(52))
+        if case == "projected":
+            fm = fm.project(random_orthogonal(32, Rng(53))[:20], random_orthogonal(4, Rng(54))[:2])
+        x = Rng(55).uniform(-0.5, 0.5, (2 if case == "two_points" else 1, d))
+        assert fm.spectrum_at(x) is None
+        model = assemble_quadratic(fm, Dataset(inputs=x, labels=np.zeros(len(x))), 0.1, Rng(56))
+        assert model.closed_form_spectrum is None
+        if case != "two_points":
+            assert np.array_equal(model.psi_spectrum, np.linalg.eigvalsh(model.meta_features[0]))
+
+    @pytest.mark.parametrize("bad", ["short", "descending", "two_points"])
+    def test_model_refuses_a_spectrum_it_cannot_hold(self, bad):
+        fm = build_meta_features(MetaFeatureSpec(8, 0, 1, EigenScheme()), Rng(57))
+        x = [[1.0], [2.0]] if bad == "two_points" else [[1.0]]
+        spectrum = fm.spectrum_at([[1.0]])
+        spectrum = {"short": spectrum[1:], "descending": spectrum[::-1]}.get(bad, spectrum)
+        with pytest.raises(ModelError, match="closed-form spectrum"):
+            QuadraticModel(Rng(58).normal(8), *fm.at(x), 0.1, closed_form_spectrum=spectrum)
 
 
 # a pure identity pair in d = 2, and a tanh with-bias pair whose test split

@@ -2,11 +2,13 @@
 
 The positive label keeps the net away from the trivial all-negative
 solution; the certified window is (2/H0, 4/H0), with H0 the kernel at x = 4.
-Above the window no run diverges: each either fits the label or dies, with
-every neuron inactive, the kernel at zero and the loss stuck at y^2/2 = 2.
-Which of the two happens to one seed is not monotone in the rate, but over
-seeds the dead share and the activation sparsity grow with it (width 512,
-seeds 0-49: 21 of 50 dead at eta*H0 = 4, 49 of 50 at 12).
+Above the window no run diverges: each converged row of sweep.csv reads
+outcome fit, or dead, with every neuron inactive, the kernel at zero and the
+loss stuck at y^2/2 = 2.  Which of the two happens to one seed is not
+monotone in the rate, but over seeds the dead share and the activation
+sparsity grow with it (width 512, seeds 0-49: 21 of 50 dead at eta*H0 = 4,
+49 of 50 at 12).  At the defaults the rows at eta*H0 = 4.25 and 4.5 read
+dead and every other row fit.
 """
 
 import argparse

@@ -4,14 +4,15 @@
 learning rate to termination and distills the run into one record carrying
 the axes the phase plots use: the normalized initial rate ``eta * lambda0``,
 the final ``eta * lambda_max(H)``, the weight-norm ratio, losses on both
-splits, per-layer sparsity for ReLU nets, and a phase label.  A sweep is
-that call once per rate of a grid, against the one ``lambda0`` of the shared
-initialization; ``catapult sweep`` makes it.
+splits, per-layer sparsity for ReLU nets, a phase label and an outcome.  A
+sweep is that call once per rate of a grid, against the one ``lambda0`` of
+the shared initialization; ``catapult sweep`` makes it.
 
 Phases: ``lazy`` (converged without a loss spike), ``catapult`` (converged
 after the loss exceeded ``SPIKE_FACTOR`` times its initial value),
 ``divergent``, and ``non_converged`` for step-limit runs, which are excluded
-from trend statistics.
+from trend statistics.  The phase reads the loss's path; a converged run's
+outcome (``classify_outcome``) reads where it ended.
 """
 
 from __future__ import annotations
@@ -39,6 +40,9 @@ from catapult.training import (
 # its initial value; the factor only needs to exceed lazy-phase
 # micro-oscillations.
 SPIKE_FACTOR = 1.5
+# A converged run stalled above this fraction of its initial loss: the default
+# scripts' fitting rows end at or below 8.1e-6 of it, their dead ones at 27x.
+STALLED_FRACTION = 1e-3
 # The linearized prediction is trusted while the output norm stays below
 # this fraction of the model's breakdown scale.
 VALIDITY_FRACTION = 0.01
@@ -66,6 +70,18 @@ def classify_phase(trajectory: Trajectory) -> str:
     if float(trajectory.losses.max()) > SPIKE_FACTOR * float(trajectory.losses[0]):
         return PHASE_CATAPULT
     return PHASE_LAZY
+
+
+def classify_outcome(trajectory: Trajectory) -> Optional[str]:
+    """Where a converged run ended (None for any other): ``dead`` at an exactly
+    zero final kernel, ``stalled`` above ``STALLED_FRACTION``, else ``fit``."""
+    if trajectory.termination != TERMINATION_CONVERGED:
+        return None
+    if trajectory.eta_lambda_max[-1] == 0.0:
+        return "dead"
+    if trajectory.losses[-1] > STALLED_FRACTION * trajectory.losses[0]:
+        return "stalled"
+    return "fit"
 
 
 @dataclass
@@ -141,6 +157,7 @@ class SweepRecord:
     generalization_gap: Optional[float] = None
     accuracy: Optional[float] = None
     sparsity: Optional[tuple[float, ...]] = None
+    outcome: Optional[str] = None  # converged rows: "fit" | "dead" | "stalled"
     message: str = ""
 
 
@@ -170,6 +187,7 @@ def run_sweep_point(
             status="ok",
             phase=classify_phase(trajectory),
             steps_taken=trajectory.steps_taken,
+            outcome=classify_outcome(trajectory),
         )
         if record.phase == PHASE_DIVERGENT:
             return record, trajectory

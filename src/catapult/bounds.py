@@ -47,8 +47,8 @@ NOTE_DROPPED_CORRECTIONS = (
 )
 NOTE_RELU_EMPIRICAL = (
     "no guarantee above this window: on (x, y) = (4, 2) each run above it "
-    "either fits the label or collapses to the dead net (no active neuron, "
-    "loss y**2/2, kernel 0), and the dead share grows with the rate "
+    "converges with sweep outcome fit or dead (no active neuron, loss "
+    "y**2/2, kernel 0), and the dead share grows with the rate "
     "(width 512, 50 seeds: 21 dead at eta*H0 = 4, 49 at 12)"
 )
 MULTI_POINT = "dataset has more than one datapoint"

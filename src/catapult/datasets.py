@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -190,7 +190,6 @@ class QuadraticFeatureMap:
     meta_generators: np.ndarray  # (d, m, m), each exactly symmetric
     feature_matrix: Optional[np.ndarray]  # (p, d) or None when n_phi == 0
     activation: str
-    meta_eigenvalues: np.ndarray  # (d, m) as drawn; spectrum_at reads them
     psi_projector: Optional[np.ndarray] = None  # (m_out, m)
     phi_projector: Optional[np.ndarray] = None  # (p_out, p)
 
@@ -259,19 +258,6 @@ class QuadraticFeatureMap:
         psi[:, : self.n_psi, : self.n_psi] = psi_block
         return phi, psi
 
-    def spectrum_at(self, inputs) -> Optional[np.ndarray]:
-        """The eigenvalues of the one meta-feature matrix ``at(inputs)``
-        embeds, ascending, where they are known in closed form: one
-        datapoint x, one generator (d = 1), the identity activation and no
-        projector.  There ``psi(x) = x W`` exactly, so the spectrum is x
-        times the drawn eigenvalues (its order flips for x < 0), and the
-        feature block adds its ``n_phi`` zeros.  None wherever only a solve
-        gives it."""
-        x = _as_inputs(inputs)
-        if x.shape != (1, 1) or self.activation != "identity" or self.psi_projector is not None:
-            return None
-        return np.sort(np.concatenate([x[0, 0] * self.meta_eigenvalues[0], np.zeros(self.n_phi)]))
-
     def unprojected(self, theta) -> np.ndarray:
         """A weight vector of this map (or a (n, k) matrix of them, one per
         column) in the coordinates of the unprojected map that shares its
@@ -338,36 +324,35 @@ class QuadraticFeatureMap:
     def project(self, psi_projector, phi_projector=None) -> "QuadraticFeatureMap":
         if self.psi_projector is not None or self.phi_projector is not None:
             raise ValueError("feature map is already projected")
-        return QuadraticFeatureMap(
-            meta_generators=self.meta_generators,
-            feature_matrix=self.feature_matrix,
-            activation=self.activation,
-            meta_eigenvalues=self.meta_eigenvalues,
+        return replace(
+            self,
             psi_projector=np.asarray(psi_projector, dtype=np.float64),
-            phi_projector=(
-                None if phi_projector is None else np.asarray(phi_projector, float)
-            ),
+            phi_projector=None if phi_projector is None else np.asarray(phi_projector, float),
         )
 
 
 def build_meta_features(spec: MetaFeatureSpec, rng: Rng) -> QuadraticFeatureMap:
-    """Draw the fixed generators of a quadratic model's feature functions.
+    """Draw the fixed generators of a quadratic model's feature functions
+    (exactly-paired eigenvalues) and its standard-normal feature matrix.  One
+    identity generator (d = 1) is drawn ``diag(lam)``: the initial weights are
+    isotropic and drawn apart from it, so an eigenbasis would pick which
+    realization a seed gives, not the law.  Other maps rotate."""
+    return _draw_meta_features(spec, rng, rotate=spec.d > 1 or spec.activation != "identity")
 
-    For each input coordinate the symmetric generator is assembled from a
-    random orthogonal eigenbasis (exponential of a Gaussian antisymmetric
-    matrix) and exactly-paired eigenvalues; the feature matrix has
-    standard-normal entries.  The map keeps the drawn eigenvalues, from
-    which ``spectrum_at`` reads a one-datapoint spectrum without a solve.
-    """
+
+def _draw_meta_features(spec: MetaFeatureSpec, rng: Rng, rotate: bool) -> QuadraticFeatureMap:
+    """Each generator diagonal, or in a random orthogonal eigenbasis when
+    ``rotate``.  A teacher always rotates: its student's law depends on it."""
     generators = np.empty((spec.d, spec.n_psi, spec.n_psi))
-    eigenvalues = np.empty((spec.d, spec.n_psi))
     for i in range(spec.d):
         lam = spec.eigen_scheme.draw(spec.n_psi, rng.child(0, i))
-        q = random_orthogonal(spec.n_psi, rng.child(1, i))
-        # Rows of q are the eigenvectors: W = q.T diag(lam) q, symmetrized
-        # so the stored matrix is bitwise symmetric.
-        generators[i] = _symmetrize((q.T * lam) @ q)
-        eigenvalues[i] = lam
+        if rotate:
+            q = random_orthogonal(spec.n_psi, rng.child(1, i))
+            # Rows of q are the eigenvectors: W = q.T diag(lam) q, symmetrized
+            # so the stored matrix is bitwise symmetric.
+            generators[i] = _symmetrize((q.T * lam) @ q)
+        else:
+            generators[i] = np.diag(lam)
     feature_matrix = None
     if spec.n_phi > 0:
         feature_matrix = rng.child(2).normal((spec.n_phi, spec.d))
@@ -375,7 +360,6 @@ def build_meta_features(spec: MetaFeatureSpec, rng: Rng) -> QuadraticFeatureMap:
         meta_generators=generators,
         feature_matrix=feature_matrix,
         activation=spec.activation,
-        meta_eigenvalues=eigenvalues,
     )
 
 
@@ -395,9 +379,9 @@ def assemble_quadratic(
     theta_rng: Rng,
 ) -> QuadraticModel:
     """Quadratic model bound to the dataset's training inputs, with
-    standard-normal initial weights.  Where the map knows the one-datapoint
-    meta-feature spectrum in closed form (``spectrum_at``), the model gets
-    it and never solves for it."""
+    standard-normal initial weights.  On one datapoint of a diagonal
+    generator the meta-feature matrix is diagonal too, and the model reads
+    its spectrum off the diagonal (``QuadraticModel.psi_spectrum``)."""
     phi, psi = feature_map.at(dataset.inputs)
     variant = "pure" if feature_map.n_phi == 0 else "with_bias"
     return QuadraticModel(
@@ -406,7 +390,6 @@ def assemble_quadratic(
         meta_features=psi,
         zeta=zeta,
         variant=variant,
-        closed_form_spectrum=feature_map.spectrum_at(dataset.inputs),
     )
 
 
@@ -505,7 +488,7 @@ def make_teacher_student(spec: TeacherStudentSpec, rng: Rng) -> TeacherStudentSe
         eigen_scheme=spec.eigen_scheme,
         activation=spec.activation,
     )
-    teacher_map = build_meta_features(teacher_spec, rng.child(0))
+    teacher_map = _draw_meta_features(teacher_spec, rng.child(0), rotate=True)
     zeta_teacher = zeta_for("1_over_n_psi", spec.n_psi_teacher)
     zeta_student = zeta_for("1_over_n_psi", spec.n_psi_student)
 

@@ -257,9 +257,6 @@ class QuadraticModel(_KeptPass):
     meta_features: np.ndarray  # (D, n, n), each exactly symmetric
     zeta: float
     variant: str = "generic"
-    # The one meta-feature matrix's eigenvalues, ascending, where the feature
-    # map knows them in closed form (datasets.QuadraticFeatureMap.spectrum_at)
-    closed_form_spectrum: np.ndarray | None = field(default=None, repr=False)
     _weight_names = ("theta",)
     output_scale = 1.0
     degree = 2  # of the meta-feature term; the feature term has degree one
@@ -283,11 +280,6 @@ class QuadraticModel(_KeptPass):
             )
         if not self.zeta >= 0.0:
             raise ModelError("zeta must be a non-negative real number")
-        if self.closed_form_spectrum is not None:
-            spectrum = np.array(self.closed_form_spectrum, dtype=np.float64)
-            if d_pts != 1 or spectrum.shape != (n,) or np.any(spectrum[1:] < spectrum[:-1]):
-                raise ModelError(f"a closed-form spectrum is {n} ascending values on one datapoint")
-            self.closed_form_spectrum = spectrum
         if not np.array_equal(self.meta_features, self.meta_features.swapaxes(1, 2)):
             raise ModelError("every meta-feature matrix must be exactly symmetric")
         if self.variant not in ("pure", "with_bias", "generic"):
@@ -344,19 +336,25 @@ class QuadraticModel(_KeptPass):
     @functools.cached_property
     def psi_spectrum(self) -> np.ndarray:
         """Eigenvalues of the one meta-feature matrix, ascending, read-only.
-        Defined on one datapoint only.  They are the closed-form spectrum the
-        model was built with, where its feature map knows one (identity map
-        of one generator, no projector: ``QuadraticFeatureMap.spectrum_at``),
-        else one eigenvalues-only solve.  Meta-features are static, so the
-        solve runs at most once per model and every bound reads it; a clone
-        shares the closed form, and the solve once made before cloning."""
+        Defined on one datapoint only.  A diagonal matrix (one datapoint of a
+        diagonal generator, ``datasets.build_meta_features``) gives its sorted
+        diagonal, any other one eigenvalues-only solve, at most once per model;
+        a clone shares it, and ``__setstate__`` restores the read-only flag
+        that pickling drops."""
         if self.num_points != 1:
             raise ModelError("the meta-feature spectrum is kept for one datapoint only")
-        spectrum = self.closed_form_spectrum
-        if spectrum is None:
-            spectrum = np.linalg.eigvalsh(self.meta_features[0])
+        psi = self.meta_features[0]
+        if np.count_nonzero(psi) == np.count_nonzero(psi.diagonal()):
+            spectrum = np.sort(psi.diagonal())
+        else:
+            spectrum = np.linalg.eigvalsh(psi)
         spectrum.flags.writeable = False
         return spectrum
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        if "psi_spectrum" in state:
+            self.psi_spectrum.flags.writeable = False
 
     def certified_norm(self, inputs=None) -> float | None:
         """Squared weight norm plus the squared feature-aligned component.

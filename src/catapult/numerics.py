@@ -120,8 +120,8 @@ def random_antisymmetric(dim: int, rng: Rng) -> np.ndarray:
 def random_orthogonal(dim: int, rng: Rng) -> np.ndarray:
     """Orthogonal matrix as the exponential of a random antisymmetric matrix.
 
-    This is the generator construction used by the meta-feature experiments;
-    the induced distribution is the exponential-map pushforward of Gaussian
-    antisymmetric matrices (deliberately, not Haar).
+    The eigenbasis of a rotated meta-feature generator and the teacher-student
+    projectors; the induced distribution is the exponential-map pushforward
+    of Gaussian antisymmetric matrices (deliberately, not Haar).
     """
     return expm_antisymmetric(random_antisymmetric(dim, rng))

@@ -13,7 +13,8 @@ recomputation, a bit-stable kernel and an exact linearized predictor at
 zero coupling, the lower edge of every single-datapoint window against the
 kernel measured at the datapoint it was given (unit, scaled and negative),
 and the contraction eigenvalue of the omega window against the dense matrix
-on three datapoints and on one.  A deliberate negative control corrupts the
+on three datapoints and on one.  The quadratic single-datapoint checks each
+run on a diagonal psi and on a rotated one.  A deliberate negative control corrupts the
 gradient's slope convention at exactly-zero preactivations and must make
 the identity fail; catching it proves the checks have teeth.
 """
@@ -53,7 +54,7 @@ from catapult.models import (
     linear_net_with_bias_embedding,
     scale_invariant_slope,
 )
-from catapult.numerics import Rng, lambda_max_symmetric
+from catapult.numerics import Rng, lambda_max_symmetric, random_orthogonal
 from catapult.training import (
     TrainConfig,
     mse_loss,
@@ -84,13 +85,21 @@ class CheckResult:
         return dataclasses.asdict(self)
 
 
-def _quadratic(dataset: Dataset, n_phi: int, map_rng: Rng, theta_rng: Rng) -> QuadraticModel:
+def _quadratic(
+    dataset: Dataset, n_phi: int, map_rng: Rng, theta_rng: Rng, rotation_rng: Rng | None = None
+) -> QuadraticModel:
     """24 meta-features on the dataset: pure with eigenvalues U[1, 2) and
-    zeta = 2/n, or with n_phi features, pm_one eigenvalues and zeta = 1/n_psi."""
+    zeta = 2/n, or with n_phi features, pm_one eigenvalues and zeta = 1/n_psi.
+    A one-generator map is drawn diagonal; with ``rotation_rng`` it is turned
+    by a full random orthogonal projector, so a one-datapoint psi is dense
+    and its spectrum is solved, not read off the diagonal."""
     scheme = EigenScheme("pm_one") if n_phi else EigenScheme("uniform", 1.0, 2.0)
     spec = MetaFeatureSpec(n_psi=24, n_phi=n_phi, d=dataset.dim, eigen_scheme=scheme)
+    feature_map = build_meta_features(spec, map_rng)
+    if rotation_rng is not None:
+        feature_map = feature_map.project(random_orthogonal(24, rotation_rng))
     zeta = zeta_for("1_over_n_psi" if n_phi else "2_over_n", 24)
-    return assemble_quadratic(build_meta_features(spec, map_rng), dataset, zeta, theta_rng)
+    return assemble_quadratic(feature_map, dataset, zeta, theta_rng)
 
 
 def identity_families(seed: int = 0) -> dict:
@@ -287,34 +296,34 @@ def check_zero_coupling_linear(seed: int = 0) -> CheckResult:
 def check_single_datapoint_windows(seed: int = 0) -> CheckResult:
     """Every single-datapoint window opens at ``2 / lambda_max(H_0)``, with
     H_0 the kernel the simulator measures on the datapoint.  Checked for the
-    four single-datapoint bounds, the reduced-norm one also at slopes
-    (0, 2), on the unit toy point, on the (4, 2) ReLU point and on a
-    negative input, where a unit-datapoint formula is off by ``x**2`` (and,
-    for ReLU, by the active side)."""
+    four single-datapoint bounds, the quadratic ones on a diagonal psi and
+    on a rotated one, the reduced-norm one also at slopes (0, 2), on the
+    unit toy point, on the (4, 2) ReLU point and on a negative input, where
+    a unit-datapoint formula is off by ``x**2`` (and, for ReLU, by the
+    active side)."""
     rng = Rng(seed)
     datasets = {
         "toy": make_toy(),
         "toy_relu": make_toy_relu(),
         "negative": Dataset(inputs=[[-0.5]], labels=[0.5]),
     }
-    pure_map = build_meta_features(
-        MetaFeatureSpec(n_psi=24, n_phi=0, d=1, eigen_scheme=EigenScheme("uniform", 1.0, 2.0)),
-        rng.child(22),
-    )
-    bias_map = build_meta_features(
-        MetaFeatureSpec(n_psi=24, n_phi=6, d=1, eigen_scheme=EigenScheme("pm_one")),
-        rng.child(23),
-    )
     relu = HomogenousNet.init_random(64, rng.child(24), a_minus=0.0, a_plus=1.0)
     leaky = HomogenousNet.init_random(64, rng.child(25), a_minus=0.5, a_plus=1.0)
     scaled_relu = HomogenousNet.init_random(64, rng.child(32), a_minus=0.0, a_plus=2.0)
     worst, worst_case = 0.0, ""
     for label, dataset in datasets.items():
-        pure = assemble_quadratic(pure_map, dataset, zeta_for("2_over_n", 24), rng.child(26))
-        bias = assemble_quadratic(bias_map, dataset, zeta_for("1_over_n_psi", 24), rng.child(27))
-        cases = (
-            ("pure_quadratic", bound_pure_quadratic(pure), pure.ntk()),
-            ("quadratic_with_bias", bound_quadratic_with_bias(bias), bias.ntk()),
+        cases = []
+        for suffix, turned in (("", False), (" rotated", True)):
+            pure, bias = (
+                _quadratic(dataset, n_phi, rng.child(map_child), rng.child(theta_child),
+                           rng.child(map_child, 1) if turned else None)
+                for n_phi, map_child, theta_child in ((0, 22, 26), (6, 23, 27))
+            )
+            cases += [
+                (f"pure_quadratic{suffix}", bound_pure_quadratic(pure), pure.ntk()),
+                (f"quadratic_with_bias{suffix}", bound_quadratic_with_bias(bias), bias.ntk()),
+            ]
+        cases += [
             ("relu", bound_relu(relu, dataset), relu.ntk(dataset.inputs)),
             (
                 "scaled_relu",
@@ -322,7 +331,7 @@ def check_single_datapoint_windows(seed: int = 0) -> CheckResult:
                 scaled_relu.ntk(dataset.inputs),
             ),
             ("homogenous", bound_homogenous_mlp(leaky, dataset), leaky.ntk(dataset.inputs)),
-        )
+        ]
         for family, report, kernel in cases:
             residual = abs(report.catapult_lower * lambda_max_symmetric(kernel) - 2.0) / 2.0
             if residual >= worst:
@@ -338,9 +347,9 @@ def check_single_datapoint_windows(seed: int = 0) -> CheckResult:
 
 def check_omega_dual(seed: int = 0) -> CheckResult:
     """The omega window's ``lambda_max(Omega)``, taken from the n x n dual
-    Gram on three datapoints and, on the toy point, from psi's closed-form
-    spectrum (the drawn eigenvalues), against the top eigenvalue of the
-    materialized (n D) x (n D) contraction."""
+    Gram on three datapoints and, on the toy point, from psi's spectrum,
+    read off a diagonal psi and solved on a rotated one, against the top
+    eigenvalue of the materialized (n D) x (n D) contraction."""
     rng = Rng(seed)
     feature_map = build_meta_features(
         MetaFeatureSpec(n_psi=8, n_phi=0, d=2, eigen_scheme=EigenScheme("uniform", 1.0, 2.0)),
@@ -351,9 +360,16 @@ def check_omega_dual(seed: int = 0) -> CheckResult:
         labels=rng.child(30).uniform(-0.5, 0.5, 3),
     )
     multi = assemble_quadratic(feature_map, dataset, zeta_for("2_over_n", 8), rng.child(31))
-    single = _quadratic(make_toy(), 0, Rng(seed).child(1), Rng(seed).child(2))
+    single, rotated = (
+        _quadratic(make_toy(), 0, rng.child(1), rng.child(2), turn) for turn in (None, rng.child(3))
+    )
     worst, worst_case = 0.0, ""
-    for label, model in (("3 datapoints", multi), ("1 datapoint", single)):
+    cases = (
+        ("3 datapoints", multi),
+        ("1 datapoint, diagonal", single),
+        ("1 datapoint, rotated", rotated),
+    )
+    for label, model in cases:
         exact = lambda_max_symmetric(omega_dense(model))
         value = bound_multi_omega(model).inputs_digest["lambda_max_omega"]
         residual = abs(value - exact) / exact

@@ -3,7 +3,9 @@ import pytest
 
 from catapult.analysis import (
     SPIKE_FACTOR,
+    STALLED_FRACTION,
     AnalysisError,
+    classify_outcome,
     classify_phase,
     generalization_report,
     linearized_predict,
@@ -16,7 +18,7 @@ from catapult.analysis import (
 from catapult.datasets import Dataset, make_toy
 from catapult.models import DeepReluNet, HomogenousNet, QuadraticModel
 from catapult.numerics import Rng, lambda_max_symmetric
-from catapult.training import TrainConfig, mse_loss, train
+from catapult.training import TrainConfig, Trajectory, mse_loss, train
 from conftest import output_series, pure_toy_quadratic, random_quadratic
 
 FAST = dict(ntk_eval_interval=10**9)
@@ -70,6 +72,44 @@ class TestClassifyPhase:
         assert classify_phase(traj) == "catapult"
 
 
+class TestClassifyOutcome:
+    @staticmethod
+    def ended(losses, final_eta_lambda_max, termination="converged"):
+        """A run with the given loss series whose kernel was measured at the
+        first and the last step."""
+        losses = np.asarray(losses, dtype=np.float64)
+        return Trajectory(
+            losses=losses,
+            weight_norms=np.ones_like(losses),
+            certified_norms=None,
+            ntk_steps=np.array([0, losses.size - 1]),
+            eta_lambda_max=np.array([2.0, final_eta_lambda_max]),
+            termination=termination,
+            steps_taken=losses.size - 1,
+        )
+
+    @pytest.mark.parametrize(
+        "losses, final_eta_lambda_max, outcome",
+        [
+            ([1.0, 4.0, 1e-9], 1.5, "fit"),
+            # at the fraction itself the run still fit
+            ([1.0, 4.0, STALLED_FRACTION], 1.5, "fit"),
+            ([1.0, 4.0, 2.0 * STALLED_FRACTION], 1.5, "stalled"),
+            # a dead run ends above the fraction too, and reads dead
+            ([2.0, 9.0, 2.0], 0.0, "dead"),
+            # a run that starts at zero loss and stays there fit
+            ([0.0, 0.0], 1.0, "fit"),
+        ],
+    )
+    def test_converged_runs(self, losses, final_eta_lambda_max, outcome):
+        assert STALLED_FRACTION == 1e-3
+        assert classify_outcome(self.ended(losses, final_eta_lambda_max)) == outcome
+
+    @pytest.mark.parametrize("termination", ["diverged", "step_limit"])
+    def test_other_runs_have_none(self, termination):
+        assert classify_outcome(self.ended([2.0, 2.0], 0.0, termination)) is None
+
+
 class TestSweep:
     """A grid of ``run_sweep_point`` records, one per rate, as
     ``catapult sweep`` makes them."""
@@ -113,6 +153,7 @@ class TestSweep:
         lam0 = float(factory().ntk()[0, 0])
         record = self.records(factory, [8.0 / lam0], TrainConfig(eta=1.0, **FAST), lam0)[0]
         assert record.phase == "divergent"
+        assert record.outcome is None
         assert record.final_eta_lambda_max is None
         assert record.weight_ratio is None
         assert record.train_loss_final is None
@@ -131,6 +172,7 @@ class TestSweep:
         records = self.records(flaky_factory, grid, TrainConfig(eta=1.0, **FAST), lam0)
         statuses = [r.status for r in records]
         assert statuses == ["ok", "failed", "ok"]
+        assert [r.outcome for r in records] == ["fit", None, "fit"]
         assert "synthetic failure" in records[1].message
 
     def test_eta_lambda0_axis(self):

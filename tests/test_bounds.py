@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -510,7 +511,7 @@ class TestSufficiencyCertification:
 
 class TestOneSpectrumPerReport:
     """On one datapoint every quadratic-model bound reads the model's one
-    spectrum of psi: the drawn eigenvalues on the toy maps, one cached solve
+    spectrum of psi: read off the diagonal on the toy maps, one cached solve
     on a tanh map."""
 
     BUILDS = {
@@ -559,6 +560,19 @@ class TestOneSpectrumPerReport:
         spectrum = model.psi_spectrum
         assert model.clone().psi_spectrum is spectrum
         assert not spectrum.flags.writeable
+
+    @pytest.mark.parametrize("activation", ["identity", "tanh"])
+    def test_pickled_spectrum_stays_read_only(self, activation):
+        # the identity map's psi is diagonal and read; the tanh one is solved
+        model = pure_toy_quadratic(16, seed=1, activation=activation)
+        spectrum = model.psi_spectrum
+        twin = pickle.loads(pickle.dumps(model))
+        assert np.array_equal(twin.psi_spectrum, spectrum)
+        for copy in (twin, twin.clone()):
+            assert copy.psi_spectrum is twin.psi_spectrum
+            assert not copy.psi_spectrum.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            twin.psi_spectrum[0] = 0.0
 
     def test_several_datapoints_have_no_cached_spectrum(self):
         model, _ = random_quadratic(8, 0, 2, 3, seed=43)

@@ -830,26 +830,30 @@ class TestBoundsCommand:
         assert doc["reports"] == []
         assert [s["method"] for s in doc["skipped"]] == ["single_datapoint", "mlp_multi"]
 
-    def test_pure_toy_makes_one_n_by_n_eigensolve(self, tmp_path, monkeypatch):
-        # the orthogonal draw's eigh(A^T A); psi's spectrum on the toy point
-        # is the drawn eigenvalues, so no eigvalsh(psi) follows it
+    @pytest.mark.parametrize("command", ["bounds", "sweep"])
+    def test_pure_toy_makes_no_n_by_n_eigensolve(self, tmp_path, monkeypatch, command):
+        # the toy's one generator is drawn diagonal, with no orthogonal draw,
+        # and psi's spectrum on the toy point is read off its diagonal
+        import catapult.numerics as numerics
+
         n = 200
-        solves = []
-        for name in ("eigh", "eigvalsh"):
-            solver = getattr(np.linalg, name)
+        calls = []
+        for module, name in ((np.linalg, "eigh"), (np.linalg, "eigvalsh"),
+                             (numerics, "expm_antisymmetric")):
+            solver = getattr(module, name)
 
             def counted(a, *args, _name=name, _solver=solver, **kwargs):
                 if np.shape(a)[-2:] == (n, n):
-                    solves.append(_name)
+                    calls.append(_name)
                 return _solver(a, *args, **kwargs)
 
-            monkeypatch.setattr(np.linalg, name, counted)
+            monkeypatch.setattr(module, name, counted)
         cfg = quad_toy_config()
         cfg["model"]["n_psi"] = n
-        out = tmp_path / "bounds"
-        assert main(["bounds", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
-        assert solves == ["eigh"]
-        assert (out / "bounds.json").exists()
+        out = tmp_path / command
+        assert main([command, "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+        assert calls == []
+        assert (out / f"{command}.csv" if command == "sweep" else out / "bounds.json").exists()
 
     def test_paired_unit_spectrum_collapses_uncertain_region(self, tmp_path):
         cfg = quad_toy_config()

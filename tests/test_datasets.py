@@ -78,8 +78,11 @@ class TestMetaFeatureConstruction:
         fm = build_meta_features(spec, Rng(2))
         _, psi = fm.at([[1.0]])
         assert np.array_equal(psi[0], fm.meta_generators[0])
-        spectrum = np.sort(np.linalg.eigvalsh(psi[0]))
-        assert np.abs(spectrum - np.sort(fm.meta_eigenvalues[0])).max() < 1e-10
+        # one identity generator is drawn diagonal, diag(lam) as the scheme
+        # draws lam, so its spectrum is lam
+        lam = spec.eigen_scheme.draw(8, Rng(2).child(0, 0))
+        assert np.array_equal(psi[0], np.diag(lam))
+        _assert_relatively_close(np.linalg.eigvalsh(psi[0]), np.sort(lam))
 
     def test_uniform_scheme_is_exactly_paired(self):
         scheme = EigenScheme("uniform", 1.0, 2.0)
@@ -240,8 +243,9 @@ class TestMetaFeatureConstruction:
 
 class TestClosedFormSpectrum:
     """On one datapoint x of an identity map with one generator and no
-    projector, psi(x) = x W, so its spectrum is x times the drawn
-    eigenvalues, with one zero per feature coordinate."""
+    projector, psi(x) = x diag(lam) is diagonal, so its spectrum is read off
+    the diagonal: x times the drawn eigenvalues, with one zero per feature
+    coordinate.  Every other map's psi is solved."""
 
     DATASETS = {
         "toy": make_toy,
@@ -249,44 +253,75 @@ class TestClosedFormSpectrum:
         "negative": lambda: make_random(1, 1, 1.0, Rng(2)),  # x = -0.477
     }
 
+    @staticmethod
+    def _spectrum_and_solves(model, monkeypatch):
+        solves = []
+        solver = np.linalg.eigvalsh
+
+        def counted(a, *args, **kwargs):
+            solves.append(np.shape(a))
+            return solver(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        spectrum = model.psi_spectrum
+        monkeypatch.undo()
+        return spectrum, solves
+
     @pytest.mark.parametrize("dataset", DATASETS)
     @pytest.mark.parametrize("scheme", ["uniform", "pm_one"])
     @pytest.mark.parametrize("n_phi", [0, 6], ids=["pure", "with_bias"])
-    def test_matches_the_dense_solve(self, dataset, scheme, n_phi):
+    def test_matches_the_dense_solve(self, monkeypatch, dataset, scheme, n_phi):
         ds = self.DATASETS[dataset]()
         assert (ds.inputs[0, 0] < 0.0) == (dataset == "negative")
         fm = build_meta_features(MetaFeatureSpec(128, n_phi, 1, EigenScheme(scheme)), Rng(50))
         model = assemble_quadratic(fm, ds, 0.1, Rng(51))
-        spectrum = model.psi_spectrum
-        assert spectrum is model.closed_form_spectrum
-        _assert_relatively_close(spectrum, np.linalg.eigvalsh(model.meta_features[0]))
+        psi = model.meta_features[0]
+        assert np.array_equal(psi, np.diag(np.diagonal(psi)))
+        spectrum, solves = self._spectrum_and_solves(model, monkeypatch)
+        assert solves == []
+        _assert_relatively_close(spectrum, np.linalg.eigvalsh(psi))
         assert np.all(spectrum[1:] >= spectrum[:-1])
         assert np.count_nonzero(spectrum == 0.0) == n_phi
         assert not spectrum.flags.writeable
         assert model.clone().psi_spectrum is spectrum
 
     @pytest.mark.parametrize("case", ["tanh", "d2", "projected", "two_points"])
-    def test_other_maps_solve(self, case):
+    def test_other_maps_solve(self, monkeypatch, case):
         d = 2 if case == "d2" else 1
         activation = "tanh" if case == "tanh" else "identity"
         fm = build_meta_features(MetaFeatureSpec(32, 4, d, EigenScheme(), activation), Rng(52))
         if case == "projected":
             fm = fm.project(random_orthogonal(32, Rng(53))[:20], random_orthogonal(4, Rng(54))[:2])
         x = Rng(55).uniform(-0.5, 0.5, (2 if case == "two_points" else 1, d))
-        assert fm.spectrum_at(x) is None
         model = assemble_quadratic(fm, Dataset(inputs=x, labels=np.zeros(len(x))), 0.1, Rng(56))
-        assert model.closed_form_spectrum is None
-        if case != "two_points":
-            assert np.array_equal(model.psi_spectrum, np.linalg.eigvalsh(model.meta_features[0]))
+        if case == "two_points":
+            with pytest.raises(ModelError, match="one datapoint"):
+                model.psi_spectrum
+            return
+        psi = model.meta_features[0]
+        assert not np.array_equal(psi, np.diag(np.diagonal(psi)))
+        spectrum, solves = self._spectrum_and_solves(model, monkeypatch)
+        assert solves == [psi.shape]
+        assert np.array_equal(spectrum, np.linalg.eigvalsh(psi))
 
-    @pytest.mark.parametrize("bad", ["short", "descending", "two_points"])
-    def test_model_refuses_a_spectrum_it_cannot_hold(self, bad):
-        fm = build_meta_features(MetaFeatureSpec(8, 0, 1, EigenScheme()), Rng(57))
-        x = [[1.0], [2.0]] if bad == "two_points" else [[1.0]]
-        spectrum = fm.spectrum_at([[1.0]])
-        spectrum = {"short": spectrum[1:], "descending": spectrum[::-1]}.get(bad, spectrum)
-        with pytest.raises(ModelError, match="closed-form spectrum"):
-            QuadraticModel(Rng(58).normal(8), *fm.at(x), 0.1, closed_form_spectrum=spectrum)
+    @pytest.mark.parametrize("case", ["off_diagonal", "descending", "negative_zero"])
+    def test_only_a_diagonal_matrix_is_read(self, case):
+        # one nonzero off-diagonal pair makes the matrix solved; a diagonal
+        # is sorted, and -0.0 off the diagonal (x < 0 times a zero) is zero
+        lam = np.array([2.0, 1.0, -1.0, -2.0])
+        psi = np.diag(lam)
+        if case == "off_diagonal":
+            psi[0, 3] = psi[3, 0] = 0.5
+        if case == "negative_zero":
+            psi = -1.0 * psi
+        model = QuadraticModel(Rng(58).normal(4), np.zeros((1, 4)), psi[None], 0.1)
+        if case == "off_diagonal":
+            expected = np.linalg.eigvalsh(psi)
+            assert not np.allclose(expected, np.sort(lam))
+        else:
+            assert np.any(np.signbit(psi) & (psi == 0.0)) == (case == "negative_zero")
+            expected = np.array([-2.0, -1.0, 1.0, 2.0])
+        assert np.array_equal(model.psi_spectrum, expected)
 
 
 # a pure identity pair in d = 2, and a tanh with-bias pair whose test split

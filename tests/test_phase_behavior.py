@@ -79,6 +79,24 @@ class TestReluPositiveLabel:
         assert sparsity_high > sparsity_low
 
 
+    def test_outcome_column_pins_the_dead_share(self):
+        # width 512, seeded as `catapult sweep` seeds init_seed 0-19: 9, 16
+        # and 20 of the 20 runs end dead at eta * H0 = 4.6, 8 and 12, and
+        # every other run fits; all 60 are catapults
+        dataset = make_toy_relu()
+        config = TrainConfig(eta=1.0, max_steps=300_000, **FAST)
+        for target, dead in ((4.6, 9), (8.0, 16), (12.0, 20)):
+            outcomes = []
+            for seed in range(20):
+                net = HomogenousNet.init_random(512, Rng(seed).child(2, 0), 0.0, 1.0)
+                h0 = float(net.ntk(dataset.inputs)[0, 0])
+                record, _ = run_sweep_point(net.clone, dataset, target / h0, config, h0)
+                assert record.phase == "catapult"
+                outcomes.append(record.outcome)
+            assert outcomes.count("dead") == dead
+            assert outcomes.count("fit") == 20 - dead
+
+
 class TestCatapultKernelShrinkage:
     def test_converged_catapult_runs_shrink_the_kernel_and_norm(self):
         # through the catapult window both the weight norm and the final

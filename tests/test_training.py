@@ -8,7 +8,7 @@ from catapult.models import (
     QuadraticModel,
     linear_net_with_bias_embedding,
 )
-from catapult.numerics import Rng, lambda_max_symmetric
+from catapult.numerics import Rng, lambda_max_symmetric, random_orthogonal
 from catapult.training import (
     TrainConfig,
     TrainingError,
@@ -154,10 +154,10 @@ class TestTrain:
         "n, seed, rate, overrides, termination, ntk_steps",
         [
             # the final step (13, 10) is off the interval and measured once
-            (32, 6, 2.5, dict(ntk_eval_interval=7), "converged", [0, 7, 13]),
-            (32, 6, 2.5, dict(ntk_eval_interval=4, max_steps=10), "step_limit", [0, 4, 8, 10]),
+            (64, 6, 2.5, dict(ntk_eval_interval=7), "converged", [0, 7, 13]),
+            (64, 6, 2.5, dict(ntk_eval_interval=4, max_steps=10), "step_limit", [0, 4, 8, 10]),
             # a final step on the interval is measured once, not twice
-            (32, 6, 2.5, dict(ntk_eval_interval=13), "converged", [0, 13]),
+            (64, 6, 2.5, dict(ntk_eval_interval=13), "converged", [0, 13]),
             # the diverged state at step 4 is on the interval but never measured;
             # no rate means 1.05 times the certified divergence threshold
             (64, 2, None, dict(ntk_eval_interval=2), "diverged", [0, 2]),
@@ -185,6 +185,34 @@ class TestTrain:
         assert traj.termination == termination
         assert traj.ntk_steps.tolist() == ntk_steps
         assert len(solves) == len(traj.eta_lambda_max) == len(ntk_steps)
+
+
+class TestRotationIsIdle:
+    """The toy's generator is drawn diagonal: with psi = q^T diag(lam) q, GD
+    on theta is GD on u = q theta under diag(lam), so the rotated model and
+    the diagonal one started at q theta0 take the same run."""
+
+    RTOL = 1e-9  # of the largest value each series reaches; 1.8e-11 measured
+
+    @pytest.mark.parametrize("rate", [1.0, 3.0, 4.5])
+    def test_rotated_and_diagonal_runs_agree(self, rate):
+        diagonal = pure_toy_quadratic(64, seed=0)
+        psi = diagonal.meta_features[0]
+        assert np.array_equal(psi, np.diag(np.diagonal(psi)))
+        q = random_orthogonal(64, Rng(0).child(3))
+        rotated_psi = (q.T * np.diagonal(psi)) @ q
+        rotated_psi = (rotated_psi + rotated_psi.T) / 2.0
+        pure = dict(features=diagonal.features, zeta=diagonal.zeta, variant="pure")
+        rotated = QuadraticModel(diagonal.theta, meta_features=rotated_psi[None], **pure)
+        turned = QuadraticModel(q @ diagonal.theta, meta_features=psi[None], **pure)
+        config = TrainConfig(eta=rate / float(rotated.ntk()[0, 0]))
+        a, b = train(rotated, make_toy(), config), train(turned, make_toy(), config)
+        assert a.termination == b.termination
+        assert a.termination == ("diverged" if rate == 4.5 else "converged")
+        assert a.steps_taken == b.steps_taken
+        for name in ("losses", "weight_norms", "eta_lambda_max"):
+            got, expected = getattr(a, name), getattr(b, name)
+            assert np.abs(got - expected).max() <= self.RTOL * np.abs(expected).max()
 
 
 def identity_cases(seed):

@@ -2,13 +2,15 @@
 
 Every window is derived by ``BoundReport`` from the same few numbers.  It
 opens at the linear stability threshold ``2 / h0``, with ``h0`` the top
-eigenvalue of the tangent kernel at initialization, and is certified up to
-the sufficient (not necessary) value ``4 * scale / ceiling``, where
-``ceiling / scale`` bounds the kernel by a monotone weight-norm quantity.
-Where a matching lower bound ``floor / scale`` exists, rates above
-``4 * scale / floor`` are certified to diverge.  A bound that does not apply
-raises ``BoundsError``; its message is the skip reason
-``collect_bound_reports`` records.
+eigenvalue of the tangent kernel at initialization as the simulator
+measures it, ``lambda_max_symmetric(model.ntk(inputs))``: the experiment's
+``lambda0``, so no bound keeps a formula for it.  What a bound derives is
+the rest.  The window is certified up to the sufficient (not necessary)
+value ``4 * scale / ceiling``, where ``ceiling / scale`` bounds the kernel
+by a monotone weight-norm quantity.  Where a matching lower bound
+``floor / scale`` exists, rates above ``4 * scale / floor`` are certified
+to diverge.  A bound that does not apply raises ``BoundsError``; its
+message is the skip reason ``collect_bound_reports`` records.
 
 Single-datapoint bounds are proven; so are the multi-datapoint contraction
 bound (``omega``) and the sample-Gram bound for homogenous nets
@@ -62,11 +64,12 @@ class BoundsError(ValueError):
 class BoundReport:
     """One certified (or heuristic) learning-rate window.
 
-    Built from ``h0`` and the kernel's ceiling (and floor, where one is
-    known); derives every edge and ``window_nonempty``, which records whether
-    the sufficient upper value exceeds the stability threshold.  An empty
-    window is a valid outcome that simply certifies nothing above the lazy
-    regime; a vanishing kernel admits no window at all.
+    Built from ``h0``, the measured kernel's top eigenvalue, and the derived
+    ceiling (and floor, where one is known); derives every edge and
+    ``window_nonempty``, which records whether the sufficient upper value
+    exceeds the stability threshold.  An empty window is a valid outcome
+    that simply certifies nothing above the lazy regime; a vanishing kernel
+    admits no window at all.
     """
 
     method: str
@@ -153,11 +156,9 @@ def bound_pure_quadratic(model: QuadraticModel) -> BoundReport:
         raise BoundsError(MULTI_POINT)
     if model.zeta <= 0.0:
         raise BoundsError("the pure-model window requires a positive coupling")
-    psi = model.meta_features[0]
     lam_max_sq, lam_min_sq, squares = _psi_square_extremes(model)
     theta_sq = model.weight_norm()
-    meta_theta = psi @ model.theta
-    h0 = model.zeta**2 * float(meta_theta @ meta_theta)
+    h0 = lambda_max_symmetric(model.ntk())
 
     floor = None
     if lam_min_sq > 1e-12 * lam_max_sq:
@@ -202,12 +203,10 @@ def bound_quadratic_with_bias(model: QuadraticModel) -> BoundReport:
     phi_sq = float(phi @ phi)
     if phi_sq == 0.0:
         raise BoundsError("feature vector vanishes; use the pure-model window")
-    psi = model.meta_features[0]
     lam_max_sq, _, _ = _psi_square_extremes(model)
     theta_sq = model.weight_norm()
     overlap_sq = float(phi @ model.theta) ** 2
-    meta_theta = psi @ model.theta
-    h0 = phi_sq + model.zeta**2 * float(meta_theta @ meta_theta)
+    h0 = lambda_max_symmetric(model.ntk())
     return BoundReport(
         method="single_datapoint",
         h0=h0,
@@ -258,7 +257,7 @@ def bound_homogenous_mlp(net: HomogenousNet, dataset: Dataset) -> BoundReport:
     x = _single_input(net, dataset, "the single-datapoint window")
     x_sq = x * x
     theta_sq = net.weight_norm()
-    h0 = float(net.ntk(dataset.inputs)[0, 0])
+    h0 = lambda_max_symmetric(net.ntk(dataset.inputs))
     return BoundReport(
         method="single_datapoint",
         h0=h0,
@@ -286,11 +285,9 @@ def bound_relu(net: HomogenousNet, dataset: Dataset) -> BoundReport:
     Only the neurons active at initialization (``u_i x >= 0``) ever move, so
     the argument runs on the reduced weight norm over them (the net's
     ``certified_norm``), and the kernel is at most
-    ``a_plus**2 * x**2 * reduced / n``.  At initialization it equals that
-    ceiling, which makes the certified window exactly ``(2/H_0, 4/H_0)``,
-    unless a first-layer weight is exactly zero: such a neuron sits at the
-    kink, moves at the midpoint slope a_plus/2 and through u only, so
-    ``H_0`` counts its ``v_i**2`` at ``(a_plus/2)**2`` instead.
+    ``a_plus**2 * x**2 * reduced / n``.  At initialization the measured
+    kernel ``H_0`` equals that ceiling on a net with no exactly-zero
+    first-layer weight, which makes the certified window ``(2/H_0, 4/H_0)``.
 
     A step moves the reduced norm by ``eta e (eta H e - 4 z)``, e = z - y,
     so it falls at step t exactly when ``eta H_t < 4 z_t / e_t``: at label 0
@@ -307,14 +304,11 @@ def bound_relu(net: HomogenousNet, dataset: Dataset) -> BoundReport:
             "no first-layer weight is active on the datapoint at initialization; "
             "the net is frozen and no window exists"
         )
-    ceiling = net.a_plus**2 * x * x * reduced / net.width
-    active = net.active_on(x)
-    v_kink = net.v[active & (net.frozen_u == 0.0)]
-    h0 = net.a_plus**2 * x * x * (reduced - 0.75 * float(v_kink @ v_kink)) / net.width
+    h0 = lambda_max_symmetric(net.ntk(dataset.inputs))
     return BoundReport(
         method="single_datapoint",
         h0=h0,
-        ceiling=ceiling,
+        ceiling=net.a_plus**2 * x * x * reduced / net.width,
         proven=True,
         inputs_digest={
             "family": "relu",
@@ -323,7 +317,7 @@ def bound_relu(net: HomogenousNet, dataset: Dataset) -> BoundReport:
             "x": x,
             "reduced_theta0_sq": reduced,
             "h0": h0,
-            "active_fraction": float(active.mean()),
+            "active_fraction": float(net.active_on(x).mean()),
         },
         notes=[NOTE_RELU_EMPIRICAL],
     )

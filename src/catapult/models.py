@@ -316,8 +316,8 @@ class QuadraticModel(_KeptPass):
 
     def outputs(self, inputs=None) -> np.ndarray:
         """Model outputs on the datapoints the features were built for."""
-        meta_theta = self._keep(inputs, self._forward(inputs))
-        return self.features @ self.theta + 0.5 * self.zeta * (meta_theta @ self.theta)
+        psi_theta = self._keep(inputs, self._forward(inputs))
+        return self.features @ self.theta + 0.5 * self.zeta * (psi_theta @ self.theta)
 
     def effective_features(self) -> np.ndarray:
         """Theta-dependent features: row a is the output gradient on

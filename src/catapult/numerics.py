@@ -22,9 +22,19 @@ class Rng:
 
     Identical seeds reproduce identical draw sequences (at a fixed floating
     point width), so experiment artifacts record the seed instead of sampled
-    state.  ``child`` derives an independent substream keyed by integers
-    without consuming draws from the parent, which keeps subsystem sampling
+    state.  ``child`` derives a substream keyed by integers without
+    consuming draws from the parent, which keeps subsystem sampling
     order-independent.
+
+    A stream is keyed by the 32-bit words of ``(seed, *path)``, which
+    ``SeedSequence`` pads with zeros to four words, so two keys that differ
+    only by trailing zero words within the first four are one stream:
+    ``Rng(s).child(2)`` and ``Rng(s).child(2, 0)`` draw the same numbers, as
+    do ``Rng(s)`` and ``Rng(s).child(0)``, and a seed of ``2**32 + s`` spans
+    two words, ``(s, 1)``, so it draws what ``Rng(s).child(1)`` does.
+    Substreams are independent only when no two keys that draw share their
+    padded words; ``tests/test_numerics.py`` asserts it for the CI configs
+    and the ``check`` suite.
     """
 
     def __init__(self, seed: int, _path: Sequence[int] = ()):

@@ -10,13 +10,17 @@ than dimensions in the row space of its inputs, as from dense steps, the
 frozen complement of the ReLU sign split, the one-step error, kernel and
 feature-overlap recursions of pure and with-bias quadratic models against
 recomputation, a bit-stable kernel and an exact linearized predictor at
-zero coupling, the lower edge of every single-datapoint window against the
+zero coupling, every edge of every single-datapoint window against the
 kernel measured at the datapoint it was given (unit, scaled and negative),
-and the contraction eigenvalue of the omega window against the dense matrix
-on three datapoints and on one.  The quadratic single-datapoint checks each
-run on a diagonal psi and on a rotated one.  A deliberate negative control corrupts the
-gradient's slope convention at exactly-zero preactivations and must make
-the identity fail; catching it proves the checks have teeth.
+the contraction eigenvalue of the omega window against the dense matrix on
+three datapoints and on one, and the ceiling of each proven multi-datapoint
+window (omega, mlp_multi) against the measured kernel.  Every h0 is
+measured, so a window's lower edge is right by construction; its ceiling
+and floor are what a bound derives, and what these checks test.  The
+quadratic single-datapoint checks each run on a diagonal psi and on a
+rotated one.  A deliberate negative control corrupts the gradient's slope
+convention at exactly-zero preactivations and must make the identity fail;
+catching it proves the checks have teeth.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from catapult.analysis import linearized_predict
 from catapult.bounds import (
     OMEGA_RTOL,
     bound_homogenous_mlp,
+    bound_mlp_multi,
     bound_multi_omega,
     bound_pure_quadratic,
     bound_quadratic_with_bias,
@@ -294,13 +299,18 @@ def check_zero_coupling_linear(seed: int = 0) -> CheckResult:
 
 
 def check_single_datapoint_windows(seed: int = 0) -> CheckResult:
-    """Every single-datapoint window opens at ``2 / lambda_max(H_0)``, with
-    H_0 the kernel the simulator measures on the datapoint.  Checked for the
-    four single-datapoint bounds, the quadratic ones on a diagonal psi and
-    on a rotated one, the reduced-norm one also at slopes (0, 2), on the
-    unit toy point, on the (4, 2) ReLU point and on a negative input, where
-    a unit-datapoint formula is off by ``x**2`` (and, for ReLU, by the
-    active side)."""
+    """Every single-datapoint window against ``lambda_max(H_0)``, with H_0
+    the kernel the simulator measures on the datapoint: it opens at
+    ``2 / lambda_max(H_0)``, its sufficient upper value is at most
+    ``4 / lambda_max(H_0)`` (the derived ceiling bounds the kernel) and its
+    divergence value, where one exists, at least that, each to
+    ``WINDOW_EDGE_TOL`` relative.  Checked for the four single-datapoint
+    bounds, the quadratic ones on a diagonal psi and on a rotated one, the
+    reduced-norm one also at slopes (0, 2), on the unit toy point, on the
+    (4, 2) ReLU point and on a negative input, where a unit-datapoint
+    formula is off by ``x**2`` (and, for ReLU, by the active side), and for
+    the linear net with bias on the toy point.  The ReLU ceiling equals H_0
+    at initialization, so its upper edge sits on the bound to roundoff."""
     rng = Rng(seed)
     datasets = {
         "toy": make_toy(),
@@ -310,38 +320,53 @@ def check_single_datapoint_windows(seed: int = 0) -> CheckResult:
     relu = HomogenousNet.init_random(64, rng.child(24), a_minus=0.0, a_plus=1.0)
     leaky = HomogenousNet.init_random(64, rng.child(25), a_minus=0.5, a_plus=1.0)
     scaled_relu = HomogenousNet.init_random(64, rng.child(32), a_minus=0.0, a_plus=2.0)
-    worst, worst_case = 0.0, ""
+    linear = linear_net_with_bias_embedding(32, rng.child(45))
+    cases = [("linear_net_with_bias on toy", bound_quadratic_with_bias(linear), linear.ntk())]
     for label, dataset in datasets.items():
-        cases = []
-        for suffix, turned in (("", False), (" rotated", True)):
+        for suffix, rotation_rng in (("", None), (" rotated", rng.child(44))):
             pure, bias = (
                 _quadratic(dataset, n_phi, rng.child(map_child), rng.child(theta_child),
-                           rng.child(map_child, 1) if turned else None)
+                           rotation_rng)
                 for n_phi, map_child, theta_child in ((0, 22, 26), (6, 23, 27))
             )
             cases += [
-                (f"pure_quadratic{suffix}", bound_pure_quadratic(pure), pure.ntk()),
-                (f"quadratic_with_bias{suffix}", bound_quadratic_with_bias(bias), bias.ntk()),
+                (f"pure_quadratic{suffix} on {label}", bound_pure_quadratic(pure), pure.ntk()),
+                (
+                    f"quadratic_with_bias{suffix} on {label}",
+                    bound_quadratic_with_bias(bias),
+                    bias.ntk(),
+                ),
             ]
         cases += [
-            ("relu", bound_relu(relu, dataset), relu.ntk(dataset.inputs)),
-            (
-                "scaled_relu",
-                bound_relu(scaled_relu, dataset),
-                scaled_relu.ntk(dataset.inputs),
-            ),
-            ("homogenous", bound_homogenous_mlp(leaky, dataset), leaky.ntk(dataset.inputs)),
+            (f"{family} on {label}", bound(net, dataset), net.ntk(dataset.inputs))
+            for family, bound, net in (
+                ("relu", bound_relu, relu),
+                ("scaled_relu", bound_relu, scaled_relu),
+                ("homogenous", bound_homogenous_mlp, leaky),
+            )
         ]
-        for family, report, kernel in cases:
-            residual = abs(report.catapult_lower * lambda_max_symmetric(kernel) - 2.0) / 2.0
+    worst, worst_case = 0.0, ""
+    for case, report, kernel in cases:
+        lam0 = lambda_max_symmetric(kernel)
+        edges = [
+            ("lower edge", abs(report.catapult_lower * lam0 - 2.0) / 2.0),
+            ("ceiling", report.sufficient_upper * lam0 / 4.0 - 1.0),
+        ]
+        if report.divergence_lower is not None:
+            edges.append(("floor", 1.0 - report.divergence_lower * lam0 / 4.0))
+        for edge, residual in edges:
             if residual >= worst:
-                worst, worst_case = residual, f"{family} on {label}"
+                worst, worst_case = residual, f"{edge} of {case}"
     return CheckResult(
         name="single_datapoint_window_at_datapoint",
         passed=worst <= WINDOW_EDGE_TOL,
         residual=worst,
         threshold=WINDOW_EDGE_TOL,
-        detail=f"worst: {worst_case}; catapult_lower * lambda_max(H_0) must be 2",
+        detail=(
+            f"worst: {worst_case}; catapult_lower * lambda_max(H_0) must be 2, "
+            "sufficient_upper * lambda_max(H_0) at most 4 and "
+            "divergence_lower * lambda_max(H_0) at least 4"
+        ),
     )
 
 
@@ -349,7 +374,9 @@ def check_omega_dual(seed: int = 0) -> CheckResult:
     """The omega window's ``lambda_max(Omega)``, taken from the n x n dual
     Gram on three datapoints and, on the toy point, from psi's spectrum,
     read off a diagonal psi and solved on a rotated one, against the top
-    eigenvalue of the materialized (n D) x (n D) contraction."""
+    eigenvalue of the materialized (n D) x (n D) contraction; and on each of
+    them the window's sufficient upper value is at most
+    ``4 / lambda_max(H_0)``, with H_0 the kernel the simulator measures."""
     rng = Rng(seed)
     feature_map = build_meta_features(
         MetaFeatureSpec(n_psi=8, n_phi=0, d=2, eigen_scheme=EigenScheme("uniform", 1.0, 2.0)),
@@ -371,16 +398,39 @@ def check_omega_dual(seed: int = 0) -> CheckResult:
     )
     for label, model in cases:
         exact = lambda_max_symmetric(omega_dense(model))
-        value = bound_multi_omega(model).inputs_digest["lambda_max_omega"]
-        residual = abs(value - exact) / exact
-        if residual >= worst:
-            worst, worst_case = residual, label
+        report = bound_multi_omega(model)
+        residuals = (
+            ("dual", abs(report.inputs_digest["lambda_max_omega"] - exact) / exact),
+            ("ceiling", report.sufficient_upper * lambda_max_symmetric(model.ntk()) / 4.0 - 1.0),
+        )
+        for what, residual in residuals:
+            if residual >= worst:
+                worst, worst_case = residual, f"{what} on {label}"
     return CheckResult(
         name="omega_dual_matches_dense",
         passed=worst <= OMEGA_RTOL,
         residual=worst,
         threshold=OMEGA_RTOL,
-        detail=f"worst: {worst_case}; lambda_max(Omega) against the dense contraction",
+        detail=(
+            f"worst: {worst_case}; lambda_max(Omega) against the dense contraction, "
+            "sufficient_upper * lambda_max(H_0) at most 4"
+        ),
+    )
+
+
+def check_mlp_multi_window(seed: int = 0) -> CheckResult:
+    """The sample-Gram window's sufficient upper value is at most
+    ``4 / lambda_max(H_0)``, with H_0 the kernel the simulator measures, on
+    the 8-point leaky (0.5, 1) net of ``identity_families``."""
+    net, dataset = identity_families(seed)["homogenous"]
+    report = bound_mlp_multi(net, dataset)
+    ratio = report.sufficient_upper * lambda_max_symmetric(net.ntk(dataset.inputs)) / 4.0
+    return CheckResult(
+        name="mlp_multi_window_ceiling",
+        passed=ratio - 1.0 <= WINDOW_EDGE_TOL,
+        residual=max(ratio - 1.0, 0.0),
+        threshold=WINDOW_EDGE_TOL,
+        detail=f"sufficient_upper * lambda_max(H_0) / 4 = {ratio:.3f}, must be at most 1",
     )
 
 
@@ -432,6 +482,7 @@ def run_default_suite(seed: int = 0) -> list[CheckResult]:
         check_zero_coupling_linear,
         check_single_datapoint_windows,
         check_omega_dual,
+        check_mlp_multi_window,
         check_negative_control_corrupted_slope,
     ]
     return [fn(seed) for fn in checks]

@@ -270,10 +270,10 @@ def quad_update_consistency(
     scales = np.array([np.abs(a).max() for a in (eps, ntk, overlap)])
     for _ in range(steps):
         with np.errstate(over="ignore", invalid="ignore"):
-            meta_theta = psi @ work.theta  # M, (D, n)
-            s = meta_theta.T @ eps
+            m = psi @ work.theta  # M, (D, n)
+            s = m.T @ eps
             p = psi @ s  # P, (D, n)
-            cross = p @ meta_theta.T
+            cross = p @ m.T
             predicted = (
                 eps - eta * (ntk @ eps) + (eta**2 * zeta**3 / (2.0 * d_pts**2)) * (p @ s),
                 ntk

@@ -876,13 +876,14 @@ class TestCheckCommand:
         assert doc["all_passed"] is True
         names = {r["name"] for r in doc["results"]}
         assert "weight_norm_identity" in names
-        assert len(names) == 8
+        assert len(names) == 9
         assert "row_space_matches_dense" in names
         assert "update_recursions" in names
         assert "zero_coupling_linear" in names
         assert "negative_control_corrupted_zero_slope" in names
         assert "single_datapoint_window_at_datapoint" in names
         assert "omega_dual_matches_dense" in names
+        assert "mlp_multi_window_ceiling" in names
         assert all(r["passed"] for r in doc["results"])
 
     def test_negative_control_actually_detects_corruption(self):
@@ -953,6 +954,53 @@ class TestCheckCommand:
         assert not result.passed
         assert result.residual == pytest.approx(15.0, rel=1e-12)
         assert "on toy_relu" in result.detail
+
+    @pytest.mark.parametrize(
+        "check, bound, old, new",
+        [
+            # the ReLU ceiling evaluated at x = 1 beside the measured h0: the
+            # lower edge stays right, but on the toy_relu point x**2 = 16
+            # puts sufficient_upper * lambda_max(H_0) at 4 * 16
+            (
+                "check_single_datapoint_windows",
+                "bound_relu",
+                "ceiling=net.a_plus**2 * x * x * reduced / net.width",
+                "ceiling=net.a_plus**2 * reduced / net.width",
+            ),
+            # the multi-datapoint ceilings without the weight norm
+            (
+                "check_omega_dual",
+                "bound_multi_omega",
+                "ceiling=lam_omega * theta_sq,",
+                "ceiling=lam_omega,",
+            ),
+            (
+                "check_mlp_multi_window",
+                "bound_mlp_multi",
+                "ceiling=net.a_plus**2 * lam_gram * theta_sq,",
+                "ceiling=net.a_plus**2 * lam_gram,",
+            ),
+        ],
+        ids=["relu_without_x_squared", "omega_without_norm", "mlp_multi_without_norm"],
+    )
+    def test_window_check_catches_a_wrong_ceiling(self, monkeypatch, check, bound, old, new):
+        # each h0 is measured, so only the ceiling residual can see these
+        import inspect
+
+        import catapult.bounds as bounds
+        import catapult.selfcheck as selfcheck
+
+        source = inspect.getsource(getattr(bounds, bound))
+        assert source.count(old) == 1
+        namespace = dict(vars(bounds))
+        exec(compile(source.replace(old, new), bounds.__file__, "exec"), namespace)
+        monkeypatch.setattr(selfcheck, bound, namespace[bound])
+        result = getattr(selfcheck, check)(0)
+        assert not result.passed
+        assert result.residual > 1.0
+        if bound == "bound_relu":
+            assert result.residual == pytest.approx(15.0, rel=1e-12)
+            assert "ceiling of" in result.detail and "on toy_relu" in result.detail
 
     @pytest.mark.parametrize(
         "family, mutate",

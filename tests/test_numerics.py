@@ -1,4 +1,7 @@
+import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -48,6 +51,65 @@ class TestRng:
     def test_uniform_support(self):
         draws = Rng(2).uniform(-0.5, 0.5, 10_000)
         assert draws.min() >= -0.5 and draws.max() < 0.5
+
+
+class TestStreamKeys:
+    """No two keys that draw may share a ``SeedSequence`` pool: padding to
+    four words makes ``child(2)`` and ``child(2, 0)`` one stream."""
+
+    # every config the CI workflow writes with a heredoc, but the refused
+    # family/kind pair and the IDX image sweep, whose only draw is the
+    # deep_relu init that ``deep`` covers
+    WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tier1.yml"
+    NOT_RESOLVED = {"bad_pair", "image"}
+
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        keys = []
+        for name in ("normal", "uniform"):
+            method = getattr(Rng, name)
+
+            def recorded(self, *args, _method=method):
+                keys.append((self.seed, *self._path))
+                return _method(self, *args)
+
+            monkeypatch.setattr(Rng, name, recorded)
+        return keys
+
+    @staticmethod
+    def aliased(keys) -> list:
+        """Groups of distinct drawn keys that share one seed pool."""
+        by_pool = {}
+        for key in sorted(set(keys)):
+            by_pool.setdefault(tuple(np.random.SeedSequence(key).pool), []).append(key)
+        return [group for group in by_pool.values() if len(group) > 1]
+
+    def test_guard_flags_a_trailing_zero_key(self, draws):
+        Rng(5).child(2).normal(1)
+        Rng(5).child(2, 0).normal(1)
+        Rng(5).child(2, 1).normal(1)
+        assert self.aliased(draws) == [[(5, 2), (5, 2, 0)]]
+
+    def test_ci_configs_draw_from_distinct_streams(self, draws, tmp_path):
+        from catapult.cli import normalize_config, resolve_experiment
+
+        heredoc = re.compile(r"cat > \"\$RUNNER_TEMP/(\w+)\.json\" <<'EOF'\n(.*?)\n\s*EOF\n", re.S)
+        configs = dict(heredoc.findall(self.WORKFLOW.read_text()))
+        names = sorted(set(configs) - self.NOT_RESOLVED)
+        assert len(names) == 12 and self.NOT_RESOLVED <= set(configs)
+        for name in names:
+            draws.clear()
+            resolve_experiment(normalize_config(json.loads(configs[name]), tmp_path, 7))
+            assert draws, name
+            assert self.aliased(draws) == [], name
+
+    def test_checks_draw_from_distinct_streams(self, draws):
+        import catapult.selfcheck as selfcheck
+
+        results = selfcheck.run_default_suite(0)
+        assert all(result.passed for result in results)
+        assert len(set(draws)) > 50
+        assert self.aliased(draws) == []
 
 
 class TestSymEigen:

@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from catapult.datasets import Dataset
-from catapult.models import HomogenousNet, QuadraticModel, _symmetrize
+from catapult.models import HomogenousNet, QuadraticModel, _symmetrize, psi_matrices
 from catapult.numerics import lambda_max_symmetric, sym_eigen
 
 # perfbench/tracing.py wraps this name; nothing calls it.
@@ -331,7 +331,7 @@ def bound_relu(net: HomogenousNet, dataset: Dataset) -> BoundReport:
 def omega_dense(model: QuadraticModel) -> np.ndarray:
     """Materialized contraction matrix; quadratic in memory, test-scale only.
     The oracle that ``bound_multi_omega``'s dual value is checked against."""
-    psi = model.meta_features
+    psi = psi_matrices(model.meta_features)
     d_pts, n, _ = psi.shape
     dense = np.einsum("aij,bjk->aibk", psi, psi) * (model.zeta**2 / d_pts)
     return dense.reshape(d_pts * n, d_pts * n)
@@ -352,20 +352,20 @@ def bound_multi_omega(model: QuadraticModel) -> BoundReport:
     exactly from one eigenvalues-only solve.  On one datapoint
     ``Omega = zeta**2 psi**2``, so its top eigenvalue is ``zeta**2`` times
     the largest squared eigenvalue of psi, read off the model's cached
-    spectrum: the single-datapoint formula, from the same spectrum.
+    spectrum: the single-datapoint formula, from the same spectrum.  On
+    several datapoints diagonal meta-features go through their dense view.
     """
     if model.variant != "pure":
         raise BoundsError("the contraction window applies to the pure variant")
     if model.zeta <= 0.0:
         raise BoundsError("the contraction window requires a positive coupling")
     theta_sq = model.weight_norm()
-    psi = model.meta_features
-    d_pts, n, _ = psi.shape
+    d_pts, n = model.num_points, model.n
     if d_pts == 1:
         lam_max_sq, _, _ = _psi_square_extremes(model)
         lam_omega = model.zeta**2 * lam_max_sq
     else:
-        push = psi.reshape(d_pts * n, n)
+        push = psi_matrices(model.meta_features).reshape(d_pts * n, n)
         # ``a.T @ a`` runs as one symmetric rank-k update, stored exactly symmetric
         lam_omega = model.zeta**2 / d_pts * lambda_max_symmetric(push.T @ push)
     if lam_omega <= 0.0:
@@ -399,7 +399,8 @@ def _pool_along_top_eigenvector(model: QuadraticModel):
     of the meta-features pooled along that eigenvector, whether the top
     eigenspace is degenerate, and the notes every pooled report carries.
     On one datapoint the pooled matrix is +-psi, whose squared spectrum the
-    model caches, so no pooled matrix is built."""
+    model caches, so no pooled matrix is built; on several, diagonal
+    meta-features are pooled through their dense view."""
     h0 = model.ntk()
     evals, evecs = sym_eigen(h0)
     top = evecs[:, 0]
@@ -410,7 +411,7 @@ def _pool_along_top_eigenvector(model: QuadraticModel):
     if model.num_points == 1:
         lam_eff_sq, _, _ = _psi_square_extremes(model)
     else:
-        pooled = np.einsum("a,aij->ij", top, model.meta_features) / np.sqrt(
+        pooled = np.einsum("a,aij->ij", top, psi_matrices(model.meta_features)) / np.sqrt(
             model.num_points
         )
         eff = _symmetrize(pooled)

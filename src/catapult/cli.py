@@ -214,11 +214,15 @@ def _record(cls, section: dict, path: str, defaults: Optional[dict] = None, **gi
 
 
 def _valid_seed(value, path: str) -> int:
-    # bool is an int subclass, and a negative seed cannot seed a stream
+    # bool is an int subclass, and a negative seed cannot seed a stream; a
+    # seed of 2**32 or more spans two SeedSequence words, so it would draw
+    # another seed's streams (numerics.Rng)
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{path}: expected an integer")
     if value < 0:
         raise ConfigError(f"{path}: must be non-negative")
+    if value >= 2**32:
+        raise ConfigError(f"{path}: must be below 2**32")
     return value
 
 
@@ -250,7 +254,7 @@ def _normalize_model(raw: dict, dataset_cfg: dict) -> dict:
         raise ConfigError(f"model.family: {family} does not train on {kind} datasets")
     out = {
         "family": family,
-        "init_seed": _field(section, "model", "init_seed", int, 0, bound=NON_NEGATIVE),
+        "init_seed": _valid_seed(_field(section, "model", "init_seed", int, 0), "model.init_seed"),
     }
     with_bias = family == "quadratic_with_bias"
     if kind == "teacher_student":
@@ -312,7 +316,7 @@ def _normalize_dataset(raw: dict, base_dir: Path) -> dict:
     kind = _field(section, "dataset", "kind", str, allowed=set().union(*FAMILY_KINDS.values()))
     out = {
         "kind": kind,
-        "seed": _field(section, "dataset", "seed", int, 0, bound=NON_NEGATIVE),
+        "seed": _valid_seed(_field(section, "dataset", "seed", int, 0), "dataset.seed"),
     }
     if kind == "random":
         out["d"] = _field(section, "dataset", "d", int, 1, bound=AT_LEAST_ONE)

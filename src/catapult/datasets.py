@@ -2,9 +2,10 @@
 feature/meta-feature generators, and two-class image ingestion.
 
 Meta-feature matrices are always produced exactly symmetric (symmetrized
-after any entrywise nonlinearity) and with-bias constructions place features
-and meta-features on disjoint coordinate blocks so their orthogonality holds
-by construction, not by projection.
+after any entrywise nonlinearity), or as diagonals where the map is one
+diagonal generator, and with-bias constructions place features and
+meta-features on disjoint coordinate blocks so their orthogonality holds by
+construction, not by projection.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from catapult.models import QuadraticModel, _as_inputs, _symmetrize
+from catapult.models import QuadraticModel, _as_inputs, _symmetrize, psi_matrices
 from catapult.numerics import Rng, random_orthogonal
 
 IDX_IMAGES_MAGIC = 0x00000803
@@ -185,9 +186,15 @@ class QuadraticFeatureMap:
     entrywise, built from fixed symmetric generators ``W^i`` with a
     hand-tuned spectrum; the feature vector is a fixed linear map of x.
     Optional orthonormal-row projectors map both to a smaller student space.
+
+    A diagonal identity map stores its generators as their (d, m)
+    diagonals, the drawn eigenvalues, and without a projector gives its
+    meta-features as (D, n) diagonals, ``x_a lam`` on the meta-feature
+    block and zeros on the feature block (``QuadraticModel`` reads either
+    form); a projected one builds the dense block and then rotates it.
     """
 
-    meta_generators: np.ndarray  # (d, m, m), each exactly symmetric
+    meta_generators: np.ndarray  # (d, m, m), each exactly symmetric, or (d, m) diagonals
     feature_matrix: Optional[np.ndarray]  # (p, d) or None when n_phi == 0
     activation: str
     psi_projector: Optional[np.ndarray] = None  # (m_out, m)
@@ -211,12 +218,18 @@ class QuadraticFeatureMap:
     def n(self) -> int:
         return self.n_psi + self.n_phi
 
+    @property
+    def diagonal(self) -> bool:
+        """Whether the generators are stored as their diagonals."""
+        return self.meta_generators.ndim == 2
+
     def _activations_at(self, x: np.ndarray) -> np.ndarray:
         """Unprojected meta-feature matrices ``g(sum_i x_i W^i)``, one per
-        row of x.  With one generator (d = 1) they are exactly symmetric:
-        each entry is one product ``x W_jl`` and the activation acts
-        entrywise.  A sum over several generators is one BLAS product, which
-        need not add the terms of ``(j, l)`` and ``(l, j)`` alike."""
+        row of x, or their diagonals on a diagonal map.  With one generator
+        (d = 1) they are exactly symmetric: each entry is one product
+        ``x W_jl`` and the activation acts entrywise.  A sum over several
+        generators is one BLAS product, which need not add the terms of
+        ``(j, l)`` and ``(l, j)`` alike."""
         return self._activate(np.tensordot(x, self.meta_generators, axes=([1], [0])))
 
     def _activate(self, a: np.ndarray) -> np.ndarray:
@@ -233,20 +246,23 @@ class QuadraticFeatureMap:
 
     def _blocks_at(self, inputs) -> tuple[Optional[np.ndarray], np.ndarray]:
         """The feature block (None without features) and the exactly
-        symmetric meta-feature block; only a projected block or a sum over
-        several generators (``_activations_at``) is symmetrized."""
+        symmetric meta-feature block, as diagonals on an unprojected
+        diagonal map; only a projected block or a sum over several
+        generators (``_activations_at``) is symmetrized."""
         x = _as_inputs(inputs)
         psi = self._activations_at(x)
         if self.psi_projector is not None:
             q = self.psi_projector
-            psi = np.matmul(np.matmul(q[None, :, :], psi), q.T[None, :, :])
+            psi = np.matmul(np.matmul(q[None, :, :], psi_matrices(psi)), q.T[None, :, :])
         if self.psi_projector is not None or x.shape[1] > 1:
             psi = _symmetrize(psi)
         return self._features_at(x), psi
 
     def at(self, inputs) -> tuple[np.ndarray, np.ndarray]:
-        """Embedded (features, meta_features) arrays for the given inputs.
-        Without a feature block the meta-feature block is returned itself."""
+        """Embedded (features, meta_features) arrays for the given inputs:
+        (D, n) and (D, n, n), or (D, n) diagonals where ``_blocks_at`` gives
+        them.  Without a feature block the meta-feature block is returned
+        itself."""
         phi_block, psi_block = self._blocks_at(inputs)
         d_pts = psi_block.shape[0]
         n = self.n
@@ -254,8 +270,9 @@ class QuadraticFeatureMap:
         if phi_block is None:
             return phi, psi_block
         phi[:, self.n_psi :] = phi_block
-        psi = np.zeros((d_pts, n, n))
-        psi[:, : self.n_psi, : self.n_psi] = psi_block
+        square = psi_block.ndim - 1  # 1 for diagonals, 2 for matrices
+        psi = np.zeros((d_pts,) + (n,) * square)
+        psi[(slice(None),) + (slice(self.n_psi),) * square] = psi_block
         return phi, psi
 
     def unprojected(self, theta) -> np.ndarray:
@@ -294,7 +311,9 @@ class QuadraticFeatureMap:
         w = sum_{j<=l} c_jl g(sum_i x_i W^i_jl)`` with ``c_jj = w_j^2`` and
         ``c_jl = 2 w_j w_l``.  Per block of points that is one product of
         the inputs with the (d, m(m+1)/2) packed generators, the activation
-        in place, and one product with the columns ``zeta / 2 * c``."""
+        in place, and one product with the columns ``zeta / 2 * c``.  A
+        diagonal map packs its generators' dense view, so its outputs are
+        the bits a dense map of the same generators gives."""
         theta = self.unprojected(theta)
         single = theta.ndim == 1
         if single:
@@ -306,7 +325,7 @@ class QuadraticFeatureMap:
         w, v = theta[:m], theta[m:]
         x = _as_inputs(inputs)
         rows, cols = np.triu_indices(w.shape[0])
-        generators = self.meta_generators[:, rows, cols]
+        generators = psi_matrices(self.meta_generators)[:, rows, cols]
         c = w[rows] * w[cols]
         c[rows != cols] *= 2.0
         c *= scale
@@ -336,14 +355,17 @@ def build_meta_features(spec: MetaFeatureSpec, rng: Rng) -> QuadraticFeatureMap:
     (exactly-paired eigenvalues) and its standard-normal feature matrix.  One
     identity generator (d = 1) is drawn ``diag(lam)``: the initial weights are
     isotropic and drawn apart from it, so an eigenbasis would pick which
-    realization a seed gives, not the law.  Other maps rotate."""
+    realization a seed gives, not the law.  It is stored as lam itself, so
+    the map's meta-features are (D, n) diagonals and a GD step on them is
+    O(n).  Other maps rotate and are stored dense."""
     return _draw_meta_features(spec, rng, rotate=spec.d > 1 or spec.activation != "identity")
 
 
 def _draw_meta_features(spec: MetaFeatureSpec, rng: Rng, rotate: bool) -> QuadraticFeatureMap:
-    """Each generator diagonal, or in a random orthogonal eigenbasis when
-    ``rotate``.  A teacher always rotates: its student's law depends on it."""
-    generators = np.empty((spec.d, spec.n_psi, spec.n_psi))
+    """Each generator diagonal, stored as its (d, m) diagonals, or in a
+    random orthogonal eigenbasis when ``rotate``.  A teacher always rotates:
+    its student's law depends on it."""
+    generators = np.empty((spec.d, spec.n_psi, spec.n_psi) if rotate else (spec.d, spec.n_psi))
     for i in range(spec.d):
         lam = spec.eigen_scheme.draw(spec.n_psi, rng.child(0, i))
         if rotate:
@@ -352,7 +374,7 @@ def _draw_meta_features(spec: MetaFeatureSpec, rng: Rng, rotate: bool) -> Quadra
             # so the stored matrix is bitwise symmetric.
             generators[i] = _symmetrize((q.T * lam) @ q)
         else:
-            generators[i] = np.diag(lam)
+            generators[i] = lam
     feature_matrix = None
     if spec.n_phi > 0:
         feature_matrix = rng.child(2).normal((spec.n_phi, spec.d))
@@ -379,9 +401,9 @@ def assemble_quadratic(
     theta_rng: Rng,
 ) -> QuadraticModel:
     """Quadratic model bound to the dataset's training inputs, with
-    standard-normal initial weights.  On one datapoint of a diagonal
-    generator the meta-feature matrix is diagonal too, and the model reads
-    its spectrum off the diagonal (``QuadraticModel.psi_spectrum``)."""
+    standard-normal initial weights.  A diagonal map's meta-features are
+    (D, n) diagonals, which the model keeps as they are; on one datapoint it
+    reads its spectrum off the diagonal (``QuadraticModel.psi_spectrum``)."""
     phi, psi = feature_map.at(dataset.inputs)
     variant = "pure" if feature_map.n_phi == 0 else "with_bias"
     return QuadraticModel(

@@ -4,6 +4,7 @@ Three families:
 
 * quadratic models (pure, with-bias, or generic) built from static
   per-datapoint feature vectors and symmetric meta-feature matrices,
+  stored dense or, where they are diagonal, as their diagonals,
 * two-layer nets with a scale-invariant activation (ReLU as the special
   case with slopes (0, 1)),
 * a three-layer ReLU net with one square hidden matrix and no biases, used
@@ -93,6 +94,18 @@ def _layer(inputs: np.ndarray, weights: np.ndarray, a_minus: float, a_plus: floa
 def _symmetrize(m: np.ndarray) -> np.ndarray:
     """Exactly symmetric copy; (a+a.T)/2 is bitwise symmetric."""
     return (m + m.swapaxes(-1, -2)) / 2.0
+
+
+def psi_matrices(psi: np.ndarray) -> np.ndarray:
+    """Meta-feature matrices as a dense (D, n, n) array: a (D, n) array of
+    diagonals is spread onto zero matrices, a dense array is returned
+    itself.  The one dense view of a diagonal psi, built on request."""
+    if psi.ndim == 3:
+        return psi
+    dense = np.zeros(psi.shape + psi.shape[-1:])
+    idx = np.arange(psi.shape[-1])
+    dense[..., idx, idx] = psi
+    return dense
 
 
 def _as_inputs(inputs) -> np.ndarray:
@@ -244,6 +257,13 @@ class QuadraticModel(_KeptPass):
     The output on datapoint ``a`` is
     ``theta @ features[a] + (zeta/2) * theta @ meta_features[a] @ theta``.
 
+    The meta-features are stored dense, (D, n, n), or as diagonals, (D, n):
+    row a is then the diagonal of the matrix psi_a (``psi_matrices`` builds
+    the dense view).  A diagonal psi is symmetric by construction, its pass
+    ``psi theta`` is one entrywise product, O(D n) per GD step, and on one
+    datapoint its spectrum is its sorted diagonal.  Everything else reads
+    both forms alike.
+
     Variants:
       * ``pure``: all feature vectors are zero,
       * ``with_bias``: every meta-feature matrix annihilates every feature
@@ -254,7 +274,7 @@ class QuadraticModel(_KeptPass):
 
     theta: np.ndarray  # (n,)
     features: np.ndarray  # (D, n)
-    meta_features: np.ndarray  # (D, n, n), each exactly symmetric
+    meta_features: np.ndarray  # (D, n, n), each exactly symmetric, or (D, n) diagonals
     zeta: float
     variant: str = "generic"
     _weight_names = ("theta",)
@@ -273,22 +293,29 @@ class QuadraticModel(_KeptPass):
                 f"features must have shape (D, {n}), got {self.features.shape}"
             )
         d_pts = self.features.shape[0]
-        if self.meta_features.shape != (d_pts, n, n):
+        if self.meta_features.shape not in ((d_pts, n, n), (d_pts, n)):
             raise ModelError(
-                f"meta_features must have shape ({d_pts}, {n}, {n}), "
-                f"got {self.meta_features.shape}"
+                f"meta_features must have shape ({d_pts}, {n}, {n}), or ({d_pts}, {n}) "
+                f"for diagonals, got {self.meta_features.shape}"
             )
         if not self.zeta >= 0.0:
             raise ModelError("zeta must be a non-negative real number")
-        if not np.array_equal(self.meta_features, self.meta_features.swapaxes(1, 2)):
+        if not (
+            self.diagonal
+            or np.array_equal(self.meta_features, self.meta_features.swapaxes(1, 2))
+        ):
             raise ModelError("every meta-feature matrix must be exactly symmetric")
         if self.variant not in ("pure", "with_bias", "generic"):
             raise ModelError(f"unknown variant {self.variant!r}")
         if self.variant == "pure" and np.any(self.features != 0.0):
             raise ModelError("pure variant requires all feature vectors to be zero")
         if self.variant == "with_bias":
-            # every meta-feature row against every feature vector, one product
-            overlap = self.meta_features.reshape(d_pts * n, n) @ self.features.T
+            # every meta-feature row against every feature vector, one product;
+            # row j of a diagonal psi_a meets phi_b in one entry
+            if self.diagonal:
+                overlap = self.meta_features[:, None, :] * self.features[None, :, :]
+            else:
+                overlap = self.meta_features.reshape(d_pts * n, n) @ self.features.T
             worst = float(np.abs(overlap).max()) if overlap.size else 0.0
             if worst > BIAS_ORTHOGONALITY_TOL:
                 raise ModelError(
@@ -304,14 +331,21 @@ class QuadraticModel(_KeptPass):
     def num_points(self) -> int:
         return self.features.shape[0]
 
+    @property
+    def diagonal(self) -> bool:
+        """Whether the meta-features are stored as (D, n) diagonals."""
+        return self.meta_features.ndim == 2
+
     def _forward(self, inputs) -> np.ndarray:
-        """The psi pass ``meta_features @ theta``, (D, n); the features are
-        static, so the inputs only name the datapoints."""
+        """The psi pass ``psi_a @ theta`` per datapoint, (D, n); the features
+        are static, so the inputs only name the datapoints."""
         if inputs is not None and len(inputs) != self.num_points:
             raise ModelError(
                 f"model carries features for {self.num_points} datapoints, "
                 f"got {len(inputs)} inputs"
             )
+        if self.diagonal:
+            return self.meta_features * self.theta
         return self.meta_features @ self.theta
 
     def outputs(self, inputs=None) -> np.ndarray:
@@ -336,15 +370,18 @@ class QuadraticModel(_KeptPass):
     @functools.cached_property
     def psi_spectrum(self) -> np.ndarray:
         """Eigenvalues of the one meta-feature matrix, ascending, read-only.
-        Defined on one datapoint only.  A diagonal matrix (one datapoint of a
-        diagonal generator, ``datasets.build_meta_features``) gives its sorted
-        diagonal, any other one eigenvalues-only solve, at most once per model;
-        a clone shares it, and ``__setstate__`` restores the read-only flag
-        that pickling drops."""
+        Defined on one datapoint only.  A stored diagonal (one datapoint of a
+        one-generator identity map, ``datasets.build_meta_features``) gives
+        its sorted diagonal, as does a dense matrix that is diagonal; any
+        other one eigenvalues-only solve, at most once per model; a clone
+        shares it, and ``__setstate__`` restores the read-only flag that
+        pickling drops."""
         if self.num_points != 1:
             raise ModelError("the meta-feature spectrum is kept for one datapoint only")
         psi = self.meta_features[0]
-        if np.count_nonzero(psi) == np.count_nonzero(psi.diagonal()):
+        if self.diagonal:
+            spectrum = np.sort(psi)
+        elif np.count_nonzero(psi) == np.count_nonzero(psi.diagonal()):
             spectrum = np.sort(psi.diagonal())
         else:
             spectrum = np.linalg.eigvalsh(psi)

@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from catapult.datasets import Dataset
-from catapult.models import QuadraticModel, row_space
+from catapult.models import QuadraticModel, psi_matrices, row_space
 from catapult.numerics import lambda_max_symmetric
 
 TERMINATION_CONVERGED = "converged"
@@ -262,7 +262,7 @@ def quad_update_consistency(
     work = model.clone()
     y = dataset.labels
     d_pts = work.num_points
-    psi, phi, zeta = work.meta_features, work.features, work.zeta
+    psi, phi, zeta = psi_matrices(work.meta_features), work.features, work.zeta
     phi_gram = phi @ phi.T
 
     eps, ntk, overlap = work.outputs() - y, work.ntk(), phi @ work.theta

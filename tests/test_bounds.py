@@ -36,6 +36,7 @@ from catapult.models import (
     ModelError,
     QuadraticModel,
     linear_net_with_bias_embedding,
+    psi_matrices,
 )
 from catapult.numerics import Rng, lambda_max_symmetric
 from conftest import pure_toy_quadratic, random_quadratic, with_bias_toy_quadratic
@@ -69,7 +70,7 @@ class TestPureQuadraticBound:
     def test_expectation_feasibility_flag(self):
         m = pure_toy_quadratic(64, seed=1, scheme=EigenScheme("uniform", 1.0, 1.2))
         report = bound_pure_quadratic(m)
-        psi = m.meta_features[0]
+        psi = psi_matrices(m.meta_features)[0]
         squares = np.linalg.eigvalsh(psi) ** 2
         expected = squares.max() < 2.0 / m.n * squares.sum()
         assert report.inputs_digest["window_nonempty_in_expectation"] == expected
@@ -298,11 +299,11 @@ class TestOmegaBound:
         feature_map = build_meta_features(spec, rng.child(1))
         dataset = Dataset(inputs=[[1.0], [1.0]], labels=[0.0, 0.0])
         m = assemble_quadratic(feature_map, dataset, zeta_for("2_over_n", 8), rng.child(2))
-        assert np.array_equal(m.meta_features[0], m.meta_features[1])
+        assert np.array_equal(psi_matrices(m.meta_features)[0], psi_matrices(m.meta_features)[1])
         lam_dual = bound_multi_omega(m).inputs_digest["lambda_max_omega"]
         lam_dense = lambda_max_symmetric(omega_dense(m))
         assert lam_dual == pytest.approx(lam_dense, rel=1e-12)
-        psi_sq_top = float((np.linalg.eigvalsh(m.meta_features[0]) ** 2).max())
+        psi_sq_top = float((np.linalg.eigvalsh(psi_matrices(m.meta_features)[0]) ** 2).max())
         assert lam_dense == pytest.approx(m.zeta**2 * psi_sq_top, rel=1e-10)
 
     @pytest.mark.parametrize(
@@ -337,7 +338,7 @@ class TestOmegaBound:
             next(r for r in reports if r.method == method)
             for method in ("single_datapoint", "omega")
         )
-        psi = model.meta_features[0]
+        psi = psi_matrices(model.meta_features)[0]
         exact = model.zeta**2 * lambda_max_symmetric(psi @ psi)
         assert single.inputs_digest["lambda_max_psi_sq"] * model.zeta**2 == pytest.approx(
             exact, rel=1e-12
@@ -356,7 +357,7 @@ class TestPsiEffBound:
         m = pure_toy_quadratic(32, seed=14)
         table = bound_pure_quadratic(m)
         multi = bound_multi_psi_eff(m)
-        psi = m.meta_features[0]
+        psi = psi_matrices(m.meta_features)[0]
         assert multi.inputs_digest["lambda_max_psi_eff_sq"] == pytest.approx(
             lambda_max_symmetric(psi @ psi), rel=1e-12
         )

@@ -1470,6 +1470,43 @@ class TestExitCodes:
         assert_one_config_error(capsys, prefix)
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "command, payload, flags, prefix",
+        [
+            ("check", {"seed": 2**32}, [], "seed: must be below 2**32"),
+            ("check", None, ["--seed", str(2**32)], "--seed: must be below 2**32"),
+            ("sweep", quad_toy_config(), ["--seed", str(2**32)], "--seed: must be below 2**32"),
+            (
+                "train",
+                {**quad_toy_config(), "model": {**quad_toy_config()["model"], "init_seed": 2**40}},
+                [],
+                "model.init_seed: must be below 2**32",
+            ),
+            (
+                "train",
+                small_teacher_student_config(seed=2**32 + 3),
+                [],
+                "dataset.seed: must be below 2**32",
+            ),
+        ],
+        ids=["check_config", "check_flag", "sweep_flag", "init_seed", "dataset_seed"],
+    )
+    def test_seed_of_two_words_is_refused(self, tmp_path, capsys, command, payload, flags, prefix):
+        # a seed of 2**32 + s spans two SeedSequence words: --seed 4294967296
+        # drew the seed-0 run's streams under other keys
+        argv = [command, "--out", str(tmp_path / "out"), *flags]
+        if payload is not None:
+            argv += ["--config", write_config(tmp_path, payload)]
+        assert main(argv) == 1
+        assert_one_config_error(capsys, prefix)
+        assert not (tmp_path / "out").exists()
+
+    def test_largest_one_word_seed_is_accepted(self):
+        cfg = normalize_config(quad_toy_config(), Path("."), seed_override=2**32 - 1)
+        assert cfg["model"]["init_seed"] == cfg["dataset"]["seed"] == 2**32 - 1
+        raw = {**quad_toy_config(), "model": {**quad_toy_config()["model"], "init_seed": 2**32 - 1}}
+        assert normalize_config(raw, Path("."))["model"]["init_seed"] == 2**32 - 1
+
     def test_data_format_error_is_io_exit(self, tmp_path):
         # files exist (so parsing succeeds) but the payload is corrupt
         bogus = tmp_path / "broken.idx"

@@ -24,7 +24,7 @@ from catapult.datasets import (
     read_idx_labels,
     zeta_for,
 )
-from catapult.models import ModelError, QuadraticModel
+from catapult.models import ModelError, QuadraticModel, psi_matrices
 from catapult.numerics import Rng, random_orthogonal
 from catapult.training import mse_loss
 from conftest import synthetic_two_class_images, write_idx_images, write_idx_labels
@@ -77,12 +77,12 @@ class TestMetaFeatureConstruction:
         spec = MetaFeatureSpec(8, 0, 1, EigenScheme("uniform", 1.0, 2.0))
         fm = build_meta_features(spec, Rng(2))
         _, psi = fm.at([[1.0]])
-        assert np.array_equal(psi[0], fm.meta_generators[0])
+        assert np.array_equal(psi_matrices(psi)[0], psi_matrices(fm.meta_generators)[0])
         # one identity generator is drawn diagonal, diag(lam) as the scheme
         # draws lam, so its spectrum is lam
         lam = spec.eigen_scheme.draw(8, Rng(2).child(0, 0))
-        assert np.array_equal(psi[0], np.diag(lam))
-        _assert_relatively_close(np.linalg.eigvalsh(psi[0]), np.sort(lam))
+        assert np.array_equal(psi_matrices(psi)[0], np.diag(lam))
+        _assert_relatively_close(np.linalg.eigvalsh(psi_matrices(psi)[0]), np.sort(lam))
 
     def test_uniform_scheme_is_exactly_paired(self):
         scheme = EigenScheme("uniform", 1.0, 2.0)
@@ -275,7 +275,7 @@ class TestClosedFormSpectrum:
         assert (ds.inputs[0, 0] < 0.0) == (dataset == "negative")
         fm = build_meta_features(MetaFeatureSpec(128, n_phi, 1, EigenScheme(scheme)), Rng(50))
         model = assemble_quadratic(fm, ds, 0.1, Rng(51))
-        psi = model.meta_features[0]
+        psi = psi_matrices(model.meta_features)[0]
         assert np.array_equal(psi, np.diag(np.diagonal(psi)))
         spectrum, solves = self._spectrum_and_solves(model, monkeypatch)
         assert solves == []

@@ -13,6 +13,7 @@ from catapult.models import (
     QuadraticModel,
     linear_net_with_bias_embedding,
     loss_gradients,
+    psi_matrices,
     scale_invariant_slope,
     tangent_kernel,
 )
@@ -81,7 +82,7 @@ class TestQuadraticModel:
     def test_pure_single_point_kernel_formula(self):
         # kernel equals zeta^2 theta (psi psi) theta at one datapoint
         m = pure_toy_quadratic(24, seed=5)
-        psi = m.meta_features[0]
+        psi = psi_matrices(m.meta_features)[0]
         expected = m.zeta**2 * float(m.theta @ (psi @ (psi @ m.theta)))
         assert float(m.ntk()[0, 0]) == pytest.approx(expected, rel=1e-12)
 
@@ -171,7 +172,7 @@ class TestQuadraticModel:
 
     def test_with_bias_orthogonality_preserved_after_assembly(self):
         m = with_bias_toy_quadratic(16, 4, seed=9)
-        overlap = np.einsum("aij,bj->abi", m.meta_features, m.features)
+        overlap = np.einsum("aij,bj->abi", psi_matrices(m.meta_features), m.features)
         assert np.abs(overlap).max() <= 1e-12
 
 

@@ -7,6 +7,7 @@ from catapult.models import (
     HomogenousNet,
     QuadraticModel,
     linear_net_with_bias_embedding,
+    psi_matrices,
 )
 from catapult.numerics import Rng, lambda_max_symmetric, random_orthogonal
 from catapult.training import (
@@ -197,7 +198,7 @@ class TestRotationIsIdle:
     @pytest.mark.parametrize("rate", [1.0, 3.0, 4.5])
     def test_rotated_and_diagonal_runs_agree(self, rate):
         diagonal = pure_toy_quadratic(64, seed=0)
-        psi = diagonal.meta_features[0]
+        psi = psi_matrices(diagonal.meta_features)[0]
         assert np.array_equal(psi, np.diag(np.diagonal(psi)))
         q = random_orthogonal(64, Rng(0).child(3))
         rotated_psi = (q.T * np.diagonal(psi)) @ q

@@ -32,9 +32,10 @@ class Rng:
     ``Rng(s).child(2)`` and ``Rng(s).child(2, 0)`` draw the same numbers, as
     do ``Rng(s)`` and ``Rng(s).child(0)``, and a seed of ``2**32 + s`` spans
     two words, ``(s, 1)``, so it draws what ``Rng(s).child(1)`` does; the
-    command line refuses such seeds (``cli._valid_seed``).  Substreams are independent only when no two keys that draw share their
-    padded words; ``tests/test_numerics.py`` asserts it for the CI configs
-    and the ``check`` suite.
+    command line refuses such seeds (``cli._valid_seed``).  Substreams are
+    independent only when no two keys that draw share their padded words;
+    ``tests/test_numerics.py`` asserts it for the CI configs and the
+    ``check`` suite.
     """
 
     def __init__(self, seed: int, _path: Sequence[int] = ()):

@@ -353,7 +353,9 @@ def bound_multi_omega(model: QuadraticModel) -> BoundReport:
     ``Omega = zeta**2 psi**2``, so its top eigenvalue is ``zeta**2`` times
     the largest squared eigenvalue of psi, read off the model's cached
     spectrum: the single-datapoint formula, from the same spectrum.  On
-    several datapoints diagonal meta-features go through their dense view.
+    several datapoints with diagonal meta-features ``psi_a = diag(mu_a)``
+    the Gram is ``diag(sum_a mu_a**2)``, so its top eigenvalue is
+    ``max_j sum_a mu_aj**2``, O(D n) with no dense view.
     """
     if model.variant != "pure":
         raise BoundsError("the contraction window applies to the pure variant")
@@ -364,8 +366,11 @@ def bound_multi_omega(model: QuadraticModel) -> BoundReport:
     if d_pts == 1:
         lam_max_sq, _, _ = _psi_square_extremes(model)
         lam_omega = model.zeta**2 * lam_max_sq
+    elif model.diagonal:
+        mu = model.meta_features
+        lam_omega = model.zeta**2 / d_pts * float(np.einsum("aj,aj->j", mu, mu).max())
     else:
-        push = psi_matrices(model.meta_features).reshape(d_pts * n, n)
+        push = model.meta_features.reshape(d_pts * n, n)
         # ``a.T @ a`` runs as one symmetric rank-k update, stored exactly symmetric
         lam_omega = model.zeta**2 / d_pts * lambda_max_symmetric(push.T @ push)
     if lam_omega <= 0.0:
@@ -399,8 +404,10 @@ def _pool_along_top_eigenvector(model: QuadraticModel):
     of the meta-features pooled along that eigenvector, whether the top
     eigenspace is degenerate, and the notes every pooled report carries.
     On one datapoint the pooled matrix is +-psi, whose squared spectrum the
-    model caches, so no pooled matrix is built; on several, diagonal
-    meta-features are pooled through their dense view."""
+    model caches, so no pooled matrix is built.  On several, diagonal
+    meta-features ``psi_a = diag(mu_a)`` pool to the diagonal
+    ``top @ mu / sqrt(D)``, whose squared spectrum is
+    ``(sum_a top_a mu_aj)**2 / D``; dense ones are pooled and solved."""
     h0 = model.ntk()
     evals, evecs = sym_eigen(h0)
     top = evecs[:, 0]
@@ -410,10 +417,10 @@ def _pool_along_top_eigenvector(model: QuadraticModel):
     )
     if model.num_points == 1:
         lam_eff_sq, _, _ = _psi_square_extremes(model)
+    elif model.diagonal:
+        lam_eff_sq = float(((top @ model.meta_features) ** 2).max()) / model.num_points
     else:
-        pooled = np.einsum("a,aij->ij", top, psi_matrices(model.meta_features)) / np.sqrt(
-            model.num_points
-        )
+        pooled = np.einsum("a,aij->ij", top, model.meta_features) / np.sqrt(model.num_points)
         eff = _symmetrize(pooled)
         lam_eff_sq = float((np.linalg.eigvalsh(eff) ** 2).max())
     notes = [

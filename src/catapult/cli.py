@@ -22,7 +22,6 @@ import hashlib
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from pathlib import Path
 from typing import Callable, Optional
@@ -50,7 +49,6 @@ from catapult.datasets import (
 )
 from catapult.models import DeepReluNet, HomogenousNet, linear_net_with_bias_embedding
 from catapult.numerics import Rng, lambda_max_symmetric
-from catapult.selfcheck import run_default_suite
 from catapult.training import TrainConfig, Trajectory, train
 
 EXIT_OK = 0
@@ -649,6 +647,9 @@ def write_sweep(cfg: dict, experiment: Experiment, out_dir: Path, jobs: int) -> 
     run_rate = partial(_sweep_rate, experiment, cfg)
     workers = min(jobs, len(etas))
     if workers > 1:
+        # imported here: a serial sweep never loads the process pool
+        from concurrent.futures import ProcessPoolExecutor
+
         # each worker receives the experiment once, as its initializer's
         # argument, and each task only its rate; any start method works
         with ProcessPoolExecutor(
@@ -697,6 +698,9 @@ def cmd_bounds(cfg: dict, out_dir: Path) -> None:
 
 
 def cmd_check(seed: int, out_dir: Optional[Path]) -> bool:
+    # imported here: only the check command loads the check suite
+    from catapult.selfcheck import run_default_suite
+
     results = run_default_suite(seed)
     payload = {
         "command": "check",

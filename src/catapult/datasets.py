@@ -1,8 +1,9 @@
 """Data sources: the toy datapoint, random cubes, teacher-student labels,
 feature/meta-feature generators, and two-class image ingestion.
 
-Meta-feature matrices are always produced exactly symmetric (symmetrized
-after any entrywise nonlinearity), or as diagonals where the map is one
+Meta-feature matrices are always produced exactly symmetric (an entry and
+its mirror are built by the same operations, and a projected block is
+symmetrized as it is written), or as diagonals where the map is one
 diagonal generator, and with-bias constructions place features and
 meta-features on disjoint coordinate blocks so their orthogonality holds by
 construction, not by projection.
@@ -223,14 +224,19 @@ class QuadraticFeatureMap:
         """Whether the generators are stored as their diagonals."""
         return self.meta_generators.ndim == 2
 
-    def _activations_at(self, x: np.ndarray) -> np.ndarray:
-        """Unprojected meta-feature matrices ``g(sum_i x_i W^i)``, one per
-        row of x, or their diagonals on a diagonal map.  With one generator
-        (d = 1) they are exactly symmetric: each entry is one product
-        ``x W_jl`` and the activation acts entrywise.  A sum over several
-        generators is one BLAS product, which need not add the terms of
-        ``(j, l)`` and ``(l, j)`` alike."""
-        return self._activate(np.tensordot(x, self.meta_generators, axes=([1], [0])))
+    def _activations_at(self, point: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The unprojected meta-feature matrix ``g(sum_i x_i W^i)`` at one
+        point x, or its diagonal on a diagonal map, written into ``out``.
+        The terms are added entrywise in generator order, so entries
+        ``(j, l)`` and ``(l, j)`` see the same operations on the same
+        numbers: a dense block is exactly symmetric at any d, and its bits
+        do not depend on the BLAS or on the other points.  With one
+        generator each entry is the one product ``x W_jl``."""
+        generators = self.meta_generators
+        np.multiply(generators[0], point[0], out=out)
+        for i in range(1, point.shape[0]):
+            out += point[i] * generators[i]
+        return self._activate(out)
 
     def _activate(self, a: np.ndarray) -> np.ndarray:
         """The activation g applied entrywise, in place."""
@@ -244,35 +250,40 @@ class QuadraticFeatureMap:
             phi = phi @ self.phi_projector.T
         return phi
 
-    def _blocks_at(self, inputs) -> tuple[Optional[np.ndarray], np.ndarray]:
-        """The feature block (None without features) and the exactly
-        symmetric meta-feature block, as diagonals on an unprojected
-        diagonal map; only a projected block or a sum over several
-        generators (``_activations_at``) is symmetrized."""
-        x = _as_inputs(inputs)
-        psi = self._activations_at(x)
-        if self.psi_projector is not None:
-            q = self.psi_projector
-            psi = np.matmul(np.matmul(q[None, :, :], psi_matrices(psi)), q.T[None, :, :])
-        if self.psi_projector is not None or x.shape[1] > 1:
-            psi = _symmetrize(psi)
-        return self._features_at(x), psi
-
     def at(self, inputs) -> tuple[np.ndarray, np.ndarray]:
         """Embedded (features, meta_features) arrays for the given inputs:
-        (D, n) and (D, n, n), or (D, n) diagonals where ``_blocks_at`` gives
-        them.  Without a feature block the meta-feature block is returned
-        itself."""
-        phi_block, psi_block = self._blocks_at(inputs)
-        d_pts = psi_block.shape[0]
-        n = self.n
+        (D, n) and (D, n, n), or (D, n) diagonals on an unprojected diagonal
+        map.  The meta-feature block of point a fills
+        ``psi[a, :n_psi, :n_psi]``, and the feature block the last n_phi
+        coordinates.
+
+        The one-array rule: the build allocates the (D, n) and (D, n, n)
+        arrays once and fills them one point at a time, so besides them it
+        holds one point's activation block at teacher size (m x m) and, on
+        a projected map, that point's ``Q T`` and ``Q T Q^T``.  A projected
+        block is symmetrized exactly, ``(P + P^T) / 2``, as it is written;
+        an unprojected one is symmetric as built (``_activations_at``)."""
+        x = _as_inputs(inputs)
+        d_pts, n_psi, n = x.shape[0], self.n_psi, self.n
         phi = np.zeros((d_pts, n))
-        if phi_block is None:
-            return phi, psi_block
-        phi[:, self.n_psi :] = phi_block
-        square = psi_block.ndim - 1  # 1 for diagonals, 2 for matrices
-        psi = np.zeros((d_pts,) + (n,) * square)
-        psi[(slice(None),) + (slice(self.n_psi),) * square] = psi_block
+        features = self._features_at(x)
+        if features is not None:
+            phi[:, n_psi:] = features
+        q = self.psi_projector
+        if q is None:
+            square = self.meta_generators.ndim - 1  # 1 for diagonals, 2 for matrices
+            psi = np.zeros((d_pts,) + (n,) * square)
+            for a in range(d_pts):
+                self._activations_at(x[a], psi[(a,) + (slice(n_psi),) * square])
+            return phi, psi
+        psi = np.zeros((d_pts, n, n))
+        block = np.empty(self.meta_generators.shape[1:])  # (m, m), or (m,) diagonals
+        for a in range(d_pts):
+            activations = self._activations_at(x[a], block)
+            projected = (q @ (np.diag(activations) if self.diagonal else activations)) @ q.T
+            target = psi[a, :n_psi, :n_psi]
+            np.add(projected, projected.T, out=target)
+            target /= 2.0
         return phi, psi
 
     def unprojected(self, theta) -> np.ndarray:

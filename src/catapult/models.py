@@ -282,7 +282,12 @@ class QuadraticModel(_KeptPass):
     degree = 2  # of the meta-feature term; the feature term has degree one
 
     def __post_init__(self):
-        # Trainable arrays are copied: every GD step updates them in place.
+        """Checks the arrays as given.  Trainable arrays are copied, since
+        every GD step updates them in place; the feature arrays are kept as
+        they are.  The symmetry and with-bias checks run one point at a
+        time, so besides the model's own arrays they hold one point's
+        (n, n) comparison or (n, D) product, never an array the size of the
+        meta-features (the one-array rule of ``QuadraticFeatureMap.at``)."""
         self.theta = np.array(self.theta, dtype=np.float64).reshape(-1)
         self.features = np.asarray(self.features, dtype=np.float64)
         self.meta_features = np.asarray(self.meta_features, dtype=np.float64)
@@ -300,23 +305,19 @@ class QuadraticModel(_KeptPass):
             )
         if not self.zeta >= 0.0:
             raise ModelError("zeta must be a non-negative real number")
-        if not (
-            self.diagonal
-            or np.array_equal(self.meta_features, self.meta_features.swapaxes(1, 2))
-        ):
+        if not (self.diagonal or all(np.array_equal(psi, psi.T) for psi in self.meta_features)):
             raise ModelError("every meta-feature matrix must be exactly symmetric")
         if self.variant not in ("pure", "with_bias", "generic"):
             raise ModelError(f"unknown variant {self.variant!r}")
         if self.variant == "pure" and np.any(self.features != 0.0):
             raise ModelError("pure variant requires all feature vectors to be zero")
         if self.variant == "with_bias":
-            # every meta-feature row against every feature vector, one product;
-            # row j of a diagonal psi_a meets phi_b in one entry
-            if self.diagonal:
-                overlap = self.meta_features[:, None, :] * self.features[None, :, :]
-            else:
-                overlap = self.meta_features.reshape(d_pts * n, n) @ self.features.T
-            worst = float(np.abs(overlap).max()) if overlap.size else 0.0
+            # psi_a's rows against every feature vector, one (n, D) product
+            # per point; row j of a diagonal psi_a meets phi_b in one entry
+            worst = 0.0
+            for psi in self.meta_features:
+                overlap = psi[:, None] * self.features.T if self.diagonal else psi @ self.features.T
+                worst = max(worst, float(np.abs(overlap).max(initial=0.0)))
             if worst > BIAS_ORTHOGONALITY_TOL:
                 raise ModelError(
                     "with_bias variant requires meta_features @ features == 0; "

@@ -477,14 +477,16 @@ class TestSweepCommand:
         # pickled experiment once, through the pool initializer, the
         # teacher-student ones with the quadratic evaluator that scores their
         # test split; the 3 rates must not pickle it 3 times over 2 workers
+        import concurrent.futures
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
         import catapult.cli as cli
 
         spawn = multiprocessing.get_context("spawn")
+        # the sweep imports the pool from concurrent.futures when it starts one
         monkeypatch.setattr(
-            cli,
+            concurrent.futures,
             "ProcessPoolExecutor",
             lambda **kwargs: ProcessPoolExecutor(mp_context=spawn, **kwargs),
         )
@@ -1112,13 +1114,15 @@ class TestCheckCommand:
         assert "FAIL  update_recursions" in capsys.readouterr().out
 
     def test_exit_code_two_on_invariant_failure(self, monkeypatch, capsys):
-        import catapult.cli as cli
-        from catapult.selfcheck import CheckResult
+        # the check command imports the suite when it runs
+        import catapult.selfcheck as selfcheck
 
         def broken_suite(seed):
-            return [CheckResult(name="synthetic", passed=False, residual=1.0, threshold=0.0)]
+            return [
+                selfcheck.CheckResult(name="synthetic", passed=False, residual=1.0, threshold=0.0)
+            ]
 
-        monkeypatch.setattr(cli, "run_default_suite", broken_suite)
+        monkeypatch.setattr(selfcheck, "run_default_suite", broken_suite)
         assert main(["check"]) == 2
         assert "FAIL" in capsys.readouterr().out
 
@@ -1659,3 +1663,22 @@ class TestDepthZeroDeepRelu:
         assert deep_doc["reports"] == relu_doc["reports"]
         if kind == "toy_relu":
             assert [r["method"] for r in deep_doc["reports"]] == ["single_datapoint"]
+
+
+def test_the_entry_point_loads_neither_the_check_suite_nor_the_process_pool():
+    # a fresh interpreter: this suite's own imports load both modules
+    import os
+    import subprocess
+    import sys
+
+    code = (
+        "import sys, catapult.cli; "
+        "print(sorted({'catapult.selfcheck', 'concurrent.futures.process'} & set(sys.modules)))"
+    )
+    src = str(Path(catapult.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from catapult.models import QuadraticModel, _as_inputs, _symmetrize, psi_matrices
+from catapult.models import QuadraticModel, _as_inputs, _symmetrize
 from catapult.numerics import Rng, random_orthogonal
 
 IDX_IMAGES_MAGIC = 0x00000803
@@ -322,9 +322,11 @@ class QuadraticFeatureMap:
         w = sum_{j<=l} c_jl g(sum_i x_i W^i_jl)`` with ``c_jj = w_j^2`` and
         ``c_jl = 2 w_j w_l``.  Per block of points that is one product of
         the inputs with the (d, m(m+1)/2) packed generators, the activation
-        in place, and one product with the columns ``zeta / 2 * c``.  A
-        diagonal map packs its generators' dense view, so its outputs are
-        the bits a dense map of the same generators gives."""
+        in place, and one product with the columns ``zeta / 2 * c``.  On a
+        diagonal map every off-diagonal entry is ``g(0) = 0`` for both
+        ``ACTIVATIONS``, so only the m diagonal terms are packed: its
+        outputs agree to roundoff with a dense map of the same generators,
+        in O(m) memory per point."""
         theta = self.unprojected(theta)
         single = theta.ndim == 1
         if single:
@@ -335,8 +337,12 @@ class QuadraticFeatureMap:
         m = self.meta_generators.shape[1]
         w, v = theta[:m], theta[m:]
         x = _as_inputs(inputs)
-        rows, cols = np.triu_indices(w.shape[0])
-        generators = psi_matrices(self.meta_generators)[:, rows, cols]
+        if self.diagonal:
+            rows = cols = np.arange(m)
+            generators = self.meta_generators
+        else:
+            rows, cols = np.triu_indices(m)
+            generators = self.meta_generators[:, rows, cols]
         c = w[rows] * w[cols]
         c[rows != cols] *= 2.0
         c *= scale

@@ -74,13 +74,19 @@ def scale_invariant_slope(x: np.ndarray, a_minus: float, a_plus: float) -> np.nd
     """Slope of the scale-invariant activation: a_plus where x > 0, a_minus
     where x < 0, the midpoint (a_plus + a_minus)/2 at +0 and -0, and 0 at
     NaN, which no state that training steps holds.  ``slope * x`` is the
-    activation, a_plus*x for x >= 0 and a_minus*x below, sign bits included."""
-    slope = (x > 0.0).astype(np.float64)
+    activation, a_plus*x for x >= 0 and a_minus*x below, sign bits included.
+
+    The result is the one array allocated: one compare converted to 0 and 1,
+    scaled by a_plus, and raised to a_minus below (``0 <= a_minus <=
+    a_plus``, so the maximum is exact).  Exact zeros and NaN, which both
+    compares miss, are fixed up only when one occurs."""
+    above = x > 0.0
+    slope = above.astype(np.float64)
     slope *= a_plus
-    below = (x < 0.0).astype(np.float64)
-    below *= a_minus
-    slope += below
-    slope[x == 0.0] = 0.5 * (a_plus + a_minus)
+    np.maximum(slope, a_minus, out=slope)
+    if np.count_nonzero(above) + np.count_nonzero(x < 0.0) < x.size:
+        slope[x == 0.0] = 0.5 * (a_plus + a_minus)
+        slope[np.isnan(x)] = 0.0
     return slope
 
 
@@ -132,13 +138,19 @@ def loss_gradients(factors, errors, scale: float, out=None) -> list[np.ndarray]:
     """Gradient of the 1/(2D) squared loss for per-datapoint errors z - y,
     one array per factor pair: ``scale/D * sum_a errors[a] * outer(left[a],
     right[a])``.  Each gradient is built by one product, into its array of
-    ``out`` when given, and scaled there."""
+    ``out`` when given, and scaled there.
+
+    A pair with a right factor first scales its left factor by the errors
+    in place, so the call allocates nothing the size of a factor; the
+    factors are spent.  ``_KeptPass`` builds each such left factor fresh for
+    the step, which drops the kept pass anyway; a caller that still needs a
+    left factor passes a copy."""
     errors = np.asarray(errors, dtype=np.float64)
     step = scale / errors.shape[0]
     gradients = [
         np.matmul(left.T, errors, out=g)
         if right is None
-        else np.matmul((left * errors[:, None]).T, right, out=g)
+        else np.matmul(np.multiply(left, errors[:, None], out=left).T, right, out=g)
         for (left, right), g in zip(factors, out or [None] * len(factors))
     ]
     for g in gradients:
@@ -147,7 +159,8 @@ def loss_gradients(factors, errors, scale: float, out=None) -> list[np.ndarray]:
 
 
 def _squared_norm(weights: list[np.ndarray]) -> float:
-    return sum(float(w @ w) if w.ndim == 1 else float((w**2).sum()) for w in weights)
+    """Sum of squares, one BLAS dot per array; no array is squared."""
+    return sum(float(np.vdot(w, w)) for w in weights)
 
 
 class _KeptPass:
@@ -203,7 +216,12 @@ class _KeptPass:
 
     def _update(self, factors, errors, eta: float) -> None:
         """One gradient-descent step in place, ``w -= eta * g`` per array,
-        with each gradient built and scaled in its kept buffer."""
+        with each gradient built and scaled in its kept buffer.  The step
+        drops the kept pass first, so the factors are spent:
+        ``loss_gradients`` scales the left ones by the errors in place.
+        Past the first step, a step allocates only the left factors that
+        ``_factors`` builds for it (a deep net's two backpropagated gate
+        arrays, D x width each)."""
         self._kept = None
         if self._gradients is None:
             self._gradients = [np.empty_like(w) for w in self.weights()]
@@ -621,7 +639,8 @@ class DeepReluNet(_KeptPass):
         the activations feeding it."""
         x, (slope_in, slope_hidden), (act_in, act_hidden) = self._pass(inputs)
         back_hidden = self.output_weights[None, :] * slope_hidden
-        back_in = (back_hidden @ self.hidden_weights) * slope_in
+        back_in = back_hidden @ self.hidden_weights
+        back_in *= slope_in
         return [(back_in, x), (act_hidden, None), (back_hidden, act_in)]
 
     ntk, apply_gd_step = _KeptPass.ntk, _KeptPass.apply_gd_step

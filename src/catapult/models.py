@@ -78,12 +78,15 @@ def scale_invariant_slope(x: np.ndarray, a_minus: float, a_plus: float) -> np.nd
 
     The result is the one array allocated: one compare converted to 0 and 1,
     scaled by a_plus, and raised to a_minus below (``0 <= a_minus <=
-    a_plus``, so the maximum is exact).  Exact zeros and NaN, which both
-    compares miss, are fixed up only when one occurs."""
+    a_plus``, so the maximum is exact); ReLU's slopes (0, 1) need neither
+    pass.  Exact zeros and NaN, which both compares miss, are fixed up only
+    when one occurs."""
     above = x > 0.0
     slope = above.astype(np.float64)
-    slope *= a_plus
-    np.maximum(slope, a_minus, out=slope)
+    if a_plus != 1.0:
+        slope *= a_plus
+    if a_minus != 0.0:
+        np.maximum(slope, a_minus, out=slope)
     if np.count_nonzero(above) + np.count_nonzero(x < 0.0) < x.size:
         slope[x == 0.0] = 0.5 * (a_plus + a_minus)
         slope[np.isnan(x)] = 0.0

@@ -43,6 +43,16 @@ writes the arrays of ``weights()`` itself must call ``outputs`` again before
 a clone copies the trainable arrays and shares everything frozen at
 construction.
 
+What a step costs.  A net's step is its matrix products (the deep net's
+five: two forward, one back through the hidden matrix, two gradients) plus
+few array passes: a slope is one compare converted to 0 and 1, the weight
+norm is one BLAS dot per array, and the errors scale the left factors in
+place.  That is safe because the step drops the kept pass and ``_factors``
+builds every left factor that has a right one fresh for the call.  Past the
+first step, a step allocates only those factors (the deep net's two
+backpropagated gate arrays, D x width each), and a pass keeps one slope and
+one activation array per layer.
+
 The row-space rule.  A net's first layer moves only in the row space of its
 training inputs.  When they have fewer points than dimensions (D < d),
 ``train`` steps the net through ``row_space`` on D x D blocks instead of

@@ -1,5 +1,6 @@
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -239,6 +240,57 @@ class TestMetaFeatureConstruction:
         expected = model.outputs()
         streamed = fm.outputs_at(model.theta, zeta, x)
         _assert_relatively_close(streamed, expected)
+
+
+def _diagonal_map(m: int, n_phi: int, d: int, activation: str) -> QuadraticFeatureMap:
+    """A map whose d generators are stored as their (d, m) diagonals."""
+    return QuadraticFeatureMap(
+        meta_generators=Rng(40).uniform(-2.0, 2.0, (d, m)),
+        feature_matrix=Rng(41).normal((n_phi, d)) if n_phi else None,
+        activation=activation,
+    )
+
+
+class TestDiagonalOutputsAt:
+    """A diagonal map scores its m diagonal terms only: off the diagonal the
+    activation block is g(0) = 0 for both activations."""
+
+    @pytest.mark.parametrize("points", [1, OUTPUTS_AT_CHUNK, OUTPUTS_AT_CHUNK + 1])
+    @pytest.mark.parametrize("columns", [1, 2])
+    @pytest.mark.parametrize("n_phi", [0, 6], ids=["pure", "with_bias"])
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("activation", ["identity", "tanh"])
+    def test_matches_a_dense_map_of_the_same_generators(
+        self, points, columns, n_phi, d, activation
+    ):
+        fm = _diagonal_map(200, n_phi, d, activation)
+        dense = QuadraticFeatureMap(
+            meta_generators=psi_matrices(fm.meta_generators),
+            feature_matrix=fm.feature_matrix,
+            activation=activation,
+        )
+        x = Rng(42).uniform(-0.5, 0.5, (points, d))
+        if columns == 1:
+            theta, zeta = Rng(43).normal(fm.n), 0.3
+        else:
+            theta, zeta = Rng(43).normal((fm.n, 2)), [0.3, 0.7]
+        got, expected = fm.outputs_at(theta, zeta, x), dense.outputs_at(theta, zeta, x)
+        assert got.shape == expected.shape == ((points,) if columns == 1 else (points, 2))
+        assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+
+    def test_memory_is_linear_in_m(self):
+        # m = 2000: the dense view alone would be 32 MB, its packed upper
+        # triangle 16 MB per generator
+        fm = _diagonal_map(2000, 0, 1, "identity")
+        theta, x = Rng(44).normal(fm.n), Rng(45).uniform(-0.5, 0.5, (4, 1))
+        tracemalloc.start()
+        try:
+            outputs = fm.outputs_at(theta, 0.3, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000, peak
+        _assert_relatively_close(outputs, 0.15 * (x * fm.meta_generators[0]) @ theta**2)
 
 
 class TestClosedFormSpectrum:

@@ -1,5 +1,6 @@
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -386,6 +387,52 @@ class TestDeepReluNet:
                 hidden_weights=np.ones(shape),
                 output_weights=np.ones(2),
             )
+
+
+def traced_peak(call) -> int:
+    """Peak bytes traced while ``call()`` runs, its result included."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestStepAllocations:
+    """What the loop of ``train`` allocates at the image benchmark's shape:
+    a width-256 net on the (128, 128) row-space coordinates of 128 images,
+    where one (D, width) array is D * n * 8 = 256 KB.  A step allocates the
+    two backpropagated gate arrays (its error-scaled factors are written in
+    place), the weight norm squares no array, and a pass keeps two slope
+    and two activation arrays."""
+
+    D, WIDTH = 128, 256
+    ARRAY = D * WIDTH * 8
+
+    @pytest.fixture
+    def stepped(self):
+        rng = Rng(91)
+        net = DeepReluNet.init_random(self.WIDTH, self.D, rng)
+        x, y = rng.child(1).normal((self.D, self.D)), rng.child(2).normal(self.D)
+        net.apply_gd_step(x, net.outputs(x) - y, 1e-6)  # makes the gradient buffers
+        return net, x, y
+
+    def test_a_second_step_allocates_its_two_gate_arrays(self, stepped):
+        net, x, y = stepped
+        errors = net.outputs(x) - y
+        peak = traced_peak(lambda: net.apply_gd_step(x, errors, 1e-6))
+        assert peak <= 2.5 * self.ARRAY, peak / self.ARRAY
+
+    def test_the_weight_norm_squares_no_array(self, stepped):
+        net = stepped[0]
+        peak = traced_peak(net.weight_norm)
+        assert peak < net.output_weights.nbytes, peak
+
+    def test_outputs_keep_one_pass(self, stepped):
+        net, x, _ = stepped
+        peak = traced_peak(lambda: net.outputs(x))
+        assert peak <= 4.5 * self.ARRAY, peak / self.ARRAY
 
 def kernel_case(family: str):
     rng = Rng(53)

@@ -154,10 +154,10 @@ def loss_gradients(factors, errors, scale: float, out=None) -> list[np.ndarray]:
     ``out`` when given, and scaled there.
 
     A pair with a right factor first scales its left factor by the errors
-    in place, so the call allocates nothing the size of a factor; the
-    factors are spent.  ``_KeptPass`` builds each such left factor fresh for
-    the step, which drops the kept pass anyway; a caller that still needs a
-    left factor passes a copy."""
+    in place, so the call makes no copy of a factor; the factors are
+    spent.  ``_KeptPass`` builds each such left factor fresh for the step,
+    which drops the kept pass anyway; a caller that still needs a left
+    factor passes a copy."""
     errors = np.asarray(errors, dtype=np.float64)
     step = scale / errors.shape[0]
     gradients = [
@@ -232,9 +232,9 @@ class _KeptPass:
         with each gradient built and scaled in its kept buffer.  The step
         drops the kept pass first, so the factors are spent:
         ``loss_gradients`` scales the left ones by the errors in place.
-        Past the first step, a step allocates only the left factors that
-        ``_factors`` builds for it (a deep net's two backpropagated gate
-        arrays, D x width each)."""
+        Past the first step, the only arrays a step allocates are the left
+        factors that ``_factors`` builds for it (a deep net's two
+        backpropagated gate arrays, D x width each)."""
         self._kept = None
         if self._gradients is None:
             self._gradients = [np.empty_like(w) for w in self.weights()]
